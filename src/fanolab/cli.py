@@ -113,19 +113,34 @@ def _cache_key(command, args, extras):
 
 
 def _cache_load(path):
-    if path and os.path.exists(path):
-        try:
-            with open(path) as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return {}
-    return {}
+    """The cache at path ({} when there is no file); a file that is not a
+    JSON object is refused rather than overwritten."""
+    if not (path and os.path.exists(path)):
+        return {}
+    try:
+        with open(path) as fh:
+            cache = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _CliError(f"cannot read cache file {path}: {exc}") from exc
+    if not isinstance(cache, dict):
+        raise _CliError(f"cache file {path} does not hold a JSON object")
+    return cache
 
 
 def _cache_store(path, cache):
+    """Write through a temp file in the same directory and rename it into
+    place, so the cache file is always either the old or the new one."""
     if path:
-        with open(path, "w") as fh:
-            json.dump(cache, fh, indent=1, sort_keys=True)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(cache, fh, indent=1, sort_keys=True)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------

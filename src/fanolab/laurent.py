@@ -11,6 +11,8 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from .linalg import hnf_rows, unimodular_inverse
+
 
 class RankMismatchError(ValueError):
     pass
@@ -232,31 +234,6 @@ class LaurentPolynomial:
 # lattice-level change of variables
 
 
-def determinant(matrix):
-    """Exact integer determinant (expansion via fraction-free elimination)."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 class NotUnimodularError(ValueError):
     pass
 
@@ -266,8 +243,10 @@ def substitute_unimodular(f, matrix):
     matrix = tuple(tuple(int(x) for x in row) for row in matrix)
     if len(matrix) != f.rank or any(len(r) != f.rank for r in matrix):
         raise RankMismatchError("matrix shape does not match rank")
-    if determinant(matrix) not in (1, -1):
-        raise NotUnimodularError("matrix determinant is not +-1")
+    try:
+        unimodular_inverse(matrix)  # integral exactly when det = +-1
+    except ValueError:
+        raise NotUnimodularError("matrix determinant is not +-1") from None
     return f.apply_matrix(matrix)
 
 
@@ -280,7 +259,6 @@ def exponent_lattice_index(f):
     """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no exponent lattice")
-    from .linalg import hnf_rows
     rows = [list(e) for e in f.support()]
     h, _, rk = hnf_rows(rows)
     if rk < f.rank:

@@ -8,7 +8,7 @@ lists of row lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def vec_gcd(v):
@@ -28,6 +28,19 @@ def primitive_part(v):
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(x // g for x in v)
+
+
+def primitive_vector(v):
+    """Primitive integer vector on the ray of a rational vector.
+
+    Denominators are cleared and the content divided out, keeping signs;
+    the zero vector maps to the integer zero vector.
+    """
+    v = [Fraction(x) for x in v]
+    denom = lcm(*(x.denominator for x in v))
+    ints = [int(x * denom) for x in v]
+    g = vec_gcd(ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def mat_vec(matrix, v):
@@ -95,14 +108,11 @@ def hnf_rows(matrix):
     return a, u, r
 
 
-def hnf_basis(vectors):
-    """HNF basis (list of rows) of the lattice generated by integer vectors."""
-    h, _, r = hnf_rows(vectors)
-    return [tuple(row) for row in h[:r]]
-
-
 def unimodular_inverse(matrix):
-    """Exact integer inverse of a matrix with determinant +-1."""
+    """Exact integer inverse of a matrix with determinant +-1.
+
+    Raises ValueError for any other square matrix.
+    """
     n = len(matrix)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
                                        for j in range(n)]

@@ -12,62 +12,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .laurent import LaurentPolynomial
-from .linalg import (complete_to_basis_last_row, hnf_basis, nullspace,
-                     primitive_part, rref, solve_affine, vec_gcd)
+from .linalg import (nullspace, primitive_part, primitive_vector, rref,
+                     solve_affine)
 from .mutation import (InvalidWeightError, MutationBounds, MutationData,
-                       weight_value)
-from .polytopes import (LatticePolytope, OriginNotInteriorError,
+                       factor_sweep, weight_value)
+from .polytopes import (LatticePolytope, OriginNotInteriorError, affine_chart,
                         lattice_points, newton_polytope)
 
 
 # ---------------------------------------------------------------------------
-# convex-hull membership for possibly lower-dimensional point sets
-
-
-def _conv_contains(points, p):
-    """Exact test that the (possibly rational) point p lies in conv(points).
-
-    The points may span a lower-dimensional affine subspace; the test first
-    reduces to lattice coordinates on that subspace.
-    """
-    p0 = points[0]
-    diffs = [tuple(a - b for a, b in zip(q, p0)) for q in points]
-    basis = hnf_basis(diffs)
-    d = len(basis)
-    target = tuple(Fraction(a) - b for a, b in zip(p, p0))
-    if d == 0:
-        return all(x == 0 for x in target)
-    # solve basis^T x = target over the rationals
-    n = len(p0)
-    aug = [[Fraction(basis[j][i]) for j in range(d)] + [target[i]]
-           for i in range(n)]
-    rows, pivots = rref(aug)
-    coords = [Fraction(0)] * d
-    for r, pc in zip(rows, pivots):
-        if pc == d:
-            return False  # inconsistent: p is off the affine span
-        coords[pc] = r[d]
-    point_coords = []
-    for q in diffs:
-        aug_q = [[Fraction(basis[j][i]) for j in range(d)] + [Fraction(q[i])]
-                 for i in range(n)]
-        rq, pq = rref(aug_q)
-        v = [Fraction(0)] * d
-        for r, pc in zip(rq, pq):
-            v[pc] = r[d]
-        point_coords.append(tuple(int(x) for x in v))
-    if d == 1:
-        vals = [x[0] for x in point_coords]
-        return min(vals) <= coords[0] <= max(vals)
-    hull = LatticePolytope.from_points(point_coords, rank=d)
-    return all(sum(a * b for a, b in zip(u, coords)) >= -c
-               for (u, c) in hull.facets)
+# Minkowski differences of possibly lower-dimensional point sets
 
 
 def _minkowski_difference_points(a_points, b_points):
-    """Integer points u with u + conv(b_points) contained in conv(a_points)."""
+    """Integer points u with u + conv(b_points) contained in conv(a_points).
+
+    conv(a_points) is cut out of its affine span by the facets of its image
+    in the span's chart (``affine_chart``), so u qualifies exactly when
+    e.(u + b) = e.a0 for every b and every equation e of the span, and
+    <n, u> >= -c - min_b <n, b> for every facet (n, c) of that image, with n
+    read on the chart's pivot coordinates.
+    """
     n = len(a_points[0])
     lo = [min(q[i] for q in a_points) - min(q[i] for q in b_points)
           for i in range(n)]
@@ -75,14 +43,28 @@ def _minkowski_difference_points(a_points, b_points):
           for i in range(n)]
     if any(a > b for a, b in zip(lo, hi)):
         return []
-    from itertools import product
-    out = []
-    for u in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(_conv_contains(a_points,
-                              tuple(x + y for x, y in zip(u, b)))
-               for b in b_points):
-            out.append(u)
-    return out
+    basis, pivots = affine_chart(a_points)
+    equations = []
+    for e in nullspace(basis, ncols=n):
+        e = primitive_vector(e)
+        targets = {weight_value(e, a_points[0]) - weight_value(e, q)
+                   for q in b_points}
+        if len(targets) > 1:
+            return []  # conv(b_points) is not parallel to the span
+        equations.append((e, targets.pop()))
+    facets = []
+    if pivots:
+        hull = LatticePolytope.from_points(
+            [[q[j] for j in pivots] for q in a_points], rank=len(pivots))
+        for (u, c) in hull.facets:
+            lifted = [0] * n
+            for i, j in enumerate(pivots):
+                lifted[j] = u[i]
+            lowest = min(weight_value(lifted, q) for q in b_points)
+            facets.append((lifted, -c - lowest))
+    return [v for v in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if all(weight_value(e, v) == t for e, t in equations)
+            and all(weight_value(u, v) >= t for u, t in facets)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +126,11 @@ def seed_set(p, bounds=None):
 
 
 def _higher_rank_factors(face_pts, height, bounds):
-    diffs = sorted({tuple(b - a for a, b in zip(s0, s1))
+    diffs = sorted({primitive_part(tuple(b - a for a, b in zip(s0, s1)))
                     for s0 in face_pts for s1 in face_pts if s0 != s1})
-    diffs = sorted({primitive_part(d) for d in diffs})
-    one = LaurentPolynomial.one(len(face_pts[0]))
-    bases = []
-    for i, d1 in enumerate(diffs):
-        b = one + LaurentPolynomial.monomial(len(d1), d1)
-        bases.append(b)
-        for d2 in diffs[i + 1:]:
-            bases.append(b + LaurentPolynomial.monomial(len(d2), d2))
-    out = []
-    for base in bases:
-        power = base
-        m = 1
-        while m * (len(base.terms) - 1) <= bounds.deg_max:
-            support = [tuple(e) for e in (power ** height).support()] \
-                if height > 1 else [tuple(e) for e in power.support()]
-            if _minkowski_difference_points(face_pts, support):
-                out.append(power)
-            power = power * base
-            m += 1
-    return out
+    return [power for power in factor_sweep(diffs, bounds.deg_max)
+            if _minkowski_difference_points(face_pts,
+                                            (power ** height).support())]
 
 
 # ---------------------------------------------------------------------------

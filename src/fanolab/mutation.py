@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import sympy
 
@@ -400,25 +401,27 @@ def _enumerate_higher(f, bounds, extra_factors):
         diffs = sorted({tuple(b - a for a, b in zip(s0, s1))
                         for s0 in support for s1 in support
                         if s0 != s1})
-        one = LaurentPolynomial.one(f.rank)
-        candidates = []
-        for d1 in diffs:
-            base = one + LaurentPolynomial.monomial(f.rank, d1)
-            candidates.append(base)
-            for d2 in diffs:
-                if d2 > d1:
-                    candidates.append(
-                        base + LaurentPolynomial.monomial(f.rank, d2))
-        expanded = []
-        for cand in candidates:
-            power = cand
-            k = 1
-            while k * (len(cand.terms) - 1) <= bounds.deg_max:
-                expanded.append(power)
-                power = power * cand
-                k += 1
-        expanded.extend(extra_factors)
-        for factor in expanded:
+        for factor in chain(factor_sweep(diffs, bounds.deg_max),
+                            extra_factors):
             if all(weight_value(w, e) == 0 for e in factor.support()):
                 _try_seed(f, w, factor, seeds)
     return [seeds[k] for k in sorted(seeds)]
+
+
+def factor_sweep(diffs, deg_max):
+    """Higher-rank factor candidates from sorted distinct nonzero exponents.
+
+    Yields each binomial 1 + x^d and then the trinomials 1 + x^d + x^d'
+    with d' > d, every one followed by its powers while the degree (terms
+    minus one, times the power) stays within ``deg_max``.
+    """
+    for i, d1 in enumerate(diffs):
+        n = len(d1)
+        binomial = LaurentPolynomial.one(n) + LaurentPolynomial.monomial(n, d1)
+        for base in [binomial] + [binomial + LaurentPolynomial.monomial(n, d2)
+                                  for d2 in diffs[i + 1:]]:
+            power = base
+            for k in range(deg_max // (len(base.terms) - 1)):
+                if k:
+                    power = power * base
+                yield power

@@ -2,6 +2,12 @@
 
 Convex hulls are computed by brute-force facet enumeration (desk scale: few
 points, dimension <= 3 for the certified paths).  No floating point anywhere.
+
+Point sets of lower dimension go through one chart, ``affine_chart``: a
+single Hermite normal form of the differences gives the affine dimension and
+pivot columns, and projection onto those columns carries the hull onto a
+full-dimensional one in fewer coordinates.  ``from_points`` lifts that
+hull's vertices back; ``mmlp`` tests membership against its facets.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .laurent import ZeroPolynomialError
-from .linalg import hnf_basis, hnf_rows, nullspace, primitive_part, rref
+from .linalg import hnf_rows, nullspace, primitive_vector, rref
 
 
 class DegeneratePolytopeError(ValueError):
@@ -26,13 +32,20 @@ class NotSimplexError(ValueError):
     pass
 
 
-def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
+def affine_chart(points):
+    """Chart of the affine span of integer points.
+
+    Returns ``(basis, pivots)``: the Hermite-normal-form rows spanning the
+    differences p - points[0] (one row per affine dimension) and the pivot
+    column of each row.  Projection onto the pivot columns is injective on
+    the affine span, so it carries conv(points) onto a full-dimensional
+    polytope in that many coordinates.
+    """
     p0 = points[0]
     diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    _, _, r = hnf_rows(diffs)
-    return r
+    h, _, dim = hnf_rows(diffs)
+    basis = h[:dim]
+    return basis, [next(j for j, x in enumerate(row) if x) for row in basis]
 
 
 def _hyperplane_normal(points, rank):
@@ -45,12 +58,7 @@ def _hyperplane_normal(points, rank):
     basis = nullspace(diffs, ncols=rank)
     if len(basis) != 1:
         return None
-    v = basis[0]
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // __import__("math").gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    return primitive_part(ints)
+    return primitive_vector(basis[0])
 
 
 def _facets_full_dim(points, rank):
@@ -109,11 +117,14 @@ class LatticePolytope:
             rank = len(pts[0])
         if any(len(p) != rank for p in pts):
             raise ValueError("points of mixed dimension")
-        dim = _affine_rank(pts)
+        _, pivots = affine_chart(pts)
+        dim = len(pivots)
         if dim == 0:
             return cls(rank, (pts[0],), (), 0)
         if dim < rank:
-            verts = _lower_dim_vertices(pts, rank, dim)
+            preimage = {tuple(p[j] for j in pivots): p for p in pts}
+            inner = cls.from_points(list(preimage), rank=dim)
+            verts = sorted(preimage[v] for v in inner.vertices)
             return cls(rank, tuple(verts), (), dim)
         facets = _facets_full_dim(pts, rank)
         verts = []
@@ -166,42 +177,6 @@ class LatticePolytope:
     @classmethod
     def from_json_dict(cls, data):
         return cls.from_points(data["vertices"], rank=int(data["n"]))
-
-
-def _lower_dim_vertices(pts, rank, dim):
-    """Vertices of a lower-dimensional hull via lattice coordinates."""
-    p0 = pts[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in pts]
-    basis = hnf_basis(diffs)
-    coords = []
-    for d in diffs:
-        sol = _solve_integer(basis, d)
-        coords.append(tuple(sol))
-    if dim == 1:
-        lo = min(coords)
-        hi = max(coords)
-        keep = {coords.index(lo), coords.index(hi)}
-    else:
-        inner = LatticePolytope.from_points(coords, rank=dim)
-        keep = {coords.index(v) for v in inner.vertices}
-    return sorted(pts[i] for i in keep)
-
-
-def _solve_integer(basis_rows, target):
-    """Express target as an integer combination of lattice basis rows."""
-    a = [[basis_rows[j][i] for j in range(len(basis_rows))]
-         for i in range(len(target))]
-    aug = [row + [t] for row, t in zip(a, target)]
-    rows, pivots = rref(aug)
-    ncols = len(basis_rows)
-    x = [Fraction(0)] * ncols
-    for r, pc in zip(rows, pivots):
-        if pc == ncols:
-            raise ValueError("target not in lattice span")
-        x[pc] = r[ncols]
-    if any(v.denominator != 1 for v in x):
-        raise ValueError("target not in the integer lattice")
-    return [int(v) for v in x]
 
 
 # ---------------------------------------------------------------------------
@@ -319,35 +294,6 @@ class NormalForm:
         return hash(self.encoding)
 
 
-def _hnf_columns_canonical(vertex_cols, rank):
-    """Canonical left-GL(n,Z) form of the n x k vertex matrix."""
-    k = len(vertex_cols)
-    a = [[vertex_cols[j][i] for j in range(k)] for i in range(rank)]
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, rank) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rank):
-            while a[i][col] != 0:
-                q = a[r][col] // a[i][col]
-                for j in range(k):
-                    a[r][j] -= q * a[i][j]
-                a[r], a[i] = a[i], a[r]
-        if a[r][col] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][col] // a[r][col]
-            if q:
-                for j in range(k):
-                    a[i][j] -= q * a[r][j]
-        r += 1
-        if r == rank:
-            break
-    return tuple(tuple(row) for row in a)
-
-
 def normal_form(p):
     """GL(n,Z)-canonical form via vertex-facet pairing matrix maximisation."""
     p.require_full_dim()
@@ -369,8 +315,9 @@ def normal_form(p):
             best_perms.append(sigma)
     best_matrix = None
     for sigma in best_perms:
-        cols = [verts[j] for j in sigma]
-        h = _hnf_columns_canonical(cols, p.rank)
+        h, _, _ = hnf_rows([[verts[j][i] for j in sigma]
+                            for i in range(p.rank)])
+        h = tuple(map(tuple, h))
         if best_matrix is None or h < best_matrix:
             best_matrix = h
     encoding = repr((p.rank, best_matrix)).encode()
@@ -398,12 +345,7 @@ def simplex_weights(p):
     basis = nullspace(cols, ncols=p.rank + 1)
     if len(basis) != 1:
         raise NotSimplexError("vertices do not satisfy a unique relation")
-    v = basis[0]
-    denom = 1
-    import math
-    for x in v:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    ints = primitive_part([int(x * denom) for x in v])
+    ints = primitive_vector(basis[0])
     if all(x < 0 for x in ints):
         ints = tuple(-x for x in ints)
     if any(x <= 0 for x in ints):

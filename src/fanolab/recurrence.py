@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
-from .linalg import nullspace
+from .linalg import nullspace, primitive_vector
 
 # -- dense univariate polynomials in k, ascending coefficients ---------------
 
@@ -113,17 +112,8 @@ class PolynomialRecurrence:
 
 
 def _normalize(qs):
-    denom = 1
-    for q in qs:
-        for c in q:
-            denom = lcm(denom, Fraction(c).denominator)
-    ints = [[int(Fraction(c) * denom) for c in q] for q in qs]
-    content = 0
-    for q in ints:
-        for c in q:
-            content = gcd(content, c)
-    if content > 1:
-        ints = [[c // content for c in q] for q in ints]
+    flat = iter(primitive_vector([c for q in qs for c in q]))
+    ints = [[next(flat) for _ in q] for q in qs]
     lead = next((q[-1] for q in [_poly_trim(ints[0])] if q), 0)
     if lead < 0 or (lead == 0 and any(
             _poly_trim(q) and _poly_trim(q)[-1] < 0 for q in ints)):

@@ -149,7 +149,26 @@ def test_cache_round_trip(tmp_path, capsys):
     code, out2, _ = run(capsys, "--cache", cache, "period", P2,
                         "--terms", "8")
     assert out1 == out2
-    assert (tmp_path / "cache.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_cache_truncated_file_is_refused(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    cache.write_text('{"abc": {"terms": ["1", "0"')
+    code, out, err = run(capsys, "--cache", str(cache), "period", P2)
+    assert code == 1 and out == ""
+    assert "cannot read cache file" in err
+    assert cache.read_text() == '{"abc": {"terms": ["1", "0"'
+
+
+def test_cache_non_object_is_refused(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    cache.write_text("[1, 2, 3]\n")
+    code, out, err = run(capsys, "--cache", str(cache), "pf", P2,
+                         "--terms", "20")
+    assert code == 1 and out == ""
+    assert "does not hold a JSON object" in err
+    assert cache.read_text() == "[1, 2, 3]\n"
 
 
 def test_usage_error_exit_code():

@@ -1,0 +1,157 @@
+"""Golden corpus: `--json` stdout and exit codes of the CLI, byte for byte.
+
+The corpus in ``tests/golden/corpus.json`` pins the output of every command
+below.  Refactors must replay it unchanged.  After an intended change of
+output, regenerate it with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and review the diff of the corpus file.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from fanolab.cli import main
+
+CORPUS = pathlib.Path(__file__).parent / "golden" / "corpus.json"
+
+# The 16 reflexive polygons (one per GL(2,Z) class), as vertex lists and as
+# polynomials with binomial coefficients along each edge.
+POLYGONS = (
+    ((-1, -1), (0, 1), (1, 0)),
+    ((-1, -1), (-1, 1), (1, 0)),
+    ((-1, -1), (-1, 0), (0, 1), (1, 0)),
+    ((-1, 0), (-1, 1), (1, -1), (1, 0)),
+    ((-1, -1), (-1, 0), (0, 1), (1, -1)),
+    ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0)),
+    ((-1, -1), (-1, 1), (2, -1)),
+    ((-1, -1), (-1, 1), (0, 1), (1, -1)),
+    ((-1, -1), (-1, 0), (0, 1), (1, -1), (1, 0)),
+    ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)),
+    ((-1, -1), (-1, 0), (0, 1), (2, -1)),
+    ((-1, -1), (-1, 1), (0, 1), (1, -1), (1, 0)),
+    ((-1, -1), (-1, 1), (3, -1)),
+    ((-1, -1), (-1, 1), (0, 1), (2, -1)),
+    ((-1, -1), (-1, 1), (1, -1), (1, 1)),
+    ((-1, -1), (-1, 2), (2, -1)),
+)
+POLYGON_POLYS = (
+    "x + y + x^-1*y^-1",
+    "x + x^-1*y + 2*x^-1 + x^-1*y^-1",
+    "x + y + x^-1 + x^-1*y^-1",
+    "x + x*y^-1 + x^-1*y + x^-1",
+    "x*y^-1 + y + 2*y^-1 + x^-1 + x^-1*y^-1",
+    "x + y + y^-1 + x^-1 + x^-1*y^-1",
+    "x^2*y^-1 + 3*x*y^-1 + 3*y^-1 + x^-1*y + 2*x^-1 + x^-1*y^-1",
+    "x*y^-1 + y + 2*y^-1 + x^-1*y + 2*x^-1 + x^-1*y^-1",
+    "x + x*y^-1 + y + 2*y^-1 + x^-1 + x^-1*y^-1",
+    "x + x*y^-1 + y + y^-1 + x^-1*y + x^-1",
+    "x^2*y^-1 + 2*x + 3*x*y^-1 + y + 3*y^-1 + x^-1 + x^-1*y^-1",
+    "x + x*y^-1 + y + 2*y^-1 + x^-1*y + 2*x^-1 + x^-1*y^-1",
+    "x^3*y^-1 + 4*x^2*y^-1 + 2*x + 6*x*y^-1 + 4*y^-1 + x^-1*y + 2*x^-1"
+    " + x^-1*y^-1",
+    "x^2*y^-1 + 2*x + 3*x*y^-1 + y + 3*y^-1 + x^-1*y + 2*x^-1 + x^-1*y^-1",
+    "x*y + 2*x + x*y^-1 + 2*y + 2*y^-1 + x^-1*y + 2*x^-1 + x^-1*y^-1",
+    "x^2*y^-1 + 3*x + 3*x*y^-1 + 3*y + 3*y^-1 + x^-1*y^2 + 3*x^-1*y"
+    " + 3*x^-1 + x^-1*y^-1",
+)
+
+# 3-D reflexive polytopes with 4 to 8 vertices.
+SOLIDS = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+    ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+    ((1, 0, 1), (0, 1, 1), (-1, -1, 1), (1, 0, -1), (0, 1, -1),
+     (-1, -1, -1)),
+    ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+     (1, 1, 1)),
+    tuple((a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)),
+    ((1, 0, 0), (0, 1, 0), (-1, 1, 0), (-1, 0, 0), (0, -1, 0), (1, -1, 0),
+     (0, 0, 1), (0, 0, -1)),
+)
+RANK3_POLYS = ("x + y + z + 1/(x*y*z)", "(x + y + 1)^3/(x*y*z) + z")
+
+# Newton polytopes of dimension below the rank, including a point.
+LOWER_DIM = (
+    "x*y",
+    "1 + x*y + x^2*y^2 + x^3*y^3",
+    "x*z + y*z + x^-1*y^-1*z",
+    "(x + y + 1)^2*z",
+    "x + y + z + x^2*y^-1 + x^-1*z^2 + x*y*z^-1",
+    "x*w + y*w + z*w + x^-1*y^-1*z^-1*w",
+    "(x + y + z + 1)^2*w^-1",
+)
+
+
+def _polytope(vertices):
+    return json.dumps({"n": len(vertices[0]),
+                       "vertices": [list(v) for v in vertices]})
+
+
+def _cases():
+    cases = []
+    for verts, poly in zip(POLYGONS, POLYGON_POLYS):
+        cases.append(["newton", poly])
+        for cmd in ("points", "dual", "reflexive", "nf"):
+            cases.append([cmd, _polytope(verts)])
+        cases.append(["rigid", poly])
+        cases.append(["mutations", poly])
+    for verts in SOLIDS:
+        for cmd in ("points", "nf", "dual"):
+            cases.append([cmd, _polytope(verts)])
+    for poly in RANK3_POLYS:
+        cases.append(["mutations", poly])
+        cases.append(["rigid", poly])
+    for poly in LOWER_DIM:
+        cases.append(["newton", poly])
+    cases.append(["graph", POLYGON_POLYS[0], "--depth", "2"])
+    cases.append(["graph", POLYGON_POLYS[14], "--depth", "2"])
+    cases.append(["markov", "--correspondence", "--depth", "2"])
+    cases.append(["pf", POLYGON_POLYS[0], "--terms", "40"])
+    for i in (0, 1, 6, 12, 15):
+        cases.append(["weights", _polytope(POLYGONS[i])])
+    cases.append(["weights", _polytope(SOLIDS[0])])
+    cases.append(["weights", _polytope(POLYGONS[2])])
+    return [["--json"] + argv for argv in cases]
+
+
+CASES = _cases()
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+@functools.cache
+def _load():
+    return json.loads(CORPUS.read_text())
+
+
+def test_corpus_lists_every_case():
+    assert [entry["argv"] for entry in _load()] == CASES
+
+
+@pytest.mark.parametrize("index", range(len(CASES)),
+                         ids=[f"{i:03d}-{argv[1]}"
+                              for i, argv in enumerate(CASES)])
+def test_golden(index):
+    expected = _load()[index]
+    assert run(expected["argv"]) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps([run(argv) for argv in CASES], indent=1)
+                      + "\n")

@@ -1,11 +1,14 @@
 """Randomized algebraic invariants, exercised with hypothesis."""
 
+import functools
 from fractions import Fraction
+from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fanolab.laurent import (LaurentPolynomial, format_polynomial,
                              parse_polynomial, substitute_unimodular)
+from fanolab.mmlp import _minkowski_difference_points
 from fanolab.mutation import (MutationData, apply_shear, canonicalize_shear,
                               exact_divide, shear_equivalent)
 from fanolab.periods import classical_period, periods_agree
@@ -108,3 +111,112 @@ def test_constant_term_power_consistency(f):
     seq = classical_period(f, 5)
     for k in range(5):
         assert seq[k] == (f ** k).constant_term()
+
+
+# -- polytope geometry against brute-force oracles ---------------------------
+
+
+def _hull_oracle(vertices):
+    """Membership in conv(vertices): adding an integer point p leaves the
+    vertex set unchanged exactly when p lies in the hull."""
+    vertices = tuple(vertices)
+
+    @functools.cache
+    def contains(p):
+        return LatticePolytope.from_points(vertices + (p,)).vertices == \
+            vertices
+    return contains
+
+
+def _minkowski_oracle(a_points, b_points):
+    """Every u of a box one wider than the bounding-box bound with
+    u + b in conv(a_points) for every b, in the order of that box."""
+    n = len(a_points[0])
+    lo = [min(q[i] for q in a_points) - min(q[i] for q in b_points) - 1
+          for i in range(n)]
+    hi = [max(q[i] for q in a_points) - max(q[i] for q in b_points) + 1
+          for i in range(n)]
+    contains = _hull_oracle(LatticePolytope.from_points(a_points).vertices)
+    return [u for u in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if all(contains(tuple(x + y for x, y in zip(u, b)))
+                   for b in b_points)]
+
+
+def _check_minkowski_difference(data, rank, span):
+    coord = st.integers(-span, span)
+    points = data.draw(st.lists(st.tuples(*[coord] * rank),
+                                min_size=rank + 1, max_size=rank + 3))
+    p = LatticePolytope.from_points(points)
+    assume(p.is_full_dimensional)
+    lattice = lattice_points(p).all
+    # A is a weight slice of the lattice points (w = 0 keeps them all)
+    w = data.draw(st.one_of(st.just((0,) * rank),
+                            st.tuples(*[st.integers(-1, 1)] * rank)))
+    level = sum(a * b for a, b in zip(w, data.draw(st.sampled_from(lattice))))
+    a_points = [q for q in lattice
+                if sum(a * b for a, b in zip(w, q)) == level]
+    b_points = data.draw(st.lists(st.tuples(*[st.integers(-1, 1)] * rank),
+                                  min_size=1, max_size=3, unique=True))
+    if data.draw(st.booleans()):  # keep B on the wall w = 0
+        b_points = [b for b in b_points
+                    if sum(x * y for x, y in zip(w, b)) == 0] or [b_points[0]]
+    assert _minkowski_difference_points(a_points, b_points) == \
+        _minkowski_oracle(a_points, b_points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_minkowski_difference_matches_oracle_rank2(data):
+    _check_minkowski_difference(data, 2, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_minkowski_difference_matches_oracle_rank3(data):
+    _check_minkowski_difference(data, 3, 1)
+
+
+def test_minkowski_difference_needs_b_parallel_to_the_span():
+    # u + b lands in conv(A) for b = (0, 0) but off its line for b = (1, 0)
+    for a_points, b_points in ((((-1, 1), (0, 0), (1, -1)), ((0, 0), (1, 0))),
+                               (((-1, 1), (0, 0), (1, -1)), ((1, 0), (0, 0))),
+                               (((-1, 0, 1), (0, 0, 0), (1, 0, -1)),
+                                ((0, 0, 0), (1, 0, 0)))):
+        assert _minkowski_difference_points(a_points, b_points) == []
+        assert _minkowski_oracle(a_points, b_points) == []
+
+
+def _gl3(ops, flip):
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for i, j, s in ops:
+        if i != j:
+            m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+    if flip:
+        m[0] = [-x for x in m[0]]
+    return m
+
+
+gl3 = st.builds(_gl3, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                         st.sampled_from((-1, 1))),
+                               max_size=6),
+                st.booleans())
+
+
+def _apply(m, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+@SETTINGS
+@given(st.integers(0, 2),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=7),
+       st.integers(-2, 2), gl3, gl3)
+def test_lower_dim_vertices_commute_with_gl3(dim, coords, height, m, g):
+    # points of a dim-dimensional affine sublattice, tilted by m
+    pts = [_apply(m, (a if dim else 0, b if dim == 2 else 0, height))
+           for a, b in coords]
+    p = LatticePolytope.from_points(pts)
+    assert p.dim <= dim
+    image = LatticePolytope.from_points([_apply(g, q) for q in pts])
+    assert image.dim == p.dim
+    assert image.vertices == tuple(sorted(_apply(g, v) for v in p.vertices))
