@@ -13,10 +13,11 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .laurent import (LaurentPolynomial, ParseError, format_polynomial,
                       exponent_lattice_index, parse_polynomial)
-from .mmlp import coefficient_space, is_rigid, seed_set
+from .mmlp import is_rigid
 from .mutation import (MutationBounds, MutationData, enumerate_mutations,
                        mutate)
 from .mutation_graph import (build_graph, export_dot, markov_tree,
@@ -127,6 +128,28 @@ def _cache_load(path):
     return cache
 
 
+def _cached_terms(path, cache, key):
+    """The period terms cached under key, or None when there is no entry.
+
+    An entry must be an object whose "terms" is a list of exact numbers
+    written as ``str(Fraction)`` writes them; anything else is refused.
+    """
+    if key not in cache:
+        return None
+    entry = cache[key]
+    terms = entry.get("terms") if isinstance(entry, dict) else None
+    if not (isinstance(terms, list) and all(map(_is_exact_number, terms))):
+        raise _CliError(f"cache file {path} has a malformed entry {key}")
+    return terms
+
+
+def _is_exact_number(text):
+    try:
+        return str(Fraction(text)) == text
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+
+
 def _cache_store(path, cache):
     """Write through a temp file in the same directory and rename it into
     place, so the cache file is always either the old or the new one."""
@@ -152,9 +175,8 @@ def _cmd_period(args):
     key_extras = {"poly": f.to_json_dict(), "terms": args.terms}
     cache = _cache_load(args.cache)
     key = _cache_key("period", args, key_extras)
-    if key in cache:
-        coeffs = cache[key]["terms"]
-    else:
+    coeffs = _cached_terms(args.cache, cache, key)
+    if coeffs is None:
         coeffs = [str(c) for c in
                   classical_period(f, args.terms).coefficients]
         cache[key] = {"terms": coeffs}
@@ -375,8 +397,9 @@ def _cmd_pf(args):
     key = _cache_key("pf", args, {"poly": f.to_json_dict(),
                                   "terms": args.terms,
                                   "rmax": args.rmax, "dmax": args.dmax})
-    if key in cache:
-        terms = [int(c) for c in cache[key]["terms"]]
+    terms = _cached_terms(args.cache, cache, key)
+    if terms is not None:
+        terms = [Fraction(c) for c in terms]
     else:
         terms = list(classical_period(f, args.terms).coefficients)
         cache[key] = {"terms": [str(c) for c in terms]}

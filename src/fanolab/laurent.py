@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 
 from .linalg import hnf_rows, unimodular_inverse
 

@@ -43,18 +43,6 @@ def primitive_vector(v):
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def mat_vec(matrix, v):
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in matrix)
-
-
-def mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -230,22 +218,20 @@ def nullspace(matrix, ncols=None):
     return basis
 
 
-def solve_affine(matrix, rhs):
-    """Solve A x = b exactly.
+def solve_affine(matrix, rhs, ncols=None):
+    """Solve A x = b exactly in ``ncols`` unknowns (rows may be empty).
 
     Returns ``(particular, null_basis)`` or None when inconsistent.  Free
     variables are set to zero in the particular solution.
     """
-    if not matrix:
-        raise ValueError("empty system")
-    n = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
+    if ncols is None:
+        if not matrix:
+            raise ValueError("need ncols for an empty system")
+        ncols = len(matrix[0])
+    rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
     for r, pc in zip(rows, pivots):
-        if pc == n:
-            return None
-    x = [Fraction(0)] * n
-    for r, pc in zip(rows, pivots):
-        x[pc] = r[n]
-    basis = nullspace(matrix, ncols=n)
-    return [Fraction(v) for v in x], basis
+        x[pc] = r[ncols]
+    return x, nullspace(matrix, ncols=ncols)

@@ -6,65 +6,45 @@ and 0 at the origin; the remaining coefficients are unknowns.  Requiring
 mutability with respect to a set of seed mutations imposes exact linear
 conditions on the unknowns, and the solution set is an affine subspace whose
 dimension decides rigidity.
+
+Each condition lives on the slice of P's lattice points where a weight takes
+one value.  A slice holds every lattice point of P on its hyperplane, so the
+monomial multiples of a factor power that fit in it are found by lookups in
+that point set; no hull is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .laurent import LaurentPolynomial
-from .linalg import (nullspace, primitive_part, primitive_vector, rref,
-                     solve_affine)
+from .linalg import nullspace, primitive_part, solve_affine
 from .mutation import (InvalidWeightError, MutationBounds, MutationData,
                        factor_sweep, weight_value)
-from .polytopes import (LatticePolytope, OriginNotInteriorError, affine_chart,
+from .polytopes import (LatticePolytope, OriginNotInteriorError,
                         lattice_points, newton_polytope)
 
 
 # ---------------------------------------------------------------------------
-# Minkowski differences of possibly lower-dimensional point sets
+# Minkowski differences of hyperplane slices
 
 
 def _minkowski_difference_points(a_points, b_points):
-    """Integer points u with u + conv(b_points) contained in conv(a_points).
+    """Integer points u with u + conv(b_points) contained in conv(a_points),
+    in sorted order.
 
-    conv(a_points) is cut out of its affine span by the facets of its image
-    in the span's chart (``affine_chart``), so u qualifies exactly when
-    e.(u + b) = e.a0 for every b and every equation e of the span, and
-    <n, u> >= -c - min_b <n, b> for every facet (n, c) of that image, with n
-    read on the chart's pivot coordinates.
+    a_points must hold every lattice point of conv(a_points), as the lattice
+    points of a polytope on one hyperplane do.  Then u + conv(b_points) lies
+    in conv(a_points) exactly when u + b is in a_points for every b, and
+    each such u is a - b_points[0] for some a.
     """
-    n = len(a_points[0])
-    lo = [min(q[i] for q in a_points) - min(q[i] for q in b_points)
-          for i in range(n)]
-    hi = [max(q[i] for q in a_points) - max(q[i] for q in b_points)
-          for i in range(n)]
-    if any(a > b for a, b in zip(lo, hi)):
-        return []
-    basis, pivots = affine_chart(a_points)
-    equations = []
-    for e in nullspace(basis, ncols=n):
-        e = primitive_vector(e)
-        targets = {weight_value(e, a_points[0]) - weight_value(e, q)
-                   for q in b_points}
-        if len(targets) > 1:
-            return []  # conv(b_points) is not parallel to the span
-        equations.append((e, targets.pop()))
-    facets = []
-    if pivots:
-        hull = LatticePolytope.from_points(
-            [[q[j] for j in pivots] for q in a_points], rank=len(pivots))
-        for (u, c) in hull.facets:
-            lifted = [0] * n
-            for i, j in enumerate(pivots):
-                lifted[j] = u[i]
-            lowest = min(weight_value(lifted, q) for q in b_points)
-            facets.append((lifted, -c - lowest))
-    return [v for v in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            if all(weight_value(e, v) == t for e, t in equations)
-            and all(weight_value(u, v) >= t for u, t in facets)]
+    a_set = set(a_points)
+    b0 = b_points[0]
+    cands = {tuple(x - y for x, y in zip(a, b0)) for a in a_set}
+    return sorted(u for u in cands
+                  if all(tuple(x + y for x, y in zip(u, b)) in a_set
+                         for b in b_points))
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +96,8 @@ def seed_set(p, bounds=None):
                     LaurentPolynomial.monomial(2, d)
                 seeds.append(MutationData(u, base ** m).canonical())
         else:
-            for factor in _higher_rank_factors(face_pts, c, bounds):
-                if all(weight_value(u, e) == 0 for e in factor.support()):
-                    seeds.append(MutationData(u, factor).canonical())
+            seeds += [MutationData(u, factor).canonical()
+                      for factor in _higher_rank_factors(face_pts, c, bounds)]
     unique = {}
     for s in seeds:
         unique[(s.weight, tuple(sorted(s.factor.terms.items())))] = s
@@ -173,18 +152,12 @@ class CoefficientSpace:
     def contains_polynomial(self, f):
         if self.empty:
             return False
-        vals = []
-        for pt in self.free_points:
-            vals.append(Fraction(f.coefficient(pt)))
-        diff = [a - b for a, b in zip(vals, self.basepoint)]
-        if not self.directions:
-            return all(x == 0 for x in diff)
+        diff = [Fraction(f.coefficient(pt)) - b
+                for pt, b in zip(self.free_points, self.basepoint)]
         cols = [[d[i] for d in self.directions]
                 for i in range(len(self.free_points))]
-        aug = [row + [t] for row, t in zip(cols, diff)]
-        rows, pivots = rref(aug)
-        k = len(self.directions)
-        return all(pc != k for _, pc in zip(rows, pivots))
+        return solve_affine(cols, diff,
+                            ncols=len(self.directions)) is not None
 
 
 def coefficient_space(p, seeds):
@@ -216,26 +189,18 @@ def coefficient_space(p, seeds):
             if level >= 0:
                 continue
             a_pts = sorted(by_level[level])
+            at = {q: i for i, q in enumerate(a_pts)}
             fpow = seed.factor ** (-level)
-            cands = _minkowski_difference_points(
-                a_pts, [tuple(e) for e in fpow.support()])
             # columns of the span matrix, in the a_pts coordinate order
             cols = []
-            for u in cands:
+            for u in _minkowski_difference_points(a_pts, fpow.support()):
                 col = [Fraction(0)] * len(a_pts)
                 for e, cf in fpow.terms.items():
-                    key = tuple(x + y for x, y in zip(u, e))
-                    col[a_pts.index(key)] = Fraction(cf)
+                    col[at[tuple(x + y for x, y in zip(u, e))]] = Fraction(cf)
                 cols.append(col)
-            if cols:
-                # left null space of the span matrix = null space of its
-                # transpose, whose rows are exactly the columns built above
-                left_null = nullspace(cols, ncols=len(a_pts))
-            else:
-                left_null = [tuple(Fraction(1) if i == j else Fraction(0)
-                                   for i in range(len(a_pts)))
-                             for j in range(len(a_pts))]
-            for r in left_null:
+            # left null space of the span matrix = null space of its
+            # transpose, whose rows are exactly the columns built above
+            for r in nullspace(cols, ncols=len(a_pts)):
                 row = [Fraction(0)] * len(free)
                 rhs = Fraction(0)
                 for coef, q in zip(r, a_pts):
@@ -246,16 +211,7 @@ def coefficient_space(p, seeds):
                 if any(row) or rhs:
                     eq_rows.append(row)
                     eq_rhs.append(rhs)
-    if not free:
-        empty = any(r for r in eq_rhs)
-        return CoefficientSpace(p, (), (), (), empty)
-    if not eq_rows:
-        basis = tuple(tuple(Fraction(1) if i == j else Fraction(0)
-                            for i in range(len(free)))
-                      for j in range(len(free)))
-        return CoefficientSpace(p, free, tuple([Fraction(0)] * len(free)),
-                                basis, False)
-    solved = solve_affine(eq_rows, eq_rhs)
+    solved = solve_affine(eq_rows, eq_rhs, ncols=len(free))
     if solved is None:
         return CoefficientSpace(p, free, (), (), True)
     particular, null_basis = solved

@@ -8,8 +8,7 @@ earlier work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import comb, factorial
 
 from .laurent import LaurentPolynomial, ZeroPolynomialError, parse_polynomial

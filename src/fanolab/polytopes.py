@@ -6,8 +6,8 @@ points, dimension <= 3 for the certified paths).  No floating point anywhere.
 Point sets of lower dimension go through one chart, ``affine_chart``: a
 single Hermite normal form of the differences gives the affine dimension and
 pivot columns, and projection onto those columns carries the hull onto a
-full-dimensional one in fewer coordinates.  ``from_points`` lifts that
-hull's vertices back; ``mmlp`` tests membership against its facets.
+full-dimensional one in fewer coordinates; ``from_points`` lifts that
+hull's vertices back.
 """
 
 from __future__ import annotations
@@ -150,17 +150,6 @@ class LatticePolytope:
         self.require_full_dim()
         return all(sum(a * b for a, b in zip(u, point)) >= -c
                    for (u, c) in self.facets)
-
-    def on_boundary(self, point):
-        self.require_full_dim()
-        onto = False
-        for (u, c) in self.facets:
-            val = sum(a * b for a, b in zip(u, point))
-            if val < -c:
-                return False
-            if val == -c:
-                onto = True
-        return onto
 
     def bounding_box(self):
         lo = [min(v[i] for v in self.vertices) for i in range(self.rank)]

@@ -171,6 +171,38 @@ def test_cache_non_object_is_refused(tmp_path, capsys):
     assert cache.read_text() == "[1, 2, 3]\n"
 
 
+@pytest.mark.parametrize("command", ["period", "pf"])
+@pytest.mark.parametrize("entry", [[], {"terms": "1 0 0 6"},
+                                   {"terms": ["1", "0", 0, "6"]},
+                                   {"terms": ["1", "0", "0.5", "6"]},
+                                   {"coeffs": ["1", "0", "0", "6"]}])
+def test_cache_malformed_entry_is_refused(tmp_path, capsys, command, entry):
+    cache = tmp_path / "cache.json"
+    argv = ("--cache", str(cache), command, P2, "--terms", "20")
+    run(capsys, *argv)
+    (key,) = json.loads(cache.read_text())
+    cache.write_text(json.dumps({key: entry}))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"cache file {cache} has a malformed entry" in err
+    assert json.loads(cache.read_text()) == {key: entry}
+
+
+def test_pf_cache_reads_rational_terms_back(tmp_path, capsys):
+    cache = str(tmp_path / "cache.json")
+    outs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "--cache", cache, "--json", "pf",
+                           "x + y + 1/2*x^-1*y^-1", "--terms", "30")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["operator"] == \
+        "2*D^2 + t^3*(-27*D^2 - 81*D - 54)"
+    assert any("/" in c for entry in json.loads(open(cache).read()).values()
+               for c in entry["terms"])
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["period"])  # missing argument

@@ -68,6 +68,18 @@ def test_coefficient_space_unconstrained_dimension():
     p = newton_polytope(parse_polynomial(H))
     space = coefficient_space(p, ())
     assert space.dimension == 4  # the four edge midpoints are free
+    assert space.basepoint == (0,) * 4
+    assert space.contains_polynomial(parse_polynomial(H))
+    assert space.contains_polynomial(parse_polynomial(
+        "x*y + y*x^-1 + x^-1*y^-1 + x*y^-1 - 7/3*x"))
+
+
+def test_contains_polynomial_without_free_points():
+    f = parse_polynomial("x + y + x^-1*y^-1")
+    p = newton_polytope(f)
+    space = coefficient_space(p, seed_set(p).seeds)
+    assert space.free_points == () and space.dimension == 0
+    assert space.contains_polynomial(f)
 
 
 def test_rigid_verdicts():

@@ -149,10 +149,16 @@ def _check_minkowski_difference(data, rank, span):
     p = LatticePolytope.from_points(points)
     assume(p.is_full_dimensional)
     lattice = lattice_points(p).all
-    # A is a weight slice of the lattice points (w = 0 keeps them all)
-    w = data.draw(st.one_of(st.just((0,) * rank),
-                            st.tuples(*[st.integers(-1, 1)] * rank)))
-    level = sum(a * b for a, b in zip(w, data.draw(st.sampled_from(lattice))))
+    # A is a weight slice of the lattice points (w = 0 keeps them all) or
+    # the lattice points of a facet
+    if data.draw(st.booleans()):
+        w, c = data.draw(st.sampled_from(p.facets))
+        level = -c
+    else:
+        w = data.draw(st.one_of(st.just((0,) * rank),
+                                st.tuples(*[st.integers(-1, 1)] * rank)))
+        level = sum(a * b for a, b in
+                    zip(w, data.draw(st.sampled_from(lattice))))
     a_points = [q for q in lattice
                 if sum(a * b for a, b in zip(w, q)) == level]
     b_points = data.draw(st.lists(st.tuples(*[st.integers(-1, 1)] * rank),
