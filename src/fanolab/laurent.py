@@ -165,8 +165,7 @@ class LaurentPolynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        # plain iterated multiplication: supports grow linearly, which is
-        # what the streaming period computation relies on
+        # plain iterated multiplication by the base
         result = LaurentPolynomial.one(self.rank)
         for _ in range(k):
             result = result * self

@@ -150,7 +150,16 @@ class CoefficientSpace:
         return LaurentPolynomial.from_terms(self.polytope.rank, terms.items())
 
     def contains_polynomial(self, f):
-        if self.empty:
+        """Whether f is a member: coefficient 1 at every vertex, support
+        inside the vertices and free points (so no constant term), and free
+        coefficients on the solution set."""
+        if self.empty or f.rank != self.polytope.rank:
+            return False
+        vertices = self.polytope.vertices
+        if any(f.coefficient(v) != 1 for v in vertices):
+            return False
+        allowed = set(vertices).union(self.free_points)
+        if any(e not in allowed for e in f.terms):
             return False
         diff = [Fraction(f.coefficient(pt)) - b
                 for pt, b in zip(self.free_points, self.basepoint)]

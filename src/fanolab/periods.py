@@ -1,9 +1,19 @@
 """Classical period sequences of Laurent polynomials.
 
 The classical period of f is the power series whose k-th coefficient is the
-constant term of f^k.  We keep a running power of f and extract constant
-terms as we go, so requesting more terms of the same polynomial reuses
-earlier work.
+constant term of f^k.  No full power f^k is ever built: since
+f^(a+b) = f^a * f^b, its constant term is the pairing
+
+    ct(f^(a+b)) = sum over m of f^a[m] * f^b[-m],
+
+which reads one coefficient of each half power per term of the smaller one.
+``PeriodCalculator`` keeps lo = f^a, multiplies once to get hi = f^(a+1),
+and pairs hi with lo and hi with itself for the constant terms of f^(2a+1)
+and f^(2a+2).  So n terms cost powers only up to about f^(n/2), with two
+powers alive at a time.  The pairing is exact for any rank, support and
+rational coefficients, needs no bound on n up front, and the calculator
+still streams: asking for more terms of the same polynomial reuses earlier
+work.
 """
 
 from __future__ import annotations
@@ -11,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .laurent import LaurentPolynomial, ZeroPolynomialError, parse_polynomial
+from .laurent import (LaurentPolynomial, ZeroPolynomialError, _norm_coeff,
+                      parse_polynomial)
 
 
 @dataclass(frozen=True)
@@ -30,6 +41,18 @@ class PeriodSequence:
         return {"terms": [str(c) for c in self.coefficients]}
 
 
+def _pair(a, b):
+    """Constant term of the product of two term maps: sum of a[m] * b[-m]."""
+    if len(a) > len(b):
+        a, b = b, a
+    total = 0
+    for e, c in a.items():
+        d = b.get(tuple(-x for x in e))
+        if d is not None:
+            total += c * d
+    return _norm_coeff(total)
+
+
 class PeriodCalculator:
     """Streams constant terms of successive powers of a fixed polynomial."""
 
@@ -39,13 +62,17 @@ class PeriodCalculator:
         if f.is_zero():
             raise ZeroPolynomialError("classical period of 0 is undefined")
         self.f = f
-        self._power = LaurentPolynomial.one(f.rank)
-        self._coeffs = [self._power.constant_term()]
+        # invariant: _half = f^a and _coeffs holds ct(f^0) .. ct(f^(2a))
+        self._half = LaurentPolynomial.one(f.rank)
+        self._coeffs = [1]
 
     def coefficient(self, k):
         while len(self._coeffs) <= k:
-            self._power = self._power * self.f
-            self._coeffs.append(self._power.constant_term())
+            lo = self._half.terms
+            self._half = self._half * self.f
+            hi = self._half.terms
+            self._coeffs.append(_pair(hi, lo))
+            self._coeffs.append(_pair(hi, hi))
         return self._coeffs[k]
 
     def prefix(self, n_terms):
@@ -65,25 +92,27 @@ def periods_agree(f, g, n_terms):
     """Compare two period sequences termwise.
 
     Either argument may be a LaurentPolynomial or a PeriodSequence covering
-    at least ``n_terms`` terms.  Returns (True, None) on agreement, else
-    (False, first_mismatch_index).
+    at least ``n_terms`` terms.  Polynomials are expanded in lockstep, so a
+    mismatch stops the work at its index.  Returns (True, None) on
+    agreement, else (False, first_mismatch_index).
     """
-    a = _as_prefix(f, n_terms)
-    b = _as_prefix(g, n_terms)
+    a = _term_source(f, n_terms)
+    b = _term_source(g, n_terms)
     for k in range(n_terms):
-        if a[k] != b[k]:
+        if a(k) != b(k):
             return False, k
     return True, None
 
 
-def _as_prefix(obj, n_terms):
+def _term_source(obj, n_terms):
+    """A function k -> k-th period coefficient of obj, for k < n_terms."""
     if isinstance(obj, PeriodSequence):
         if len(obj) < n_terms:
             raise ValueError(f"sequence has only {len(obj)} terms, "
                              f"need {n_terms}")
-        return obj.coefficients
+        return obj.coefficients.__getitem__
     if isinstance(obj, LaurentPolynomial):
-        return classical_period(obj, n_terms).coefficients
+        return PeriodCalculator(obj).coefficient
     raise TypeError("expected LaurentPolynomial or PeriodSequence")
 
 

@@ -55,6 +55,19 @@ def test_coefficient_space_square_pins_h():
         "x + x*y + y + y*x^-1 + x^-1 + x^-1*y^-1 + y^-1 + x*y^-1"))
 
 
+def test_contains_polynomial_checks_pinned_terms():
+    h = parse_polynomial(H)
+    p = newton_polytope(h)
+    space = coefficient_space(p, seed_set(p).seeds)
+    for extra in ("4*x*y",  # the x*y vertex coefficient becomes 5
+                  "x^3",  # a term outside the polytope
+                  "7"):  # a nonzero constant term
+        assert not space.contains_polynomial(
+            h + parse_polynomial(extra, rank_hint=2)), extra
+    assert not space.contains_polynomial(parse_polynomial(
+        "x + y + z + x^-1*y^-1*z^-1"))  # wrong rank
+
+
 def test_coefficient_space_members_are_mutable():
     h = parse_polynomial(H)
     p = newton_polytope(h)

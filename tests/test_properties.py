@@ -226,3 +226,14 @@ def test_lower_dim_vertices_commute_with_gl3(dim, coords, height, m, g):
     image = LatticePolytope.from_points([_apply(g, q) for q in pts])
     assert image.dim == p.dim
     assert image.vertices == tuple(sorted(_apply(g, v) for v in p.vertices))
+
+
+exponents3 = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@SETTINGS
+@given(st.dictionaries(exponents3, coeffs, min_size=2, max_size=6), gl3)
+def test_period_invariant_under_gl3(terms, m):
+    f = LaurentPolynomial.from_terms(3, terms.items())
+    g = substitute_unimodular(f, m)
+    assert periods_agree(f, g, 10) == (True, None)
