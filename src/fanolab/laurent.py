@@ -258,7 +258,7 @@ def exponent_lattice_index(f):
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no exponent lattice")
     rows = [list(e) for e in f.support()]
-    h, _, rk = hnf_rows(rows)
+    h, rk = hnf_rows(rows)
     if rk < f.rank:
         return rk, None
     index = 1

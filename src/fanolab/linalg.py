@@ -50,15 +50,15 @@ def identity(n):
 def hnf_rows(matrix):
     """Row-style Hermite normal form.
 
-    Returns ``(H, U, rank)`` with ``U`` unimodular and ``U @ A == H``; the
-    nonzero rows of H are an echelon basis of the row lattice, pivots
-    positive, entries above each pivot reduced into [0, pivot).
+    Returns ``(H, rank)``: the nonzero rows of H are an echelon basis of the
+    row lattice, pivots positive, entries above each pivot reduced into
+    [0, pivot).  No transform is kept, so the cost is linear in the number
+    of rows.
     """
     if not matrix:
-        return [], [], 0
+        return [], 0
     a = [list(map(int, row)) for row in matrix]
     m, n = len(a), len(a[0])
-    u = identity(m)
     r = 0
     for col in range(n):
         # clear column below row r using gcd row operations
@@ -70,30 +70,23 @@ def hnf_rows(matrix):
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        u[r], u[pivot_row] = u[pivot_row], u[r]
         for i in range(r + 1, m):
             while a[i][col] != 0:
                 q = a[r][col] // a[i][col]
                 for j in range(n):
                     a[r][j] -= q * a[i][j]
-                for j in range(m):
-                    u[r][j] -= q * u[i][j]
                 a[r], a[i] = a[i], a[r]
-                u[r], u[i] = u[i], u[r]
         if a[r][col] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = a[i][col] // a[r][col]
             if q:
                 for j in range(n):
                     a[i][j] -= q * a[r][j]
-                for j in range(m):
-                    u[i][j] -= q * u[r][j]
         r += 1
         if r == m:
             break
-    return a, u, r
+    return a, r
 
 
 def unimodular_inverse(matrix):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .laurent import LaurentPolynomial
 from .linalg import nullspace, primitive_part, solve_affine
 from .mutation import (InvalidWeightError, MutationBounds, MutationData,
-                       factor_sweep, weight_value)
+                       factor_powers, factor_sweep, weight_value)
 from .polytopes import (LatticePolytope, OriginNotInteriorError,
                         lattice_points, newton_polytope)
 
@@ -90,11 +90,10 @@ def seed_set(p, bounds=None):
             face_pts.sort()
             d = primitive_part(tuple(b - a for a, b in
                                      zip(face_pts[0], face_pts[-1])))
-            length = len(face_pts) - 1
-            for m in range(1, min(bounds.deg_max, length // c) + 1):
-                base = LaurentPolynomial.one(2) + \
-                    LaurentPolynomial.monomial(2, d)
-                seeds.append(MutationData(u, base ** m).canonical())
+            base = LaurentPolynomial.one(2) + LaurentPolynomial.monomial(2, d)
+            top = min(bounds.deg_max, (len(face_pts) - 1) // c)
+            seeds += [MutationData(u, power).canonical()
+                      for power in factor_powers(base, range(1, top + 1))]
         else:
             seeds += [MutationData(u, factor).canonical()
                       for factor in _higher_rank_factors(face_pts, c, bounds)]
@@ -194,12 +193,15 @@ def coefficient_space(p, seeds):
         by_level = {}
         for q in pts:
             by_level.setdefault(weight_value(w, q), []).append(q)
+        needed = [-level for level in sorted(by_level, reverse=True)
+                  if level < 0]
+        powers = dict(zip(needed, factor_powers(seed.factor, needed)))
         for level in sorted(by_level):
             if level >= 0:
                 continue
             a_pts = sorted(by_level[level])
             at = {q: i for i, q in enumerate(a_pts)}
-            fpow = seed.factor ** (-level)
+            fpow = powers[-level]
             # columns of the span matrix, in the a_pts coordinate order
             cols = []
             for u in _minkowski_difference_points(a_pts, fpow.support()):

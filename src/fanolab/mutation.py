@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-import sympy
-
 from .laurent import LaurentPolynomial, ZeroPolynomialError
 from .linalg import (complete_to_basis_last_row, is_primitive, primitive_part,
                      unimodular_inverse)
@@ -28,6 +26,23 @@ class InvalidWeightError(ValueError):
 
 class InvalidFactorError(ValueError):
     pass
+
+
+def __getattr__(name):
+    # sympy is imported on first use, because only factoring needs it and
+    # the import is most of the package's start-up time; reading
+    # ``fanolab.mutation.sympy`` from outside imports it too
+    if name == "sympy":
+        return _sympy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _sympy():
+    """The module global ``sympy``, imported when first read."""
+    global sympy
+    if "sympy" not in globals():
+        import sympy
+    return sympy
 
 
 def check_weight(w, rank):
@@ -131,6 +146,20 @@ def exact_divide(g, d):
 # mutability and mutation
 
 
+def factor_powers(factor, exponents):
+    """Yield F^k for each k of an ascending sequence of exponents k >= 0.
+
+    One multiplication per step up to the largest k.  Only the latest power
+    is kept, so a caller that needs several at once holds them itself.
+    """
+    power, done = LaurentPolynomial.one(factor.rank), 0
+    for k in exponents:
+        for _ in range(done, k):
+            power = power * factor
+        done = k
+        yield power
+
+
 @dataclass(frozen=True)
 class MutationWitness:
     """Exact quotients f_i / F^|i| for every negative level i."""
@@ -152,12 +181,12 @@ def is_mutable(f, data):
     if f.is_zero():
         raise ZeroPolynomialError("cannot mutate the zero polynomial")
     quotients = []
-    fpow = {}
-    for i, piece in weight_decomposition(f, data.weight):
+    slices = weight_decomposition(f, data.weight)
+    needed = [-i for i, _ in reversed(slices) if i < 0]
+    fpow = dict(zip(needed, factor_powers(data.factor, needed)))
+    for i, piece in slices:
         if i >= 0:
             continue
-        if -i not in fpow:
-            fpow[-i] = data.factor ** (-i)
         q = exact_divide(piece, fpow[-i])
         if q is None:
             return NotMutable(data, i)
@@ -178,13 +207,15 @@ def mutate(f, data, witness=None):
             f"divisible by the required power of the factor")
     g = LaurentPolynomial.zero(f.rank)
     quot = dict(witness.quotients)
-    for i, piece in weight_decomposition(f, data.weight):
+    slices = weight_decomposition(f, data.weight)
+    powers = factor_powers(data.factor, [i for i, _ in slices if i > 0])
+    for i, piece in slices:
         if i < 0:
             g = g + quot[i]
         elif i == 0:
             g = g + piece
         else:
-            g = g + piece * (data.factor ** i)
+            g = g + piece * next(powers)
     return canonicalize_shear(g, data.weight)
 
 
@@ -285,6 +316,7 @@ def _trailing_normalized(q):
     """Scale a sympy univariate Poly so its trailing coefficient is 1, and
     return the coefficient list (ascending) when all entries are nonnegative
     integers; otherwise None."""
+    sympy = _sympy()
     coeffs = list(reversed(q.all_coeffs()))  # ascending
     trail = next(c for c in coeffs if c != 0)
     out = []
@@ -310,6 +342,7 @@ def _line_factor_candidates(slice_poly, base, direction, mult, deg_max):
         k = next((diff[i] // direction[i] for i in range(len(direction))
                   if direction[i] != 0))
         coeffs[k] = c
+    sympy = _sympy()
     t = sympy.Symbol("t")
     expr = sum(sympy.Rational(c) * t ** k for k, c in coeffs.items())
     _, factors = sympy.factor_list(sympy.Poly(expr, t))

@@ -1,7 +1,9 @@
 """Lattice polytope geometry with exact rational arithmetic.
 
-Convex hulls are computed by brute-force facet enumeration (desk scale: few
-points, dimension <= 3 for the certified paths).  No floating point anywhere.
+Full-dimensional hulls in rank 2 come from Andrew's monotone chain with
+integer cross products; every other rank enumerates facets over subsets of
+the points (desk scale: few points, dimension <= 3 for the certified
+paths).  No floating point anywhere.
 
 Point sets of lower dimension go through one chart, ``affine_chart``: a
 single Hermite normal form of the differences gives the affine dimension and
@@ -17,7 +19,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .laurent import ZeroPolynomialError
-from .linalg import hnf_rows, nullspace, primitive_vector, rref
+from .linalg import (hnf_rows, nullspace, primitive_part, primitive_vector,
+                     rref)
 
 
 class DegeneratePolytopeError(ValueError):
@@ -43,7 +46,7 @@ def affine_chart(points):
     """
     p0 = points[0]
     diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    h, _, dim = hnf_rows(diffs)
+    h, dim = hnf_rows(diffs)
     basis = h[:dim]
     return basis, [next(j for j, x in enumerate(row) if x) for row in basis]
 
@@ -65,6 +68,8 @@ def _facets_full_dim(points, rank):
     """All facets of conv(points) as (inner primitive normal u, offset c).
 
     The polytope is { v : <u,v> >= -c }.  Assumes the points affinely span.
+    Tries every rank-subset of the points: the hull of rank 1 and rank >= 3,
+    and the reference the rank-2 chain is tested against.
     """
     facets = {}
     for subset in combinations(points, rank):
@@ -92,6 +97,47 @@ def _facets_full_dim(points, rank):
             # all points on the hyperplane: degenerate input
             raise DegeneratePolytopeError("points do not span the space")
     return sorted(facets)
+
+
+def _vertices_full_dim(points, facets, rank):
+    """The points whose active facet normals have full rank."""
+    verts = []
+    for p in points:
+        active = [u for (u, c) in facets
+                  if sum(a * b for a, b in zip(u, p)) == -c]
+        if len(active) >= rank:
+            _, pivots = rref(active)
+            if len(pivots) == rank:
+                verts.append(p)
+    return verts
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _polygon(points):
+    """Vertices and facets of a full-dimensional rank-2 point set.
+
+    ``points`` are sorted and distinct.  Andrew's monotone chain keeps the
+    strict turns only, so points inside edges are not vertices; each edge
+    (a, b) of the counter-clockwise boundary has the interior on its left,
+    so its inner normal is the primitive part of (a1 - b1, b0 - a0).
+    """
+    def chain(pts):
+        hull = []
+        for p in pts:
+            while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+                hull.pop()
+            hull.append(p)
+        return hull[:-1]
+
+    ring = chain(points) + chain(points[::-1])
+    facets = []
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        u = primitive_part((a[1] - b[1], b[0] - a[0]))
+        facets.append((u, -(u[0] * a[0] + u[1] * a[1])))
+    return ring, sorted(facets)
 
 
 @dataclass(frozen=True)
@@ -126,15 +172,11 @@ class LatticePolytope:
             inner = cls.from_points(list(preimage), rank=dim)
             verts = sorted(preimage[v] for v in inner.vertices)
             return cls(rank, tuple(verts), (), dim)
-        facets = _facets_full_dim(pts, rank)
-        verts = []
-        for p in pts:
-            active = [u for (u, c) in facets
-                      if sum(a * b for a, b in zip(u, p)) == -c]
-            if len(active) >= rank:
-                _, pivots = rref(active)
-                if len(pivots) == rank:
-                    verts.append(p)
+        if rank == 2:
+            verts, facets = _polygon(pts)
+        else:
+            facets = _facets_full_dim(pts, rank)
+            verts = _vertices_full_dim(pts, facets, rank)
         return cls(rank, tuple(sorted(verts)), tuple(facets), dim)
 
     @property
@@ -304,7 +346,7 @@ def normal_form(p):
             best_perms.append(sigma)
     best_matrix = None
     for sigma in best_perms:
-        h, _, _ = hnf_rows([[verts[j][i] for j in sigma]
+        h, _ = hnf_rows([[verts[j][i] for j in sigma]
                             for i in range(p.rank)])
         h = tuple(map(tuple, h))
         if best_matrix is None or h < best_matrix:

@@ -1,6 +1,10 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and importing
+the CLI loads no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,14 @@ def test_unused_imports_are_found():
                          ids=lambda path: path.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # only factoring needs sympy, and importing it dominates start-up;
+    # fanolab.mutation.sympy still reads as the module
+    code = ("import sys, fanolab.cli; print('sympy' in sys.modules); "
+            "print(fanolab.mutation.sympy is sys.modules['sympy'])")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from fanolab.laurent import parse_polynomial
+from fanolab.mutation_graph import build_graph
 from fanolab.polytopes import (DegeneratePolytopeError, LatticePolytope,
                                NotSimplexError, OriginNotInteriorError,
+                               _facets_full_dim, _vertices_full_dim,
                                dual_polytope, is_fano, is_reflexive,
                                lattice_points, newton_polytope, normal_form,
                                simplex_weights)
@@ -149,3 +152,38 @@ def test_simplex_weights():
     square = LatticePolytope.from_points([(1, 1), (-1, 1), (-1, -1), (1, -1)])
     with pytest.raises(NotSimplexError):
         simplex_weights(square)
+
+
+def subset_hull(points):
+    """Vertices and facets by the subset enumeration that rank >= 3 uses."""
+    pts = sorted(set(points))
+    facets = _facets_full_dim(pts, 2)
+    return tuple(_vertices_full_dim(pts, facets, 2)), tuple(facets)
+
+
+TRIANGLE_WITH_EDGE_POINTS = [(0, 0), (1, 0), (2, 0), (3, 0), (2, 1), (1, 2),
+                             (0, 3), (0, 2), (0, 1), (1, 1)]
+
+
+def test_polygon_edge_points_are_not_vertices():
+    p = LatticePolytope.from_points(TRIANGLE_WITH_EDGE_POINTS)
+    assert p.vertices == ((0, 0), (0, 3), (3, 0))
+    assert p.facets == (((-1, -1), 3), ((0, 1), 0), ((1, 0), 0))
+    assert (p.vertices, p.facets) == subset_hull(TRIANGLE_WITH_EDGE_POINTS)
+
+
+def test_polygon_ignores_point_order():
+    shuffled = list(TRIANGLE_WITH_EDGE_POINTS)
+    random.Random(5).shuffle(shuffled)
+    p = LatticePolytope.from_points(TRIANGLE_WITH_EDGE_POINTS)
+    assert LatticePolytope.from_points(TRIANGLE_WITH_EDGE_POINTS[::-1]) == p
+    assert LatticePolytope.from_points(shuffled) == p
+
+
+def test_polygon_of_largest_depth3_p2_node():
+    graph = build_graph(parse_polynomial("x + y + x^-1*y^-1"), 3)
+    f = max((n.polynomial for n in graph.nodes_at_depth(3)),
+            key=lambda g: len(g.terms))
+    assert len(f.terms) == 118
+    p = newton_polytope(f)
+    assert (p.vertices, p.facets) == subset_hull(f.support())

@@ -3,17 +3,21 @@
 import functools
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from hypothesis import assume, given, settings, strategies as st
 
 from fanolab.laurent import (LaurentPolynomial, format_polynomial,
                              parse_polynomial, substitute_unimodular)
+from fanolab.linalg import unimodular_inverse
 from fanolab.mmlp import _minkowski_difference_points
 from fanolab.mutation import (MutationData, apply_shear, canonicalize_shear,
                               exact_divide, shear_equivalent)
 from fanolab.periods import classical_period, periods_agree
-from fanolab.polytopes import (LatticePolytope, dual_polytope, is_reflexive,
-                               lattice_points, newton_polytope, normal_form)
+from fanolab.polytopes import (LatticePolytope, _facets_full_dim,
+                               _vertices_full_dim, dual_polytope,
+                               is_reflexive, lattice_points, newton_polytope,
+                               normal_form)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -126,6 +130,49 @@ def _hull_oracle(vertices):
         return LatticePolytope.from_points(vertices + (p,)).vertices == \
             vertices
     return contains
+
+
+@st.composite
+def point_sets2(draw):
+    """Rank-2 point sets with points inside edges, duplicates and dense
+    interiors; few corners also give segments and single points."""
+    coord = st.integers(-4, 4)
+    corners = draw(st.lists(st.tuples(coord, coord), min_size=1,
+                            max_size=5))
+    pts = list(corners)
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(corners),
+                                        st.sampled_from(corners)),
+                              max_size=4)):
+        d = (b[0] - a[0], b[1] - a[1])
+        g = gcd(*d)
+        pts += [(a[0] + k * d[0] // g, a[1] + k * d[1] // g)
+                for k in range(1, g)]
+    if draw(st.booleans()):
+        xs, ys = [q[0] for q in corners], [q[1] for q in corners]
+        pts += product(range(min(xs), max(xs) + 1),
+                       range(min(ys), max(ys) + 1))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return draw(st.permutations(pts))
+
+
+@SETTINGS
+@given(point_sets2(), unimodular2)
+def test_polygon_matches_subset_hull(points, g):
+    p = LatticePolytope.from_points(points)
+    pts = sorted(set(points))
+    if p.is_full_dimensional:
+        facets = _facets_full_dim(pts, 2)
+        assert p.facets == tuple(facets)
+        assert p.vertices == tuple(_vertices_full_dim(pts, facets, 2))
+    else:
+        assert p.facets == ()
+        assert p.vertices == tuple(sorted({pts[0], pts[-1]}))
+    # g moves vertices along, normals by the inverse, offsets not at all
+    image = LatticePolytope.from_points([_apply(g, q) for q in points])
+    assert image.vertices == tuple(sorted(_apply(g, v) for v in p.vertices))
+    ginv_t = list(zip(*unimodular_inverse([list(r) for r in g])))
+    assert image.facets == tuple(sorted((_apply(ginv_t, u), c)
+                                        for u, c in p.facets))
 
 
 def _minkowski_oracle(a_points, b_points):
