@@ -64,7 +64,8 @@ def _read_polynomial(arg, rank_hint=None):
         if text.lstrip().startswith("{"):
             return LaurentPolynomial.from_json_dict(json.loads(text))
         return parse_polynomial(text, rank_hint=rank_hint)
-    except (ParseError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (ParseError, KeyError, TypeError, ValueError,
+            json.JSONDecodeError) as exc:
         raise _CliError(f"cannot read polynomial: {exc}") from exc
 
 
@@ -77,7 +78,8 @@ def _read_polytope(arg):
                 return LatticePolytope.from_json_dict(data)
             return newton_polytope(LaurentPolynomial.from_json_dict(data))
         return newton_polytope(parse_polynomial(text))
-    except (ParseError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (ParseError, KeyError, TypeError, ValueError,
+            json.JSONDecodeError) as exc:
         raise _CliError(f"cannot read polytope: {exc}") from exc
 
 

@@ -219,13 +219,28 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json_dict(cls, data):
-        rank = int(data["n"])
+        """Inverse of ``to_json_dict``.  The rank and the exponents must be
+        JSON integers; input of another shape raises TypeError."""
+        rank = json_value(data["n"], int, "n")
         terms = {}
-        for t in data["terms"]:
-            e = tuple(int(x) for x in t["e"])
+        for t in json_value(data["terms"], list, "terms"):
+            t = json_value(t, dict, "a term")
+            e = tuple(json_value(x, int, "an exponent")
+                      for x in json_value(t["e"], list, "an exponent vector"))
             c = Fraction(t["c"])
             terms[e] = terms.get(e, 0) + c
         return cls(rank, terms)
+
+
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def json_value(value, kind, what):
+    """``value`` when its type is exactly ``kind`` (so a bool is not an int
+    and a float never is); otherwise TypeError naming ``what``."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

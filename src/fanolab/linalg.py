@@ -122,39 +122,47 @@ def unimodular_inverse(matrix):
 
 
 def complete_to_basis_last_row(w):
-    """Unimodular integer matrix whose last row is the primitive covector w.
+    """Unimodular integer matrices ``(T, T^-1)``, the last row of T being
+    the primitive covector w.
 
     Used to slice exponent lattices: under e -> T e the last coordinate of
-    the image is w(e).
+    the image is w(e).  Column operations reduce w to (1, 0, ..., 0) and are
+    recorded in V, while the inverse row operations build V^-1 alongside;
+    T is V^-1 with its first row (which is w) moved last, so T^-1 is V with
+    its first column moved last.
     """
     w = tuple(int(x) for x in w)
     if not is_primitive(w):
         raise ValueError("weight must be primitive")
     n = len(w)
-    # column operations reducing w to (1, 0, ..., 0), recorded in V
     row = list(w)
-    v = identity(n)
-    piv = next(i for i in range(n) if row[i] != 0)
-    row[0], row[piv] = row[piv], row[0]
-    for r in v:
-        r[0], r[piv] = r[piv], r[0]
+    v, v_inv = identity(n), identity(n)
+
+    def swap(j):
+        row[0], row[j] = row[j], row[0]
+        for r in v:
+            r[0], r[j] = r[j], r[0]
+        v_inv[0], v_inv[j] = v_inv[j], v_inv[0]
+
+    swap(next(i for i in range(n) if row[i] != 0))
     for j in range(1, n):
         while row[j] != 0:
+            # column 0 -= q * column j, undone by row j += q * row 0
             q = row[0] // row[j]
             row[0] -= q * row[j]
             for r in v:
                 r[0] -= q * r[j]
-            row[0], row[j] = row[j], row[0]
-            for r in v:
-                r[0], r[j] = r[j], r[0]
+            v_inv[j] = [a + q * b for a, b in zip(v_inv[j], v_inv[0])]
+            swap(j)
     if row[0] < 0:
         row[0] = -row[0]
         for r in v:
             r[0] = -r[0]
+        v_inv[0] = [-x for x in v_inv[0]]
     assert row[0] == 1 and all(x == 0 for x in row[1:])
-    v_inv = unimodular_inverse(v)  # first row of V^-1 is w
-    rows = list(v_inv[1:]) + [v_inv[0]]
-    return tuple(tuple(r) for r in rows)
+    t = tuple(tuple(r) for r in v_inv[1:] + v_inv[:1])
+    t_inv = tuple(tuple(r[1:] + r[:1]) for r in v)
+    return t, t_inv
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ slices f = sum_i f_i with w(supp f_i) = i, the mutation replaces f_i by
 f_i * F^i; for negative i this requires F^|i| to divide f_i exactly in the
 Laurent ring.  Results are only well defined up to the shear action of
 w^perp, so everything is reported shear-canonicalized.
+
+``enumerate_mutations`` keeps the witness of each mutation it finds, so
+``mutate`` can reuse its exact quotients instead of dividing again.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .laurent import LaurentPolynomial, ZeroPolynomialError
-from .linalg import (complete_to_basis_last_row, is_primitive, primitive_part,
-                     unimodular_inverse)
+from .linalg import complete_to_basis_last_row, is_primitive, primitive_part
 from .polytopes import newton_polytope
 
 
@@ -205,18 +207,17 @@ def mutate(f, data, witness=None):
         raise ValueError(
             f"not mutable: slice at level {witness.failing_level} is not "
             f"divisible by the required power of the factor")
-    g = LaurentPolynomial.zero(f.rank)
-    quot = dict(witness.quotients)
+    # F lies on the wall, so f_i * F^i stays at level i: the levels of the
+    # result are disjoint and fill one term map
+    terms = {}
+    for _, q in witness.quotients:
+        terms.update(q.terms)
     slices = weight_decomposition(f, data.weight)
     powers = factor_powers(data.factor, [i for i, _ in slices if i > 0])
     for i, piece in slices:
-        if i < 0:
-            g = g + quot[i]
-        elif i == 0:
-            g = g + piece
-        else:
-            g = g + piece * next(powers)
-    return canonicalize_shear(g, data.weight)
+        if i >= 0:
+            terms.update((piece * next(powers) if i else piece).terms)
+    return canonicalize_shear(LaurentPolynomial(f.rank, terms), data.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -239,31 +240,26 @@ def apply_shear(f, w, s):
 def canonicalize_shear(f, w):
     """Deterministic representative of f modulo shears along w.
 
-    Works in coordinates where the last exponent entry is the w-level: the
-    anchor slice is the nonzero level of least |level| (ties to the negative
-    side), and the shear is fixed by reducing the lex-least exponent of that
-    slice into the box [0, |level|)^(n-1).
+    Read in the coordinates e -> T e of ``complete_to_basis_last_row(w)``,
+    whose last entry is the w-level: the anchor slice is the nonzero level
+    l of least |l| (ties to the negative side), and the shear is fixed by
+    reducing the lex-least T-image of that slice into the box
+    [0, |l|)^(n-1).  That shear is (s', 0) in T-coordinates, so f is
+    sheared by T^-1 (s', 0); no other exponent is moved into T-coordinates.
     """
     if f.is_zero():
         return f
     w = check_weight(w, f.rank)
-    n = f.rank
-    t = complete_to_basis_last_row(w)
-    g = f.apply_matrix(t)
-    levels = sorted({e[-1] for e in g.terms if e[-1] != 0},
-                    key=lambda l: (abs(l), l))
+    levels = {weight_value(w, e) for e in f.terms} - {0}
     if not levels:
         return f
-    l0 = levels[0]
-    anchor = min(e for e in g.terms if e[-1] == l0)
-    shear = tuple(-(anchor[j] // l0) if l0 > 0 else anchor[j] // (-l0)
-                  for j in range(n - 1))
-    # in sliced coordinates a shear moves (u, l) to (u + l*s, l)
-    acc = {}
-    for e, c in g.terms.items():
-        acc[tuple(e[j] + e[-1] * shear[j] for j in range(n - 1)) + (e[-1],)] = c
-    back = unimodular_inverse(t)
-    return LaurentPolynomial(n, acc).apply_matrix(back)
+    l0 = min(levels, key=lambda l: (abs(l), l))
+    t, t_inv = complete_to_basis_last_row(w)
+    anchor = min(tuple(weight_value(row, e) for row in t[:-1])
+                 for e in f.terms if weight_value(w, e) == l0)
+    shear = tuple(-(a // l0) if l0 > 0 else a // -l0 for a in anchor)
+    # zip stops at the n-1 entries of s', skipping the last column of T^-1
+    return apply_shear(f, w, tuple(weight_value(row, shear) for row in t_inv))
 
 
 def shear_equivalent(f, g, w):
@@ -286,159 +282,118 @@ class MutationBounds:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Mutations found within the bounds.
+    """Mutations found within the bounds, with the witnesses proving them.
 
+    ``witnesses`` holds one MutationWitness per mutation, sorted by weight
+    and factor; ``seeds`` is their MutationData in the same order, and
+    ``mutate(f, seed, witness)`` reuses a witness instead of dividing again.
     ``complete`` is True only when the search provably saw every mutation
     within the bounds (the two-variable edge search); the higher-rank search
     is a heuristic candidate sweep and is always reported as partial.
     """
 
-    seeds: tuple
+    witnesses: tuple
     complete: bool
     bounds: MutationBounds
 
+    @property
+    def seeds(self):
+        return tuple(witness.data for witness in self.witnesses)
+
 
 def enumerate_mutations(f, bounds=None, extra_factors=()):
+    """Mutations of f within the bounds, one Newton-polytope facet at a time.
+
+    The weight is the facet's inner normal u, at height c in [1, w_max]; the
+    factors come from the minimal slice, the terms at level -c: from its
+    factorization in rank 2, where it is an edge, and from ``factor_sweep``
+    in higher rank.  Any of ``extra_factors`` on the wall is tried too.
+    """
     if bounds is None:
         bounds = MutationBounds()
     if f.is_zero():
         raise ZeroPolynomialError("cannot mutate the zero polynomial")
     if f.rank == 1:
         raise InvalidWeightError("mutations need at least two variables")
-    if f.rank == 2:
-        seeds = _enumerate_rank2(f, bounds, extra_factors)
-        return EnumerationResult(tuple(seeds), True, bounds)
-    seeds = _enumerate_higher(f, bounds, extra_factors)
-    return EnumerationResult(tuple(seeds), False, bounds)
-
-
-def _trailing_normalized(q):
-    """Scale a sympy univariate Poly so its trailing coefficient is 1, and
-    return the coefficient list (ascending) when all entries are nonnegative
-    integers; otherwise None."""
-    sympy = _sympy()
-    coeffs = list(reversed(q.all_coeffs()))  # ascending
-    trail = next(c for c in coeffs if c != 0)
-    out = []
-    for c in coeffs:
-        v = sympy.Rational(c) / trail
-        if v < 0 or not v.is_integer:
-            return None
-        out.append(int(v))
-    return out
-
-
-def _line_factor_candidates(slice_poly, base, direction, mult, deg_max):
-    """Factor candidates along a lattice direction of an edge slice.
-
-    ``base`` is the endpoint of the slice from which ``direction`` points
-    into it.  ``mult`` is the power of the factor that must divide the
-    slice.  Yields ascending integer coefficient lists with trailing
-    coefficient 1.
-    """
-    coeffs = {}
-    for e, c in slice_poly.terms.items():
-        diff = tuple(a - b for a, b in zip(e, base))
-        k = next((diff[i] // direction[i] for i in range(len(direction))
-                  if direction[i] != 0))
-        coeffs[k] = c
-    sympy = _sympy()
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c) * t ** k for k, c in coeffs.items())
-    _, factors = sympy.factor_list(sympy.Poly(expr, t))
-    factors = [(p, m) for p, m in factors if p.degree() > 0]
-    # all exponent tuples with e_j * mult <= m_j
-    def rec(idx, current, degree):
-        if idx == len(factors):
-            if degree > 0:
-                coeff_list = _trailing_normalized(current)
-                if coeff_list is not None:
-                    yield coeff_list
-            return
-        p, m = factors[idx]
-        top = m // mult
-        for e in range(top + 1):
-            nd = degree + e * p.degree()
-            if nd > deg_max:
-                break
-            yield from rec(idx + 1, current * p ** e if e else current, nd)
-    yield from rec(0, sympy.Poly(1, t), 0)
-
-
-def _enumerate_rank2(f, bounds, extra_factors):
-    """Every mutation of a two-variable polynomial within the bounds.
-
-    A usable weight must have a non-monomial minimal slice, which in rank 2
-    means the minimal face of the Newton polytope is an edge; so the edge
-    inner normals are the only weights to try.
-    """
     p = newton_polytope(f)
     p.require_full_dim()
-    seeds = {}
+    tried = {}
     for (u, c) in p.facets:
         if c < 1 or c > bounds.w_max:
             continue
-        w = u
-        pieces = dict(weight_decomposition(f, w))
-        low = pieces[-c]
-        if len(low.terms) == 1:
+        low = {e: a for e, a in f.terms.items() if weight_value(u, e) == -c}
+        if len(low) == 1:
             continue
-        support = sorted(low.support())
-        d = primitive_part(tuple(b - a
-                                 for a, b in zip(support[0], support[-1])))
-        for base, direction in ((support[0], d),
-                                (support[-1], tuple(-x for x in d))):
-            for coeff_list in _line_factor_candidates(
-                    low, base, direction, c, bounds.deg_max):
-                factor = LaurentPolynomial.from_terms(
-                    f.rank,
-                    [(tuple(k * x for x in direction), cv)
-                     for k, cv in enumerate(coeff_list) if cv])
-                _try_seed(f, w, factor, seeds)
-        for factor in extra_factors:
-            if all(weight_value(w, e) == 0 for e in factor.support()):
-                _try_seed(f, w, factor, seeds)
-    return [seeds[k] for k in sorted(seeds)]
+        if f.rank == 2:
+            candidates = _edge_factors(low, c, bounds.deg_max)
+        else:
+            diffs = sorted({tuple(b - a for a, b in zip(s0, s1))
+                            for s0 in low for s1 in low if s0 != s1})
+            candidates = factor_sweep(diffs, bounds.deg_max)
+        extra = (factor for factor in extra_factors
+                 if all(weight_value(u, e) == 0 for e in factor.terms))
+        for factor in chain(candidates, extra):
+            _try_seed(f, u, factor, tried)
+    witnesses = [tried[k] for k in sorted(tried)
+                 if isinstance(tried[k], MutationWitness)]
+    return EnumerationResult(tuple(witnesses), f.rank == 2, bounds)
 
 
-def _try_seed(f, w, factor, seeds):
+def _try_seed(f, w, factor, tried):
+    """Check the canonical mutation (w, factor) on f once, keeping its
+    ``is_mutable`` verdict in ``tried`` by weight and factor terms."""
     if len(factor.terms) <= 1:
         return
     data = MutationData(w, factor).canonical()
     key = (data.weight, tuple(sorted(data.factor.terms.items())))
-    if key in seeds:
-        return
-    if isinstance(is_mutable(f, data), MutationWitness):
-        seeds[key] = data
+    if key not in tried:
+        tried[key] = is_mutable(f, data)
 
 
-def _enumerate_higher(f, bounds, extra_factors):
-    """Candidate sweep for three or more variables (partial by design).
+def _edge_factors(edge, mult, deg_max):
+    """Candidate factors F with F^mult dividing a rank-2 edge slice.
 
-    Weights are facet inner normals; factors are built from differences of
-    minimal-slice support points (binomials and trinomials, raised to powers
-    within the degree bound) plus any caller-supplied factors.
+    ``edge`` maps the slice's exponents to coefficients.  Read along the
+    primitive edge direction d from its lex-least end, the slice is a
+    polynomial in t, factored once.  Each divisor D of degree at most
+    ``deg_max`` with D^mult dividing it gives a factor along d from that
+    end and, with its coefficients reversed, one along -d from the other
+    end; those whose coefficients, scaled to constant term 1, are
+    nonnegative integers are yielded.
     """
-    p = newton_polytope(f)
-    p.require_full_dim()
-    seeds = {}
-    for (u, c) in p.facets:
-        if c < 1 or c > bounds.w_max:
-            continue
-        w = u
-        pieces = dict(weight_decomposition(f, w))
-        low = pieces[-c]
-        support = sorted(low.support())
-        if len(support) == 1:
-            continue
-        diffs = sorted({tuple(b - a for a, b in zip(s0, s1))
-                        for s0 in support for s1 in support
-                        if s0 != s1})
-        for factor in chain(factor_sweep(diffs, bounds.deg_max),
-                            extra_factors):
-            if all(weight_value(w, e) == 0 for e in factor.support()):
-                _try_seed(f, w, factor, seeds)
-    return [seeds[k] for k in sorted(seeds)]
+    base = min(edge)
+    d = primitive_part(tuple(b - a for a, b in zip(base, max(edge))))
+    i = next(i for i, x in enumerate(d) if x)
+    sympy = _sympy()
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c) * t ** ((e[i] - base[i]) // d[i])
+               for e, c in edge.items())
+    _, factors = sympy.factor_list(sympy.Poly(expr, t))
+    factors = [(p, m) for p, m in factors if p.degree() > 0]
+
+    # products of p^k over the factors (p, m) with k * mult <= m
+    def divisors(idx, current, degree):
+        if idx == len(factors):
+            if degree > 0:
+                yield current
+            return
+        p, m = factors[idx]
+        for k in range(m // mult + 1):
+            nd = degree + k * p.degree()
+            if nd > deg_max:
+                break
+            yield from divisors(idx + 1, current * p ** k if k else current,
+                                nd)
+
+    back = tuple(-x for x in d)
+    for divisor in divisors(0, sympy.Poly(1, t), 0):
+        coeffs = divisor.all_coeffs()  # descending, both ends nonzero
+        for direction, cs in ((d, coeffs[::-1]), (back, coeffs)):
+            scaled = [sympy.Rational(c) / cs[0] for c in cs]
+            if all(v >= 0 and v.is_integer for v in scaled):
+                yield LaurentPolynomial.from_terms(
+                    len(d), [(tuple(k * x for x in direction), int(v))
+                             for k, v in enumerate(scaled)])
 
 
 def factor_sweep(diffs, deg_max):

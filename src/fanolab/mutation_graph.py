@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import format_polynomial
-from .mutation import (MutationBounds, enumerate_mutations, mutate,
-                       shear_equivalent)
+from .mutation import (MutationBounds, canonicalize_shear, enumerate_mutations,
+                       mutate)
 from .polytopes import NotSimplexError, newton_polytope, simplex_weights
 
 
@@ -45,15 +45,12 @@ class MutationGraph:
         return [n for n in self.nodes if n.depth == d]
 
 
-def _edge_label(weight, factor):
-    """Identity of a mutation edge: the weight up to sign, the factor up to
-    translation (factors already sit on the wall, where shears act
-    trivially)."""
-    line = weight if weight > tuple(-x for x in weight) else \
-        tuple(-x for x in weight)
-    base = min(factor.support())
-    canon = factor.shift(tuple(-x for x in base))
-    return line, tuple(sorted(canon.terms.items()))
+def _edge_label(seed):
+    """Identity of a mutation edge: the weight up to sign and the factor,
+    which ``MutationData.canonical`` has already translated (factors sit on
+    the wall, where shears act trivially)."""
+    return (max(seed.weight, tuple(-x for x in seed.weight)),
+            tuple(sorted(seed.factor.terms.items())))
 
 
 def build_graph(f, depth, bounds=None, extra_factors=()):
@@ -73,16 +70,14 @@ def build_graph(f, depth, bounds=None, extra_factors=()):
             poly = nodes[idx].polynomial
             result = enumerate_mutations(poly, bounds, extra_factors)
             complete = complete and result.complete
-            for seed in result.seeds:
-                g = mutate(poly, seed)
-                label = _edge_label(seed.weight, seed.factor)
-                known = False
-                for (lab, nbr) in incident[idx]:
-                    if lab == label and shear_equivalent(
-                            g, nodes[nbr].polynomial, seed.weight):
-                        known = True
-                        break
-                if known:
+            for witness in result.witnesses:
+                seed = witness.data
+                g = mutate(poly, seed, witness)
+                label = _edge_label(seed)
+                # g is already shear-canonical for the seed's weight
+                if any(lab == label and g == canonicalize_shear(
+                        nodes[nbr].polynomial, seed.weight)
+                       for lab, nbr in incident[idx]):
                     continue
                 new = GraphNode(len(nodes), g, level + 1)
                 nodes.append(new)

@@ -94,8 +94,11 @@ def periods_agree(f, g, n_terms):
     Either argument may be a LaurentPolynomial or a PeriodSequence covering
     at least ``n_terms`` terms.  Polynomials are expanded in lockstep, so a
     mismatch stops the work at its index.  Returns (True, None) on
-    agreement, else (False, first_mismatch_index).
+    agreement, else (False, first_mismatch_index).  Raises ValueError when
+    ``n_terms`` is negative.
     """
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
     a = _term_source(f, n_terms)
     b = _term_source(g, n_terms)
     for k in range(n_terms):

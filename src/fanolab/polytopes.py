@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .laurent import ZeroPolynomialError
+from .laurent import ZeroPolynomialError, json_value
 from .linalg import (hnf_rows, nullspace, primitive_part, primitive_vector,
                      rref)
 
@@ -207,7 +207,12 @@ class LatticePolytope:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls.from_points(data["vertices"], rank=int(data["n"]))
+        """Inverse of ``to_json_dict``.  The rank and the coordinates must
+        be JSON integers; input of another shape raises TypeError."""
+        vertices = [[json_value(x, int, "a vertex coordinate")
+                     for x in json_value(v, list, "a vertex")]
+                    for v in json_value(data["vertices"], list, "vertices")]
+        return cls.from_points(vertices, rank=json_value(data["n"], int, "n"))
 
 
 # ---------------------------------------------------------------------------

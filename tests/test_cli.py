@@ -42,6 +42,14 @@ def test_compare_two_polynomials(capsys):
     assert data["agree"] is False and data["first-mismatch"] == 2
 
 
+@pytest.mark.parametrize("other", [("x+y",), ("--known", "projective-plane")])
+def test_compare_negative_terms_is_usage_error(capsys, other):
+    code, out, err = run(capsys, "compare", "x + y + x^-1*y^-1", *other,
+                         "--terms", "-2")
+    assert code == 1 and out == ""
+    assert "n_terms must be >= 0" in err
+
+
 def test_newton(capsys):
     code, out, _ = run(capsys, "--json", "newton", P2)
     data = json.loads(out)
@@ -212,6 +220,32 @@ def test_usage_error_exit_code():
 def test_bad_polynomial_is_usage_error(capsys):
     code, _, err = run(capsys, "period", "x + + y")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("period", {"n": 2, "terms": [{"e": [1.5, 0], "c": "1"},
+                                  {"e": [-1, -1], "c": "1"}]},
+     "an exponent must be an integer, got 1.5"),
+    ("period", {"n": 2, "terms": [{"e": [True, 0], "c": "1"}]},
+     "an exponent must be an integer, got True"),
+    ("period", {"n": 2.0, "terms": [{"e": [1, 0], "c": "1"}]},
+     "n must be an integer, got 2.0"),
+    ("period", {"n": 2, "terms": 5}, "terms must be a list, got 5"),
+    ("period", {"n": 2, "terms": [[[1, 0], "1"]]},
+     "a term must be an object"),
+    ("newton", {"n": 2, "terms": [{"e": 3, "c": "1"}]},
+     "an exponent vector must be a list, got 3"),
+    ("points", {"n": 2, "vertices": [[0.5, 0], [1, 0], [0, 1], [-1, -1]]},
+     "a vertex coordinate must be an integer, got 0.5"),
+    ("points", {"n": 2, "vertices": [[1, 0], [0, 1], [-1, False]]},
+     "a vertex coordinate must be an integer, got False"),
+    ("dual", {"n": 2, "vertices": 7}, "vertices must be a list, got 7"),
+    ("nf", {"n": 2, "vertices": [3, 4]}, "a vertex must be a list, got 3"),
+])
+def test_malformed_json_input_is_usage_error(capsys, command, data, message):
+    code, out, err = run(capsys, command, json.dumps(data))
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_threads_flag_accepted(capsys):

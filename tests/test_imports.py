@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and importing
-the CLI loads no module it does not need."""
+"""No module of the package imports a name it never uses or keeps a private
+helper nothing calls, and importing the CLI loads no module it does not
+need."""
 
 import ast
 import os
@@ -42,6 +43,59 @@ def test_unused_imports_are_found():
                          ids=lambda path: path.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_definitions(sources):
+    """Private top-level functions and classes that nothing references.
+
+    ``sources`` maps module names to source text.  A name is private when it
+    has one leading underscore (dunders such as a module ``__getattr__`` are
+    hooks Python calls).  A definition is referenced when another top-level
+    statement of any module reads the name, reads an attribute of that
+    name, or imports it; its own body does not count.  Returns sorted
+    ``"module.name"`` strings.
+    """
+    statements = []  # (module, node, names the node mentions)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names |= {alias.name for alias in sub.names}
+            statements.append((module, node, names))
+    return sorted(
+        f"{module}.{node.name}" for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in names for _, other, names in statements
+                    if other is not node))
+
+
+def test_unreferenced_private_definitions_are_found():
+    sources = {
+        "a": ("def _used():\n    return 1\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Dead:\n    pass\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"
+              "def public():\n    return _used()\n"),
+        "b": ("from .c import _imported\n"
+              "import c\nc._by_attribute()\n"),
+        "c": ("def _imported():\n    pass\n"
+              "def _by_attribute():\n    pass\n"),
+    }
+    assert unreferenced_private_definitions(sources) == [
+        "a._Dead", "a._recursive"]
+
+
+def test_package_has_no_unreferenced_private_definitions():
+    sources = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []
 
 
 def test_cli_import_leaves_sympy_unloaded():

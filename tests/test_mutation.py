@@ -1,5 +1,10 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+
+from fanolab import mutation, mutation_graph
 from fanolab.laurent import (LaurentPolynomial, format_polynomial,
                              parse_polynomial)
 from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
@@ -7,7 +12,10 @@ from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
                               NotMutable, apply_shear, canonicalize_shear,
                               enumerate_mutations, exact_divide, is_mutable,
                               mutate, shear_equivalent, weight_decomposition)
+from fanolab.linalg import (complete_to_basis_last_row, identity,
+                            is_primitive, primitive_part, unimodular_inverse)
 from fanolab.periods import periods_agree
+from fanolab.polytopes import newton_polytope
 
 
 def test_weight_decomposition_levels():
@@ -141,3 +149,208 @@ def test_cubic_threefold_mutation_matches_model():
     expected = parse_polynomial("(a+b+1)^2/(a*b*c) + c*(a+b+1)")
     assert shear_equivalent(g, expected, (0, 0, 1))
     assert periods_agree(f, g, 9) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the shear canonicalization and the two-ended edge factoring that
+# the library replaced, kept as the reference
+
+
+def _old_complete_to_basis_last_row(w):
+    """T alone, with V inverted over Fractions."""
+    n = len(w)
+    row = list(w)
+    v = identity(n)
+    piv = next(i for i in range(n) if row[i] != 0)
+    row[0], row[piv] = row[piv], row[0]
+    for r in v:
+        r[0], r[piv] = r[piv], r[0]
+    for j in range(1, n):
+        while row[j] != 0:
+            q = row[0] // row[j]
+            row[0] -= q * row[j]
+            for r in v:
+                r[0] -= q * r[j]
+            row[0], row[j] = row[j], row[0]
+            for r in v:
+                r[0], r[j] = r[j], r[0]
+    if row[0] < 0:
+        row[0] = -row[0]
+        for r in v:
+            r[0] = -r[0]
+    v_inv = unimodular_inverse(v)
+    return tuple(tuple(r) for r in list(v_inv[1:]) + [v_inv[0]])
+
+
+def _old_canonicalize_shear(f, w):
+    """Move f into T-coordinates, shear there, and move back by T^-1."""
+    n = f.rank
+    t = _old_complete_to_basis_last_row(w)
+    g = f.apply_matrix(t)
+    levels = sorted({e[-1] for e in g.terms if e[-1] != 0},
+                    key=lambda l: (abs(l), l))
+    if not levels:
+        return f
+    l0 = levels[0]
+    anchor = min(e for e in g.terms if e[-1] == l0)
+    shear = tuple(-(anchor[j] // l0) if l0 > 0 else anchor[j] // (-l0)
+                  for j in range(n - 1))
+    acc = {}
+    for e, c in g.terms.items():
+        acc[tuple(e[j] + e[-1] * shear[j] for j in range(n - 1))
+            + (e[-1],)] = c
+    return LaurentPolynomial(n, acc).apply_matrix(unimodular_inverse(t))
+
+
+@st.composite
+def weighted_polys(draw):
+    """A primitive weight with negative entries allowed, and a polynomial
+    whose terms are mirrored at random, so that levels l and -l tie."""
+    n = draw(st.integers(2, 4))
+    w = tuple(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    assume(any(w) and is_primitive(w))
+    exps = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n),
+                         min_size=1, max_size=6))
+    mirror = draw(st.lists(st.booleans(), min_size=len(exps),
+                           max_size=len(exps)))
+    exps += [tuple(-x for x in e) for e, m in zip(exps, mirror) if m]
+    cs = draw(st.lists(st.integers(1, 5), min_size=len(exps),
+                       max_size=len(exps)))
+    return w, LaurentPolynomial.from_terms(n, zip(exps, cs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_polys())
+def test_canonicalize_shear_matches_oracle(data):
+    w, f = data
+    t, t_inv = complete_to_basis_last_row(w)
+    n = len(w)
+    assert t[-1] == w
+    assert t == _old_complete_to_basis_last_row(w)
+    assert [[sum(t[i][k] * t_inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == identity(n)
+    canon = canonicalize_shear(f, w)
+    assert canon == _old_canonicalize_shear(f, w)
+    assert canonicalize_shear(canon, w) == canon
+
+
+def _old_line_factor_candidates(slice_poly, base, direction, mult, deg_max):
+    """Divisors of the edge slice read from one end, factored there."""
+    coeffs = {}
+    for e, c in slice_poly.terms.items():
+        diff = tuple(a - b for a, b in zip(e, base))
+        k = next(diff[i] // direction[i] for i in range(len(direction))
+                 if direction[i] != 0)
+        coeffs[k] = c
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c) * t ** k for k, c in coeffs.items())
+    _, factors = sympy.factor_list(sympy.Poly(expr, t))
+    factors = [(p, m) for p, m in factors if p.degree() > 0]
+
+    def rec(idx, current, degree):
+        if idx == len(factors):
+            if degree > 0:
+                ascending = list(reversed(current.all_coeffs()))
+                trail = next(c for c in ascending if c != 0)
+                out = [sympy.Rational(c) / trail for c in ascending]
+                if all(v >= 0 and v.is_integer for v in out):
+                    yield [int(v) for v in out]
+            return
+        p, m = factors[idx]
+        for e in range(m // mult + 1):
+            nd = degree + e * p.degree()
+            if nd > deg_max:
+                break
+            yield from rec(idx + 1, current * p ** e if e else current, nd)
+    yield from rec(0, sympy.Poly(1, t), 0)
+
+
+def _old_enumerate_rank2(f, bounds):
+    """Each edge slice factored twice, once from each end."""
+    seeds = {}
+    for (u, c) in newton_polytope(f).facets:
+        if c < 1 or c > bounds.w_max:
+            continue
+        low = dict(weight_decomposition(f, u))[-c]
+        if len(low.terms) == 1:
+            continue
+        support = sorted(low.support())
+        d = primitive_part(tuple(b - a
+                                 for a, b in zip(support[0], support[-1])))
+        for base, direction in ((support[0], d),
+                                (support[-1], tuple(-x for x in d))):
+            for coeff_list in _old_line_factor_candidates(
+                    low, base, direction, c, bounds.deg_max):
+                factor = LaurentPolynomial.from_terms(
+                    2, [(tuple(k * x for x in direction), cv)
+                        for k, cv in enumerate(coeff_list) if cv])
+                data = MutationData(u, factor).canonical()
+                key = (data.weight, tuple(sorted(data.factor.terms.items())))
+                if isinstance(is_mutable(f, data), MutationWitness):
+                    seeds[key] = data
+    return [seeds[k] for k in sorted(seeds)]
+
+
+edge_factor = st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 4), (3, 1),
+                               (1, 1, 1), (1, 2, 1), (2, 1, 3),
+                               (Fraction(1, 2), 1), (1, Fraction(2, 3))])
+
+
+@st.composite
+def edge_polys(draw):
+    """A rank-2 polynomial whose minimal slice for a random weight is a
+    product of repeated and rational factors along the edge."""
+    a = draw(st.integers(-3, 3))
+    b = draw(st.integers(1, 3))
+    assume(is_primitive((a, b)))
+    w, d = (a, b), (-b, a)
+    c = draw(st.integers(1, 3))
+    # a point at level -c: a*x + b*y = -c
+    x0 = draw(st.integers(-2, 2))
+    assume((-c - a * x0) % b == 0)
+    base = (x0, (-c - a * x0) // b)
+    edge = sympy.Poly(1, sympy.Symbol("t"))
+    for coeffs in draw(st.lists(edge_factor, min_size=1, max_size=3)):
+        factor = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("t"))
+        edge = edge * factor ** draw(st.integers(1, 3))
+    terms = [(tuple(p + k * q for p, q in zip(base, d)), Fraction(str(cf)))
+             for k, cf in enumerate(reversed(edge.all_coeffs())) if cf]
+    top = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                        min_size=1, max_size=4))
+    terms += [(e, 1) for e in top if a * e[0] + b * e[1] > -c]
+    return LaurentPolynomial.from_terms(2, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_polys())
+def test_enumeration_matches_two_ended_factoring(f):
+    p = newton_polytope(f)
+    assume(p.is_full_dimensional)
+    bounds = MutationBounds()
+    result = enumerate_mutations(f, bounds)
+    assert list(result.seeds) == _old_enumerate_rank2(f, bounds)
+    for witness in result.witnesses:
+        assert witness == is_mutable(f, witness.data)
+
+
+def test_build_graph_checks_each_seed_once(monkeypatch):
+    calls, seeds = [], []
+    is_mutable_real = mutation.is_mutable
+    enumerate_real = mutation_graph.enumerate_mutations
+
+    def counted_is_mutable(f, data):
+        calls.append(data)
+        return is_mutable_real(f, data)
+
+    def counted_enumerate(*args):
+        result = enumerate_real(*args)
+        seeds.extend(result.seeds)
+        return result
+
+    monkeypatch.setattr(mutation, "is_mutable", counted_is_mutable)
+    monkeypatch.setattr(mutation_graph, "enumerate_mutations",
+                        counted_enumerate)
+    graph = mutation_graph.build_graph(parse_polynomial(
+        "x + y + x^-1*y^-1"), 2)
+    assert len(graph.nodes) > 4
+    assert len(calls) == len(seeds)

@@ -155,6 +155,15 @@ def test_periods_agree_mixed_arguments():
         periods_agree(f, [1, 0, 0], 3)
 
 
+@pytest.mark.parametrize("n_terms", [-1, -2])
+def test_periods_agree_rejects_negative_term_count(n_terms):
+    f = parse_polynomial("x + y + x^-1*y^-1")
+    for other in (parse_polynomial("x + y"),
+                  known_series("projective-plane", 3)):
+        with pytest.raises(ValueError):
+            periods_agree(f, other, n_terms)
+
+
 def test_known_series_closed_forms():
     p2 = known_series("projective-plane", 13)
     for k in range(13):
