@@ -118,6 +118,16 @@ def _cases():
         cases.append(["weights", _polytope(POLYGONS[i])])
     cases.append(["weights", _polytope(SOLIDS[0])])
     cases.append(["weights", _polytope(POLYGONS[2])])
+    cases.append(["period", POLYGON_POLYS[0], "--terms", "10"])
+    cases.append(["compare", POLYGON_POLYS[0], "--known",
+                  "projective-plane", "--terms", "10"])
+    cases.append(["compare", POLYGON_POLYS[0], POLYGON_POLYS[2],
+                  "--terms", "10"])
+    for factor in ("1 + x*y^2", "x*y^2 + x^2*y^4"):
+        cases.append(["mutate", POLYGON_POLYS[0], "--weight", "2,-1",
+                      "--factor", factor])
+    cases.append(["mutate", "x + 2*y + x^-1*y^-1", "--weight", "2,-1",
+                  "--factor", "1 + x*y^2"])
     return [["--json"] + argv for argv in cases]
 
 
