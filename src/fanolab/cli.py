@@ -110,7 +110,7 @@ def _emit(args, payload, text_lines):
 # cache
 
 
-def _cache_key(command, args, extras):
+def _cache_key(command, extras):
     blob = json.dumps({"command": command, **extras}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -168,21 +168,32 @@ def _cache_store(path, cache):
                 os.remove(tmp)
 
 
+def _period_terms(args):
+    """The first ``args.terms`` period coefficients of the input, read from
+    the ``--cache`` file or computed and added to it.
+
+    Entries are keyed by the polynomial and the term count only, so
+    ``period`` and ``pf`` share them.
+    """
+    f = _read_polynomial(args.input)
+    cache = _cache_load(args.cache)
+    key = _cache_key("period", {"poly": f.to_json_dict(),
+                                "terms": args.terms})
+    terms = _cached_terms(args.cache, cache, key)
+    if terms is not None:
+        return [Fraction(c) for c in terms]
+    terms = list(classical_period(f, args.terms).coefficients)
+    cache[key] = {"terms": [str(c) for c in terms]}
+    _cache_store(args.cache, cache)
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_period(args):
-    f = _read_polynomial(args.input)
-    key_extras = {"poly": f.to_json_dict(), "terms": args.terms}
-    cache = _cache_load(args.cache)
-    key = _cache_key("period", args, key_extras)
-    coeffs = _cached_terms(args.cache, cache, key)
-    if coeffs is None:
-        coeffs = [str(c) for c in
-                  classical_period(f, args.terms).coefficients]
-        cache[key] = {"terms": coeffs}
-        _cache_store(args.cache, cache)
+    coeffs = [str(c) for c in _period_terms(args)]
     _emit(args, {"terms": coeffs},
           [f"c[{k}] = {c}" for k, c in enumerate(coeffs)])
     return EXIT_OK
@@ -394,18 +405,7 @@ def _cmd_rigid(args):
 
 
 def _cmd_pf(args):
-    f = _read_polynomial(args.input)
-    cache = _cache_load(args.cache)
-    key = _cache_key("pf", args, {"poly": f.to_json_dict(),
-                                  "terms": args.terms,
-                                  "rmax": args.rmax, "dmax": args.dmax})
-    terms = _cached_terms(args.cache, cache, key)
-    if terms is not None:
-        terms = [Fraction(c) for c in terms]
-    else:
-        terms = list(classical_period(f, args.terms).coefficients)
-        cache[key] = {"terms": [str(c) for c in terms]}
-        _cache_store(args.cache, cache)
+    terms = _period_terms(args)
     rec = fit_recurrence(terms, r_max=args.rmax, d_max=args.dmax)
     if rec is None:
         _emit(args, {"found": False, "terms": args.terms,

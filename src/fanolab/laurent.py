@@ -220,16 +220,28 @@ class LaurentPolynomial:
     @classmethod
     def from_json_dict(cls, data):
         """Inverse of ``to_json_dict``.  The rank and the exponents must be
-        JSON integers; input of another shape raises TypeError."""
+        JSON integers and each coefficient a JSON integer or a string that
+        ``Fraction`` reads; input of another shape raises TypeError, and a
+        zero denominator ValueError."""
         rank = json_value(data["n"], int, "n")
         terms = {}
         for t in json_value(data["terms"], list, "terms"):
             t = json_value(t, dict, "a term")
             e = tuple(json_value(x, int, "an exponent")
                       for x in json_value(t["e"], list, "an exponent vector"))
-            c = Fraction(t["c"])
-            terms[e] = terms.get(e, 0) + c
+            terms[e] = terms.get(e, 0) + _json_coefficient(t["c"])
         return cls(rank, terms)
+
+
+def _json_coefficient(c):
+    """An exact coefficient from a JSON integer or string, never a float."""
+    if type(c) not in (int, str):
+        raise TypeError(
+            f"a coefficient must be an integer or a string, got {c!r}")
+    try:
+        return Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {c!r} has a zero denominator") from None
 
 
 _JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
@@ -439,11 +451,13 @@ class _Parser:
             if nxt_kind == "op" and nxt_val == "/":
                 save = self.i
                 self.next()
-                k2, v2, _ = self.peek()
+                k2, v2, p2 = self.peek()
                 if k2 == "num":
                     self.next()
                     k3, v3, _ = self.peek()
                     if not (k3 == "op" and v3 == "^"):
+                        if not int(v2):
+                            raise ParseError("zero denominator", p2)
                         return LaurentPolynomial(
                             self.rank, {(0,) * self.rank: Fraction(c, int(v2))})
                 self.i = save

@@ -90,35 +90,19 @@ def hnf_rows(matrix):
 
 
 def unimodular_inverse(matrix):
-    """Exact integer inverse of a matrix with determinant +-1.
+    """Exact integer inverse of a matrix with determinant +-1, read from
+    the reduced row echelon form of [M | I].
 
     Raises ValueError for any other square matrix.
     """
     n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                       for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = a[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix inverse is not integral")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(matrix)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    if any(x.denominator != 1 for row in rows for x in row[n:]):
+        raise ValueError("matrix inverse is not integral")
+    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
 
 
 def complete_to_basis_last_row(w):
@@ -204,13 +188,16 @@ def nullspace(matrix, ncols=None):
         if not matrix:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(matrix[0])
-    if not matrix:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols))
-                for i in range(ncols)]
-    rows, pivots = rref(matrix)
-    free = [j for j in range(ncols) if j not in pivots]
+    return _null_basis(*rref(matrix), ncols)
+
+
+def _null_basis(rows, pivots, ncols):
+    """Nullspace basis of the first ``ncols`` columns of a matrix in
+    reduced row echelon form whose pivots all lie in those columns."""
     basis = []
-    for j in free:
+    for j in range(ncols):
+        if j in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[j] = Fraction(1)
         for r, pc in zip(rows, pivots):
@@ -223,7 +210,9 @@ def solve_affine(matrix, rhs, ncols=None):
     """Solve A x = b exactly in ``ncols`` unknowns (rows may be empty).
 
     Returns ``(particular, null_basis)`` or None when inconsistent.  Free
-    variables are set to zero in the particular solution.
+    variables are set to zero in the particular solution.  One elimination
+    of [A | b] gives both: when it is consistent, its pivots lie in A, and
+    its rows restricted to A are the reduced row echelon form of A.
     """
     if ncols is None:
         if not matrix:
@@ -235,4 +224,4 @@ def solve_affine(matrix, rhs, ncols=None):
     x = [Fraction(0)] * ncols
     for r, pc in zip(rows, pivots):
         x[pc] = r[ncols]
-    return x, nullspace(matrix, ncols=ncols)
+    return x, _null_basis(rows, pivots, ncols)

@@ -92,14 +92,11 @@ def seed_set(p, bounds=None):
                                      zip(face_pts[0], face_pts[-1])))
             base = LaurentPolynomial.one(2) + LaurentPolynomial.monomial(2, d)
             top = min(bounds.deg_max, (len(face_pts) - 1) // c)
-            seeds += [MutationData(u, power).canonical()
-                      for power in factor_powers(base, range(1, top + 1))]
+            factors = factor_powers(base, range(1, top + 1))
         else:
-            seeds += [MutationData(u, factor).canonical()
-                      for factor in _higher_rank_factors(face_pts, c, bounds)]
-    unique = {}
-    for s in seeds:
-        unique[(s.weight, tuple(sorted(s.factor.terms.items())))] = s
+            factors = _higher_rank_factors(face_pts, c, bounds)
+        seeds += [MutationData(u, factor) for factor in factors]
+    unique = {s.key: s for s in seeds}
     return SeedSet(tuple(unique[k] for k in sorted(unique)), complete, bounds)
 
 

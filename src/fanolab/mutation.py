@@ -5,17 +5,18 @@ factor F supported on the hyperplane w = 0.  Writing f as a sum of w-graded
 slices f = sum_i f_i with w(supp f_i) = i, the mutation replaces f_i by
 f_i * F^i; for negative i this requires F^|i| to divide f_i exactly in the
 Laurent ring.  Results are only well defined up to the shear action of
-w^perp, so everything is reported shear-canonicalized.
+w^perp, so everything is reported shear-canonicalized; for the same reason
+F matters only up to a monomial on the wall, and ``MutationData`` translates
+it to a canonical position.
 
-``enumerate_mutations`` keeps the witness of each mutation it finds, so
-``mutate`` can reuse its exact quotients instead of dividing again.
+``is_mutable`` slices f once and its witness keeps every slice, so
+``mutate`` reads the witness instead of slicing or dividing again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .laurent import LaurentPolynomial, ZeroPolynomialError
 from .linalg import complete_to_basis_last_row, is_primitive, primitive_part
@@ -76,7 +77,13 @@ def weight_decomposition(f, w):
 
 @dataclass(frozen=True)
 class MutationData:
-    """A validated mutation (w, F): w primitive, supp(F) on the w = 0 wall."""
+    """A validated mutation (w, F): w primitive, supp(F) on the w = 0 wall.
+
+    The factor is translated on construction so that its lex-least exponent
+    is the origin.  A translate of F along the wall only shears the
+    mutation, so this changes no shear-canonical result, and equal
+    mutations get equal ``key``s.
+    """
 
     weight: tuple
     factor: LaurentPolynomial
@@ -90,14 +97,15 @@ class MutationData:
             if weight_value(w, e) != 0:
                 raise InvalidFactorError(
                     f"factor term x^{e} is not on the wall w = 0")
-
-    def canonical(self):
-        """Translate the factor so its lex-least exponent is the origin."""
         base = min(self.factor.support())
-        if all(x == 0 for x in base):
-            return self
-        shifted = self.factor.shift(tuple(-x for x in base))
-        return MutationData(self.weight, shifted)
+        if any(base):
+            object.__setattr__(self, "factor",
+                               self.factor.shift(tuple(-x for x in base)))
+
+    @property
+    def key(self):
+        """The weight and the sorted factor terms: equal for equal data."""
+        return self.weight, tuple(sorted(self.factor.terms.items()))
 
     def inverse(self):
         return MutationData(tuple(-x for x in self.weight), self.factor)
@@ -151,20 +159,21 @@ def exact_divide(g, d):
 def factor_powers(factor, exponents):
     """Yield F^k for each k of an ascending sequence of exponents k >= 0.
 
-    One multiplication per step up to the largest k.  Only the latest power
+    One multiplication per step up to the largest k, none for F^1.  Only the latest power
     is kept, so a caller that needs several at once holds them itself.
     """
     power, done = LaurentPolynomial.one(factor.rank), 0
     for k in exponents:
-        for _ in range(done, k):
-            power = power * factor
-        done = k
+        while done < k:
+            power = power * factor if done else factor
+            done += 1
         yield power
 
 
 @dataclass(frozen=True)
 class MutationWitness:
-    """Exact quotients f_i / F^|i| for every negative level i."""
+    """Every w-slice of f, by ascending level: the exact quotient
+    f_i / F^|i| at each negative level i, and f_i itself at the others."""
 
     data: MutationData
     quotients: tuple  # of (level, LaurentPolynomial)
@@ -182,18 +191,17 @@ def is_mutable(f, data):
     first failing level."""
     if f.is_zero():
         raise ZeroPolynomialError("cannot mutate the zero polynomial")
-    quotients = []
     slices = weight_decomposition(f, data.weight)
     needed = [-i for i, _ in reversed(slices) if i < 0]
     fpow = dict(zip(needed, factor_powers(data.factor, needed)))
-    for i, piece in slices:
+    for k, (i, piece) in enumerate(slices):
         if i >= 0:
-            continue
+            break
         q = exact_divide(piece, fpow[-i])
         if q is None:
             return NotMutable(data, i)
-        quotients.append((i, q))
-    return MutationWitness(data, tuple(quotients))
+        slices[k] = (i, q)
+    return MutationWitness(data, tuple(slices))
 
 
 def mutate(f, data, witness=None):
@@ -210,13 +218,10 @@ def mutate(f, data, witness=None):
     # F lies on the wall, so f_i * F^i stays at level i: the levels of the
     # result are disjoint and fill one term map
     terms = {}
-    for _, q in witness.quotients:
-        terms.update(q.terms)
-    slices = weight_decomposition(f, data.weight)
-    powers = factor_powers(data.factor, [i for i, _ in slices if i > 0])
-    for i, piece in slices:
-        if i >= 0:
-            terms.update((piece * next(powers) if i else piece).terms)
+    powers = factor_powers(data.factor,
+                           [i for i, _ in witness.quotients if i > 0])
+    for i, piece in witness.quotients:
+        terms.update((piece * next(powers) if i > 0 else piece).terms)
     return canonicalize_shear(LaurentPolynomial(f.rank, terms), data.weight)
 
 
@@ -301,13 +306,13 @@ class EnumerationResult:
         return tuple(witness.data for witness in self.witnesses)
 
 
-def enumerate_mutations(f, bounds=None, extra_factors=()):
+def enumerate_mutations(f, bounds=None):
     """Mutations of f within the bounds, one Newton-polytope facet at a time.
 
     The weight is the facet's inner normal u, at height c in [1, w_max]; the
     factors come from the minimal slice, the terms at level -c: from its
     factorization in rank 2, where it is an edge, and from ``factor_sweep``
-    in higher rank.  Any of ``extra_factors`` on the wall is tried too.
+    in higher rank.
     """
     if bounds is None:
         bounds = MutationBounds()
@@ -330,9 +335,7 @@ def enumerate_mutations(f, bounds=None, extra_factors=()):
             diffs = sorted({tuple(b - a for a, b in zip(s0, s1))
                             for s0 in low for s1 in low if s0 != s1})
             candidates = factor_sweep(diffs, bounds.deg_max)
-        extra = (factor for factor in extra_factors
-                 if all(weight_value(u, e) == 0 for e in factor.terms))
-        for factor in chain(candidates, extra):
+        for factor in candidates:
             _try_seed(f, u, factor, tried)
     witnesses = [tried[k] for k in sorted(tried)
                  if isinstance(tried[k], MutationWitness)]
@@ -340,14 +343,13 @@ def enumerate_mutations(f, bounds=None, extra_factors=()):
 
 
 def _try_seed(f, w, factor, tried):
-    """Check the canonical mutation (w, factor) on f once, keeping its
-    ``is_mutable`` verdict in ``tried`` by weight and factor terms."""
+    """Check the mutation (w, factor) on f once, keeping its
+    ``is_mutable`` verdict in ``tried`` by its key."""
     if len(factor.terms) <= 1:
         return
-    data = MutationData(w, factor).canonical()
-    key = (data.weight, tuple(sorted(data.factor.terms.items())))
-    if key not in tried:
-        tried[key] = is_mutable(f, data)
+    data = MutationData(w, factor)
+    if data.key not in tried:
+        tried[data.key] = is_mutable(f, data)
 
 
 def _edge_factors(edge, mult, deg_max):
@@ -408,8 +410,5 @@ def factor_sweep(diffs, deg_max):
         binomial = LaurentPolynomial.one(n) + LaurentPolynomial.monomial(n, d1)
         for base in [binomial] + [binomial + LaurentPolynomial.monomial(n, d2)
                                   for d2 in diffs[i + 1:]]:
-            power = base
-            for k in range(deg_max // (len(base.terms) - 1)):
-                if k:
-                    power = power * base
-                yield power
+            top = deg_max // (len(base.terms) - 1)
+            yield from factor_powers(base, range(1, top + 1))

@@ -46,14 +46,12 @@ class MutationGraph:
 
 
 def _edge_label(seed):
-    """Identity of a mutation edge: the weight up to sign and the factor,
-    which ``MutationData.canonical`` has already translated (factors sit on
-    the wall, where shears act trivially)."""
-    return (max(seed.weight, tuple(-x for x in seed.weight)),
-            tuple(sorted(seed.factor.terms.items())))
+    """Identity of a mutation edge: the key of the seed or of its inverse,
+    whichever is larger, so the weight counts only up to sign."""
+    return max(seed.key, seed.inverse().key)
 
 
-def build_graph(f, depth, bounds=None, extra_factors=()):
+def build_graph(f, depth, bounds=None):
     """Breadth-first mutation graph of f out to the given depth."""
     if bounds is None:
         bounds = MutationBounds()
@@ -68,7 +66,7 @@ def build_graph(f, depth, bounds=None, extra_factors=()):
         next_frontier = []
         for idx in frontier:
             poly = nodes[idx].polynomial
-            result = enumerate_mutations(poly, bounds, extra_factors)
+            result = enumerate_mutations(poly, bounds)
             complete = complete and result.complete
             for witness in result.witnesses:
                 seed = witness.data

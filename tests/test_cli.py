@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fanolab import cli
 from fanolab.cli import main
 
 P2 = "x + y + x^-1*y^-1"
@@ -211,6 +212,30 @@ def test_pf_cache_reads_rational_terms_back(tmp_path, capsys):
                for c in entry["terms"])
 
 
+def test_period_and_pf_share_one_cache_entry(tmp_path, capsys, monkeypatch):
+    # entries are keyed by polynomial and term count only, so pf reads the
+    # series period stored; an entry under an older key is left as it was
+    cache = tmp_path / "cache.json"
+    old = {"terms": ["1", "0", "0", "6"]}
+    cache.write_text(json.dumps({"an-old-pf-key": old}))
+    computed, classical_period = [], cli.classical_period
+
+    def counted(f, n_terms):
+        computed.append(n_terms)
+        return classical_period(f, n_terms)
+    monkeypatch.setattr(cli, "classical_period", counted)
+    code, _, _ = run(capsys, "--cache", str(cache), "period", P2,
+                     "--terms", "40")
+    assert code == 0
+    for bounds in (("--rmax", "6"), ("--rmax", "4", "--dmax", "6")):
+        code, out, _ = run(capsys, "--cache", str(cache), "pf", P2,
+                           "--terms", "40", *bounds)
+        assert code == 0 and "operator" in out
+    assert computed == [40]
+    entries = json.loads(cache.read_text())
+    assert len(entries) == 2 and entries["an-old-pf-key"] == old
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["period"])  # missing argument
@@ -246,6 +271,24 @@ def test_malformed_json_input_is_usage_error(capsys, command, data, message):
     code, out, err = run(capsys, command, json.dumps(data))
     assert code == 1 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 1, "terms": [{"e": [1], "c": 0.1}, {"e": [-1], "c": true}]}',
+     "a coefficient must be an integer or a string, got 0.1"),
+    ('{"n": 1, "terms": [{"e": [1], "c": true}]}',
+     "a coefficient must be an integer or a string, got True"),
+    ('{"n": 1, "terms": [{"e": [1], "c": null}]}',
+     "a coefficient must be an integer or a string, got None"),
+    ('{"n": 1, "terms": [{"e": [1], "c": "1/0"}]}',
+     "coefficient '1/0' has a zero denominator"),
+    ("x + 1/0", "zero denominator (at position 6)"),
+])
+def test_inexact_or_zero_denominator_coefficient_is_usage_error(
+        capsys, text, message):
+    code, out, err = run(capsys, "period", text, "--terms", "3")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: cannot read polynomial: {message}"]
 
 
 def test_threads_flag_accepted(capsys):

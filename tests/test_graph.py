@@ -1,3 +1,4 @@
+from fanolab import mutation
 from fanolab.laurent import parse_polynomial
 from fanolab.mutation_graph import (build_graph, export_dot, markov_tree,
                                     p2_correspondence_check)
@@ -62,3 +63,18 @@ def test_export_dot_deterministic():
     assert out.startswith("digraph")
     assert out.count("->") == len(graph.edges)
     assert "(1, 1, 4)" in out
+
+
+def test_graph_slices_each_seed_once(monkeypatch):
+    # the witness of is_mutable carries every slice, so mutate slices nothing
+    calls = {"weight_decomposition": 0, "is_mutable": 0}
+    for name in calls:
+        original = getattr(mutation, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(mutation, name, counted)
+    graph = build_graph(parse_polynomial(P2), 3)
+    assert len(graph.nodes) == 22
+    assert calls == {"weight_decomposition": 30, "is_mutable": 30}

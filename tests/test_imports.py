@@ -1,6 +1,6 @@
-"""No module of the package imports a name it never uses or keeps a private
-helper nothing calls, and importing the CLI loads no module it does not
-need."""
+"""No module of the package imports a name it never uses, keeps a private
+helper nothing calls or a parameter its function never reads, and importing
+the CLI loads no module it does not need."""
 
 import ast
 import os
@@ -96,6 +96,46 @@ def test_package_has_no_unreferenced_private_definitions():
     sources = {path.stem: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def unread_parameters(source):
+    """Parameters that the body of their function never reads.
+
+    Nested functions count as part of the body that encloses them.  Dunder
+    methods are skipped, because Python fixes their signatures.  Returns
+    sorted ``"function.parameter"`` strings.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args
+                  + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+        read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        found += [f"{node.name}.{p}" for p in params if p not in read]
+    return sorted(found)
+
+
+def test_unread_parameters_are_found():
+    source = ("def key(command, args, extras):\n"
+              "    return command, extras\n"
+              "def outer(a, *rest, b=1, **kw):\n"
+              "    def inner(c):\n        return a\n"
+              "    b = 2\n    return inner, kw\n"
+              "class C:\n"
+              "    def __exit__(self, *exc):\n        pass\n"
+              "    def method(self, x):\n        return x\n")
+    assert unread_parameters(source) == [
+        "inner.c", "key.args", "method.self", "outer.b", "outer.rest"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_cli_import_leaves_sympy_unloaded():

@@ -41,10 +41,10 @@ def test_mutation_data_validation():
     with pytest.raises(InvalidFactorError):
         MutationData((2, -1), parse_polynomial("1 + x", rank_hint=2))
     data = MutationData((2, -1), parse_polynomial("1 + x*y^2"))
-    assert data.canonical().factor == data.factor
+    assert data.factor == parse_polynomial("1 + x*y^2")
     shifted = MutationData((2, -1),
                            parse_polynomial("x*y^2 + x^2*y^4"))
-    assert shifted.canonical().factor == parse_polynomial("1 + x*y^2")
+    assert shifted.factor == data.factor and shifted.key == data.key
 
 
 def test_exact_divide():
@@ -284,10 +284,9 @@ def _old_enumerate_rank2(f, bounds):
                 factor = LaurentPolynomial.from_terms(
                     2, [(tuple(k * x for x in direction), cv)
                         for k, cv in enumerate(coeff_list) if cv])
-                data = MutationData(u, factor).canonical()
-                key = (data.weight, tuple(sorted(data.factor.terms.items())))
+                data = MutationData(u, factor)
                 if isinstance(is_mutable(f, data), MutationWitness):
-                    seeds[key] = data
+                    seeds[data.key] = data
     return [seeds[k] for k in sorted(seeds)]
 
 

@@ -12,7 +12,8 @@ from fanolab.laurent import (LaurentPolynomial, format_polynomial,
 from fanolab.linalg import unimodular_inverse
 from fanolab.mmlp import _minkowski_difference_points
 from fanolab.mutation import (MutationData, apply_shear, canonicalize_shear,
-                              exact_divide, shear_equivalent)
+                              enumerate_mutations, exact_divide, mutate,
+                              shear_equivalent, weight_decomposition)
 from fanolab.periods import classical_period, periods_agree
 from fanolab.polytopes import (LatticePolytope, _facets_full_dim,
                                _vertices_full_dim, dual_polytope,
@@ -284,3 +285,48 @@ def test_period_invariant_under_gl3(terms, m):
     f = LaurentPolynomial.from_terms(3, terms.items())
     g = substitute_unimodular(f, m)
     assert periods_agree(f, g, 10) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# mutation chains
+
+
+def reslicing_mutate(f, data):
+    """Oracle for ``mutate``: slice f by the weight afresh, divide each
+    negative slice by its factor power and multiply each positive one."""
+    terms = {}
+    for i, piece in weight_decomposition(f, data.weight):
+        if i < 0:
+            piece = exact_divide(piece, data.factor ** -i)
+            assert piece is not None
+        elif i > 0:
+            piece = piece * data.factor ** i
+        terms.update(piece.terms)
+    return canonicalize_shear(LaurentPolynomial(f.rank, terms), data.weight)
+
+
+@functools.cache
+def _witnesses(f):
+    return enumerate_mutations(f).witnesses
+
+
+# start -> how many steps a chain takes from it
+CHAIN_STARTS = {
+    "x + y + x^-1*y^-1": 3,
+    "2*x + x*y + 2*y + y*x^-1 + 2*x^-1 + x^-1*y^-1 + 2*y^-1 + x*y^-1": 3,
+    "(x + y + 1)^3/(x*y*z) + z": 1,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CHAIN_STARTS)),
+       st.lists(st.integers(0, 99), min_size=1, max_size=3))
+def test_period_invariant_along_mutation_chains(start, picks):
+    f = g = parse_polynomial(start)
+    for pick in picks[:CHAIN_STARTS[start]]:
+        witnesses = _witnesses(g)
+        witness = witnesses[pick % len(witnesses)]
+        h = mutate(g, witness.data, witness)
+        assert h == reslicing_mutate(g, witness.data)
+        g = h
+    assert periods_agree(f, g, 8) == (True, None)
