@@ -15,8 +15,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .laurent import (LaurentPolynomial, ParseError, format_polynomial,
-                      exponent_lattice_index, parse_polynomial)
+from .laurent import (LaurentPolynomial, ParseError, _norm_coeff,
+                      exponent_lattice_index, format_polynomial,
+                      parse_polynomial)
 from .mmlp import is_rigid
 from .mutation import (MutationBounds, MutationData, enumerate_mutations,
                        mutate)
@@ -181,7 +182,7 @@ def _period_terms(args):
                                 "terms": args.terms})
     terms = _cached_terms(args.cache, cache, key)
     if terms is not None:
-        return [Fraction(c) for c in terms]
+        return [_norm_coeff(Fraction(c)) for c in terms]
     terms = list(classical_period(f, args.terms).coefficients)
     cache[key] = {"terms": [str(c) for c in terms]}
     _cache_store(args.cache, cache)

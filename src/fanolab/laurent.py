@@ -1,16 +1,42 @@
 """Exact sparse Laurent polynomial arithmetic in n variables.
 
-Terms are stored as a map from integer exponent tuples to nonzero exact
-rational coefficients (plain ints where possible).  All operations are pure;
-polynomials are treated as immutable after construction.
+A polynomial's terms are nonzero exact rational coefficients (plain ints
+where possible) keyed by exponent.  It holds them in one or both of two
+maps and builds the missing one from the other on first read:
+
+* ``terms`` maps exponent tuples of length ``rank``; it is the public view.
+* ``packed()`` maps Kronecker-packed keys: the exponent e is the one int
+  sum of e_i * 2^(PACK_BITS * i) over signed e_i.  The key is linear in e,
+  so adding exponents is one integer add and -e has the key -key.  Packing
+  is exact while every |e_i| < 2^(PACK_BITS - 1); each packed map carries
+  its span, a bound on the largest |e_i|, and a product's span is at most
+  the sum of its factors' spans.
+
+``__mul__`` multiplies packed maps while the product's span stays under
+that bound, and multiplies exponent tuples past it; a packed product holds
+only its packed map.  The public constructor checks every exponent and
+coefficient.  Internal results already known to be clean (nonzero,
+normalised coefficients, int tuples of length ``rank``) skip those checks
+through ``_from_clean``.  Polynomials are immutable after construction.
+
+The parser expands ``(...)^k`` only up to ``PARSE_TERM_CAP`` terms.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
+from math import comb
 
 from .linalg import hnf_rows, unimodular_inverse
+
+PACK_BITS = 24
+_HALF = 1 << (PACK_BITS - 1)  # packing needs every |e_i| below this
+_MASK = (1 << PACK_BITS) - 1
+
+# the largest power the parser expands, in terms
+PARSE_TERM_CAP = 10_000
 
 
 class RankMismatchError(ValueError):
@@ -40,14 +66,74 @@ def _norm_coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
 
 
+def _clean(acc):
+    """``acc`` without its zero coefficients, integral Fractions as ints."""
+    out = {k: c for k, c in acc.items() if c}
+    if any(type(c) is not int for c in out.values()):
+        out = {k: _norm_coeff(c) for k, c in out.items()}
+    return out
+
+
+def _pack(e):
+    """The packed key of an exponent tuple whose entries are below _HALF."""
+    key = 0
+    for x in reversed(e):
+        key = (key << PACK_BITS) + x
+    return key
+
+
+def _unpack(key, rank):
+    """The exponent tuple of a packed key: its signed base-2^PACK_BITS
+    digits, lowest first."""
+    e = []
+    for _ in range(rank - 1):
+        x = ((key + _HALF) & _MASK) - _HALF
+        e.append(x)
+        key = (key - x) >> PACK_BITS
+    e.append(key)
+    return tuple(e)
+
+
+def _packed_product(a, b):
+    """The product of two packed term maps, zero sums included."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    (k0, c0), *rows = a.items()
+    # the keys of one row are distinct, so the first fills the map directly
+    acc = {k0 + kb: c0 * cb for kb, cb in b.items()}
+    get = acc.get
+    for ka, ca in rows:
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return acc
+
+
+def _tuple_product(a, b):
+    """The product of two tuple-keyed term maps, zero sums included."""
+    if len(a) > len(b):
+        a, b = b, a
+    acc = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc[e] = acc.get(e, 0) + ca * cb
+    return acc
+
+
 class LaurentPolynomial:
     """A Laurent polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples (length ``rank``) to nonzero coefficients.
-    The zero polynomial is the empty term map.
+    The zero polynomial is the empty term map.  ``_terms`` and ``_packed``
+    hold the two views, either one None until first read; ``_span`` is None
+    until the packed view is built, then a bound on the largest |e_i| (at
+    least _HALF when the polynomial cannot be packed).
     """
 
-    __slots__ = ("rank", "terms", "_hash")
+    __slots__ = ("rank", "_terms", "_packed", "_span", "_hash")
 
     def __init__(self, rank, terms):
         if rank < 1:
@@ -60,12 +146,55 @@ class LaurentPolynomial:
             c = _norm_coeff(c)
             if c != 0:
                 clean[tuple(int(x) for x in e)] = c
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        self._set(rank, clean, None, None)
+
+    @classmethod
+    def _from_clean(cls, rank, terms=None, packed=None, span=None):
+        """A polynomial from ``terms``, or from ``packed`` and its span,
+        with nothing checked: the keys must be int tuples of length
+        ``rank`` (packed keys within the span) and every coefficient a
+        nonzero int or a non-integral Fraction."""
+        f = object.__new__(cls)
+        f._set(rank, terms, packed, span)
+        return f
+
+    def _set(self, rank, terms, packed, span):
+        setattr_ = object.__setattr__
+        setattr_(self, "rank", rank)
+        setattr_(self, "_terms", terms)
+        setattr_(self, "_packed", packed)
+        setattr_(self, "_span", span)
+        setattr_(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
+
+    # -- the two term maps -------------------------------------------------
+
+    @property
+    def terms(self):
+        """The term map keyed by exponent tuples."""
+        terms = self._terms
+        if terms is None:
+            rank = self.rank
+            terms = {_unpack(k, rank): c for k, c in self._packed.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
+    def packed(self):
+        """The term map keyed by packed exponents, or None when an exponent
+        is past the packing bound.  Internal: keys depend on PACK_BITS."""
+        if self._span is None:
+            span = max(map(abs, chain.from_iterable(self._terms)), default=0)
+            object.__setattr__(self, "_span", span)
+            if span < _HALF:
+                object.__setattr__(self, "_packed", {
+                    _pack(e): c for e, c in self._terms.items()})
+        return self._packed
+
+    def _some_terms(self):
+        """Whichever term map is built, for reads that need no keys."""
+        return self._packed if self._terms is None else self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -93,7 +222,7 @@ class LaurentPolynomial:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._some_terms()
 
     def coefficient(self, exponent):
         e = tuple(exponent)
@@ -103,16 +232,18 @@ class LaurentPolynomial:
         return self.terms.get(e, 0)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.rank, 0)
+        if self._terms is None:
+            return self._packed.get(0, 0)
+        return self._terms.get((0,) * self.rank, 0)
 
     def support(self):
         return sorted(self.terms)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._some_terms())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._some_terms())
 
     # -- ring operations ---------------------------------------------------
 
@@ -126,41 +257,39 @@ class LaurentPolynomial:
         acc = dict(self.terms)
         for e, c in other.terms.items():
             acc[e] = acc.get(e, 0) + c
-        return LaurentPolynomial(self.rank, acc)
+        return LaurentPolynomial._from_clean(self.rank, _clean(acc))
 
     def __sub__(self, other):
         self._check_rank(other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
             acc[e] = acc.get(e, 0) - c
-        return LaurentPolynomial(self.rank, acc)
+        return LaurentPolynomial._from_clean(self.rank, _clean(acc))
 
     def __neg__(self):
-        return LaurentPolynomial(self.rank,
-                                 {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_rank(other)
-        # sparse convolution; iterate the smaller factor on the outside
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        acc = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc[e] = acc.get(e, 0) + ca * cb
-        return LaurentPolynomial(self.rank, acc)
+        a, b = self.packed(), other.packed()
+        if a is not None and b is not None:
+            span = self._span + other._span
+            if span < _HALF:
+                return LaurentPolynomial._from_clean(
+                    self.rank, packed=_clean(_packed_product(a, b)),
+                    span=span)
+        return LaurentPolynomial._from_clean(
+            self.rank, _clean(_tuple_product(self.terms, other.terms)))
 
     __rmul__ = __mul__
 
     def scale(self, c):
         if c == 0:
             return LaurentPolynomial.zero(self.rank)
-        return LaurentPolynomial(self.rank,
-                                 {e: v * c for e, v in self.terms.items()})
+        return LaurentPolynomial._from_clean(
+            self.rank, _clean({e: v * c for e, v in self.terms.items()}))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -173,8 +302,11 @@ class LaurentPolynomial:
 
     def shift(self, exponent):
         """Multiply by the monomial x^exponent."""
-        e0 = tuple(exponent)
-        return LaurentPolynomial(
+        e0 = tuple(int(x) for x in exponent)
+        if len(e0) != self.rank:
+            raise RankMismatchError(
+                f"shift {e0} has length {len(e0)}, expected {self.rank}")
+        return LaurentPolynomial._from_clean(
             self.rank,
             {tuple(x + y for x, y in zip(e, e0)): c
              for e, c in self.terms.items()})
@@ -193,7 +325,11 @@ class LaurentPolynomial:
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        if self.rank != other.rank:
+            return False
+        if self._packed is not None and other._packed is not None:
+            return self._packed == other._packed
+        return self.terms == other.terms
 
     def __hash__(self):
         h = self._hash
@@ -427,10 +563,24 @@ class _Parser:
         if kind == "op" and val == "^":
             self.next()
             k = self._signed_int()
-            if k >= 0:
-                return base ** k
-            return self._invert(base, pos) ** (-k)
+            if k < 0:
+                base, k = self._invert(base, pos), -k
+            return self._power(base, k, pos)
         return base
+
+    def _power(self, base, k, pos):
+        """base^k, refused as soon as one multiplication passes
+        PARSE_TERM_CAP terms.  A power of t terms has at most
+        comb(k + t - 1, k) terms, so under the cap it is taken whole."""
+        if len(base) <= 1 or comb(k + len(base) - 1, k) <= PARSE_TERM_CAP:
+            return base ** k
+        power = LaurentPolynomial.one(self.rank)
+        for _ in range(k):
+            power = power * base
+            if len(power) > PARSE_TERM_CAP:
+                raise ParseError(
+                    f"the power has more than {PARSE_TERM_CAP} terms", pos)
+        return power
 
     def _signed_int(self):
         kind, val, pos = self.next()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPolynomial, ZeroPolynomialError
+from .laurent import LaurentPolynomial, ZeroPolynomialError, _clean
 from .linalg import complete_to_basis_last_row, is_primitive, primitive_part
 from .polytopes import newton_polytope
 
@@ -71,7 +71,7 @@ def weight_decomposition(f, w):
     slices = {}
     for e, c in f.terms.items():
         slices.setdefault(weight_value(w, e), {})[e] = c
-    return [(i, LaurentPolynomial(f.rank, t))
+    return [(i, LaurentPolynomial._from_clean(f.rank, t))
             for i, t in sorted(slices.items())]
 
 
@@ -149,7 +149,7 @@ def exact_divide(g, d):
                 rem[key] = new
             else:
                 rem.pop(key, None)
-    return LaurentPolynomial.from_terms(n, quot.items())
+    return LaurentPolynomial._from_clean(n, _clean(quot))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,8 @@ def mutate(f, data, witness=None):
                            [i for i, _ in witness.quotients if i > 0])
     for i, piece in witness.quotients:
         terms.update((piece * next(powers) if i > 0 else piece).terms)
-    return canonicalize_shear(LaurentPolynomial(f.rank, terms), data.weight)
+    return canonicalize_shear(LaurentPolynomial._from_clean(f.rank, terms),
+                              data.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def apply_shear(f, w, s):
     for e, c in f.terms.items():
         lev = weight_value(w, e)
         acc[tuple(a + lev * b for a, b in zip(e, s))] = c
-    return LaurentPolynomial(f.rank, acc)
+    return LaurentPolynomial._from_clean(f.rank, acc)
 
 
 def canonicalize_shear(f, w):

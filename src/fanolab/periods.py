@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
+from operator import neg
 
 from .laurent import (LaurentPolynomial, ZeroPolynomialError, _norm_coeff,
                       parse_polynomial)
@@ -41,16 +42,26 @@ class PeriodSequence:
         return {"terms": [str(c) for c in self.coefficients]}
 
 
-def _pair(a, b):
-    """Constant term of the product of two term maps: sum of a[m] * b[-m]."""
+def _pair(f, g):
+    """Constant term of f * g: the sum over m of f[m] * g[-m].  Packed keys
+    are linear in the exponent, so -m has the key -key."""
+    a, b = f.packed(), g.packed()
+    opposite = neg
+    if a is None or b is None:  # an exponent past the packing bound
+        a, b = f.terms, g.terms
+        opposite = _opposite
     if len(a) > len(b):
         a, b = b, a
     total = 0
-    for e, c in a.items():
-        d = b.get(tuple(-x for x in e))
+    for m, c in a.items():
+        d = b.get(opposite(m))
         if d is not None:
             total += c * d
     return _norm_coeff(total)
+
+
+def _opposite(e):
+    return tuple(-x for x in e)
 
 
 class PeriodCalculator:
@@ -68,9 +79,8 @@ class PeriodCalculator:
 
     def coefficient(self, k):
         while len(self._coeffs) <= k:
-            lo = self._half.terms
-            self._half = self._half * self.f
-            hi = self._half.terms
+            lo = self._half
+            self._half = hi = lo * self.f
             self._coeffs.append(_pair(hi, lo))
             self._coeffs.append(_pair(hi, hi))
         return self._coeffs[k]

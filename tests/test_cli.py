@@ -1,9 +1,12 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from fanolab import cli
 from fanolab.cli import main
+from fanolab.laurent import PARSE_TERM_CAP
 
 P2 = "x + y + x^-1*y^-1"
 
@@ -210,6 +213,38 @@ def test_pf_cache_reads_rational_terms_back(tmp_path, capsys):
         "2*D^2 + t^3*(-27*D^2 - 81*D - 54)"
     assert any("/" in c for entry in json.loads(open(cache).read()).values()
                for c in entry["terms"])
+
+
+@pytest.mark.parametrize("text", [P2, "x + y + 1/2*x^-1*y^-1"])
+def test_cache_hit_reads_terms_as_a_fresh_compute_makes_them(
+        tmp_path, capsys, monkeypatch, text):
+    # integral entries come back as ints, so fit_recurrence sees the same
+    # values of the same types on a hit as on a miss
+    cache = str(tmp_path / "cache.json")
+    seen, fit = [], cli.fit_recurrence
+
+    def recording(terms, **bounds):
+        seen.append([(type(c), c) for c in terms])
+        return fit(terms, **bounds)
+    monkeypatch.setattr(cli, "fit_recurrence", recording)
+    argv = ("--json", "pf", text, "--terms", "30")
+    fresh = run(capsys, *argv)
+    miss = run(capsys, "--cache", cache, *argv)
+    hit = run(capsys, "--cache", cache, *argv)
+    assert fresh[0] == 0 and fresh == miss == hit
+    assert seen[0] == seen[1] == seen[2]
+    assert {t for t, _ in seen[0]} == ({int} if text == P2
+                                       else {int, Fraction})
+
+
+def test_oversized_power_is_refused_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "newton", "(x+y+z+1)^400")
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: cannot read polynomial: the power has more than "
+        f"{PARSE_TERM_CAP} terms (at position 9)"]
 
 
 def test_period_and_pf_share_one_cache_entry(tmp_path, capsys, monkeypatch):
