@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import comb
 
 from .linalg import hnf_rows, unimodular_inverse
 
@@ -232,9 +231,7 @@ class LaurentPolynomial:
         return self.terms.get(e, 0)
 
     def constant_term(self):
-        if self._terms is None:
-            return self._packed.get(0, 0)
-        return self._terms.get((0,) * self.rank, 0)
+        return self.terms.get((0,) * self.rank, 0)
 
     def support(self):
         return sorted(self.terms)
@@ -325,11 +322,7 @@ class LaurentPolynomial:
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        if self.rank != other.rank:
-            return False
-        if self._packed is not None and other._packed is not None:
-            return self._packed == other._packed
-        return self.terms == other.terms
+        return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
         h = self._hash
@@ -570,9 +563,8 @@ class _Parser:
 
     def _power(self, base, k, pos):
         """base^k, refused as soon as one multiplication passes
-        PARSE_TERM_CAP terms.  A power of t terms has at most
-        comb(k + t - 1, k) terms, so under the cap it is taken whole."""
-        if len(base) <= 1 or comb(k + len(base) - 1, k) <= PARSE_TERM_CAP:
+        PARSE_TERM_CAP terms."""
+        if len(base) <= 1:
             return base ** k
         power = LaurentPolynomial.one(self.rank)
         for _ in range(k):

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPolynomial, ZeroPolynomialError, _clean
+from .laurent import (LaurentPolynomial, RankMismatchError, ZeroPolynomialError,
+                      _clean)
 from .linalg import complete_to_basis_last_row, is_primitive, primitive_part
 from .polytopes import newton_polytope
 
@@ -234,6 +235,9 @@ def apply_shear(f, w, s):
     """The shear of f by s in w^perp: each exponent e moves by w(e) * s."""
     w = check_weight(w, f.rank)
     s = tuple(int(x) for x in s)
+    if len(s) != f.rank:
+        raise RankMismatchError(
+            f"shear {s} has length {len(s)}, expected {f.rank}")
     if weight_value(w, s) != 0:
         raise InvalidFactorError(f"shear vector {s} is not on the wall w = 0")
     acc = {}
