@@ -1,8 +1,10 @@
-"""Exact integer and rational linear algebra helpers.
+"""Exact integer linear algebra helpers.
 
-Everything here works over Python ints / Fractions: Hermite normal forms,
-unimodular basis completion, and rational Gaussian elimination.  Matrices are
-lists of row lists.
+Everything here works over Python ints: Hermite normal forms, unimodular
+basis completion, and Gauss-Jordan elimination that keeps every row a
+primitive integer vector.  Fractions appear only where rational input rows
+are cleared of denominators and in the particular solution of
+``solve_affine``.  Matrices are lists of row lists.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from math import gcd, lcm
 
 
 def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def is_primitive(v):
@@ -23,24 +22,10 @@ def is_primitive(v):
 
 
 def primitive_part(v):
-    """Scale an integer vector to its primitive representative (same sign)."""
-    g = vec_gcd(v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive part")
-    return tuple(x // g for x in v)
-
-
-def primitive_vector(v):
-    """Primitive integer vector on the ray of a rational vector.
-
-    Denominators are cleared and the content divided out, keeping signs;
-    the zero vector maps to the integer zero vector.
-    """
-    v = [Fraction(x) for x in v]
-    denom = lcm(*(x.denominator for x in v))
-    ints = [int(x * denom) for x in v]
-    g = vec_gcd(ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
+    """The primitive integer vector on the ray of an integer vector, signs
+    kept; the zero vector maps to itself."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def identity(n):
@@ -100,9 +85,10 @@ def unimodular_inverse(matrix):
                          for i, row in enumerate(matrix)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    if any(x.denominator != 1 for row in rows for x in row[n:]):
+    # a primitive row with pivot p is p times the rational row of M^-1
+    if any(row[i] != 1 for i, row in enumerate(rows)):
         raise ValueError("matrix inverse is not integral")
-    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
+    return tuple(row[n:] for row in rows)
 
 
 def complete_to_basis_last_row(w):
@@ -150,31 +136,48 @@ def complete_to_basis_last_row(w):
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# elimination over the integers
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators, as a list of ints."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    row = [Fraction(x) for x in row]
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def rref(matrix):
-    """Reduced row echelon form over Fractions.
+    """Reduced row echelon form over the integers.
 
-    Returns ``(rows, pivot_columns)``; input is not modified.
+    Returns ``(rows, pivot_columns)``; input is not modified.  Each row is
+    the reduced row over Q scaled to a primitive integer vector with a
+    positive pivot.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [_integer_row(row) for row in matrix]
     if not a:
         return [], []
     m, n = len(a), len(a[0])
     pivots = []
     r = 0
     for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][col]
-        a[r] = [x * inv for x in a[r]]
+        row = primitive_part(a[piv])
+        if row[col] < 0:
+            row = tuple(-x for x in row)
+        a[piv], a[r] = a[r], row
+        p = row[col]
         for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][col]
+            if f and i != r:
+                # p > 0, so the pivots of earlier rows keep their signs
+                g = gcd(p, f)
+                s, t = p // g, f // g
+                a[i] = primitive_part([s * x - t * y
+                                       for x, y in zip(a[i], row)])
         pivots.append(col)
         r += 1
         if r == m:
@@ -183,7 +186,8 @@ def rref(matrix):
 
 
 def nullspace(matrix, ncols=None):
-    """Basis of the rational nullspace of a matrix (rows may be empty)."""
+    """Basis of the rational nullspace of a matrix (rows may be empty), as
+    primitive integer vectors."""
     if ncols is None:
         if not matrix:
             raise ValueError("need ncols for an empty matrix")
@@ -192,17 +196,19 @@ def nullspace(matrix, ncols=None):
 
 
 def _null_basis(rows, pivots, ncols):
-    """Nullspace basis of the first ``ncols`` columns of a matrix in
-    reduced row echelon form whose pivots all lie in those columns."""
+    """Nullspace basis of the first ``ncols`` columns of a matrix in the
+    reduced row echelon form of ``rref``, whose pivots all lie in those
+    columns: one primitive integer vector per free column, positive there."""
+    scale = lcm(*(r[pc] for r, pc in zip(rows, pivots)))
     basis = []
     for j in range(ncols):
         if j in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
+        vec = [0] * ncols
+        vec[j] = scale
         for r, pc in zip(rows, pivots):
-            vec[pc] = -r[j]
-        basis.append(tuple(vec))
+            vec[pc] = -r[j] * (scale // r[pc])
+        basis.append(primitive_part(vec))
     return basis
 
 
@@ -210,9 +216,10 @@ def solve_affine(matrix, rhs, ncols=None):
     """Solve A x = b exactly in ``ncols`` unknowns (rows may be empty).
 
     Returns ``(particular, null_basis)`` or None when inconsistent.  Free
-    variables are set to zero in the particular solution.  One elimination
-    of [A | b] gives both: when it is consistent, its pivots lie in A, and
-    its rows restricted to A are the reduced row echelon form of A.
+    variables are set to zero in the particular solution, the others are
+    Fractions; the null basis is made of primitive integer vectors.  One
+    elimination of [A | b] gives both: when it is consistent, its pivots lie
+    in A, and its rows restricted to A are the reduced row echelon form of A.
     """
     if ncols is None:
         if not matrix:
@@ -221,7 +228,7 @@ def solve_affine(matrix, rhs, ncols=None):
     rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, pc in zip(rows, pivots):
-        x[pc] = r[ncols]
+        x[pc] = Fraction(r[ncols], r[pc])
     return x, _null_basis(rows, pivots, ncols)

@@ -16,7 +16,6 @@ that point set; no hull is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .laurent import LaurentPolynomial
 from .linalg import nullspace, primitive_part, solve_affine
@@ -117,8 +116,9 @@ class CoefficientSpace:
     """Affine space of polynomials on a polytope meeting mutability seeds.
 
     ``free_points`` lists the lattice points whose coefficients are
-    unknowns; ``basepoint``/``directions`` describe the solution set in that
-    coordinate order.  ``empty`` means the constraints are inconsistent.
+    unknowns; in that coordinate order, the solution set is ``basepoint``
+    (rational) plus the rational span of ``directions`` (primitive integer
+    vectors).  ``empty`` means the constraints are inconsistent.
     """
 
     polytope: LatticePolytope
@@ -157,7 +157,7 @@ class CoefficientSpace:
         allowed = set(vertices).union(self.free_points)
         if any(e not in allowed for e in f.terms):
             return False
-        diff = [Fraction(f.coefficient(pt)) - b
+        diff = [f.coefficient(pt) - b
                 for pt, b in zip(self.free_points, self.basepoint)]
         cols = [[d[i] for d in self.directions]
                 for i in range(len(self.free_points))]
@@ -180,8 +180,8 @@ def coefficient_space(p, seeds):
             "mutability analysis needs the origin strictly interior")
     pts = lattice_points(p).all
     origin = tuple([0] * p.rank)
-    fixed = {v: Fraction(1) for v in p.vertices}
-    fixed[origin] = Fraction(0)
+    fixed = {v: 1 for v in p.vertices}
+    fixed[origin] = 0
     free = tuple(q for q in pts if q not in fixed)
     index = {q: j for j, q in enumerate(free)}
     eq_rows, eq_rhs = [], []
@@ -202,15 +202,15 @@ def coefficient_space(p, seeds):
             # columns of the span matrix, in the a_pts coordinate order
             cols = []
             for u in _minkowski_difference_points(a_pts, fpow.support()):
-                col = [Fraction(0)] * len(a_pts)
+                col = [0] * len(a_pts)
                 for e, cf in fpow.terms.items():
-                    col[at[tuple(x + y for x, y in zip(u, e))]] = Fraction(cf)
+                    col[at[tuple(x + y for x, y in zip(u, e))]] = cf
                 cols.append(col)
             # left null space of the span matrix = null space of its
             # transpose, whose rows are exactly the columns built above
             for r in nullspace(cols, ncols=len(a_pts)):
-                row = [Fraction(0)] * len(free)
-                rhs = Fraction(0)
+                row = [0] * len(free)
+                rhs = 0
                 for coef, q in zip(r, a_pts):
                     if q in index:
                         row[index[q]] += coef
@@ -223,8 +223,8 @@ def coefficient_space(p, seeds):
     if solved is None:
         return CoefficientSpace(p, free, (), (), True)
     particular, null_basis = solved
-    return CoefficientSpace(p, free, tuple(particular),
-                            tuple(tuple(b) for b in null_basis), False)
+    return CoefficientSpace(p, free, tuple(particular), tuple(null_basis),
+                            False)
 
 
 # ---------------------------------------------------------------------------

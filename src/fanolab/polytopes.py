@@ -19,8 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .laurent import ZeroPolynomialError, json_value
-from .linalg import (hnf_rows, nullspace, primitive_part, primitive_vector,
-                     rref)
+from .linalg import hnf_rows, nullspace, primitive_part, rref, vec_gcd
 
 
 class DegeneratePolytopeError(ValueError):
@@ -38,17 +37,15 @@ class NotSimplexError(ValueError):
 def affine_chart(points):
     """Chart of the affine span of integer points.
 
-    Returns ``(basis, pivots)``: the Hermite-normal-form rows spanning the
-    differences p - points[0] (one row per affine dimension) and the pivot
-    column of each row.  Projection onto the pivot columns is injective on
-    the affine span, so it carries conv(points) onto a full-dimensional
-    polytope in that many coordinates.
+    Returns the pivot columns of the Hermite normal form of the differences
+    p - points[0], one per affine dimension.  Projection onto the pivot
+    columns is injective on the affine span, so it carries conv(points) onto
+    a full-dimensional polytope in that many coordinates.
     """
     p0 = points[0]
     diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
     h, dim = hnf_rows(diffs)
-    basis = h[:dim]
-    return basis, [next(j for j, x in enumerate(row) if x) for row in basis]
+    return [next(j for j, x in enumerate(row) if x) for row in h[:dim]]
 
 
 def _hyperplane_normal(points, rank):
@@ -61,7 +58,7 @@ def _hyperplane_normal(points, rank):
     basis = nullspace(diffs, ncols=rank)
     if len(basis) != 1:
         return None
-    return primitive_vector(basis[0])
+    return basis[0]
 
 
 def _facets_full_dim(points, rank):
@@ -163,7 +160,7 @@ class LatticePolytope:
             rank = len(pts[0])
         if any(len(p) != rank for p in pts):
             raise ValueError("points of mixed dimension")
-        _, pivots = affine_chart(pts)
+        pivots = affine_chart(pts)
         dim = len(pivots)
         if dim == 0:
             return cls(rank, (pts[0],), (), 0)
@@ -238,7 +235,6 @@ class FanoReport:
 
 def is_fano(p):
     p.require_full_dim()
-    from .linalg import vec_gcd
     return FanoReport(
         origin_interior=p.origin_strictly_interior(),
         vertices_primitive=all(vec_gcd(v) == 1 for v in p.vertices),
@@ -381,7 +377,7 @@ def simplex_weights(p):
     basis = nullspace(cols, ncols=p.rank + 1)
     if len(basis) != 1:
         raise NotSimplexError("vertices do not satisfy a unique relation")
-    ints = primitive_vector(basis[0])
+    ints = basis[0]
     if all(x < 0 for x in ints):
         ints = tuple(-x for x in ints)
     if any(x <= 0 for x in ints):

@@ -13,9 +13,8 @@ differential operator in D = t d/dt annihilating the generating series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import nullspace, primitive_vector
+from .linalg import nullspace, primitive_part
 
 # -- dense univariate polynomials in k, ascending coefficients ---------------
 
@@ -112,7 +111,7 @@ class PolynomialRecurrence:
 
 
 def _normalize(qs):
-    flat = iter(primitive_vector([c for q in qs for c in q]))
+    flat = iter(primitive_part([c for q in qs for c in q]))
     ints = [[next(flat) for _ in q] for q in qs]
     lead = next((q[-1] for q in [_poly_trim(ints[0])] if q), 0)
     if lead < 0 or (lead == 0 and any(
@@ -145,7 +144,7 @@ def fit_recurrence(terms, r_max=6, d_max=8):
                 for j in range(r + 1):
                     c = terms[k - j]
                     for e in range(d + 1):
-                        row.append(Fraction(c * k ** e))
+                        row.append(c * k ** e)
                 rows.append(row)
             if len(rows) < (r + 1) * (d + 1):
                 continue
