@@ -286,11 +286,9 @@ def _cmd_nf(args):
     p = _read_polytope(args.input)
     nf = normal_form(p)
     payload = {"matrix": [list(r) for r in nf.matrix],
-               "encoding": nf.encoding.hex(),
-               "certified": nf.certified}
+               "encoding": nf.encoding.hex()}
     lines = [f"normal form rows: {[list(r) for r in nf.matrix]}",
-             f"encoding: {nf.encoding.hex()}",
-             f"certified: {nf.certified}"]
+             f"encoding: {nf.encoding.hex()}"]
     _emit(args, payload, lines)
     return EXIT_OK
 

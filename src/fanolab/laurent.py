@@ -19,7 +19,8 @@ coefficient.  Internal results already known to be clean (nonzero,
 normalised coefficients, int tuples of length ``rank``) skip those checks
 through ``_from_clean``.  Polynomials are immutable after construction.
 
-The parser expands ``(...)^k`` only up to ``PARSE_TERM_CAP`` terms.
+The parser expands ``(...)^k`` only up to ``PARSE_TERM_CAP`` terms, and a
+base of two or more terms only up to the exponent ``PARSE_POWER_CAP``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ _MASK = (1 << PACK_BITS) - 1
 
 # the largest power the parser expands, in terms
 PARSE_TERM_CAP = 10_000
+# the largest exponent the parser expands a base of two or more terms to
+PARSE_POWER_CAP = 1_000
 
 
 class RankMismatchError(ValueError):
@@ -291,6 +294,10 @@ class LaurentPolynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self) == 1 and k:
+            (e, c), = self.terms.items()
+            return LaurentPolynomial._from_clean(
+                self.rank, {tuple(k * x for x in e): c ** k})
         # plain iterated multiplication by the base
         result = LaurentPolynomial.one(self.rank)
         for _ in range(k):
@@ -562,10 +569,14 @@ class _Parser:
         return base
 
     def _power(self, base, k, pos):
-        """base^k, refused as soon as one multiplication passes
+        """base^k, refused for a base of two or more terms when k passes
+        PARSE_POWER_CAP or as soon as one multiplication passes
         PARSE_TERM_CAP terms."""
         if len(base) <= 1:
             return base ** k
+        if k > PARSE_POWER_CAP:
+            raise ParseError(
+                f"the exponent {k} is above {PARSE_POWER_CAP}", pos)
         power = LaurentPolynomial.one(self.rank)
         for _ in range(k):
             power = power * base

@@ -1,10 +1,9 @@
 """Exact integer linear algebra helpers.
 
 Everything here works over Python ints: Hermite normal forms, unimodular
-basis completion, and Gauss-Jordan elimination that keeps every row a
-primitive integer vector.  Fractions appear only where rational input rows
-are cleared of denominators and in the particular solution of
-``solve_affine``.  Matrices are lists of row lists.
+basis completion, and Gauss-Jordan elimination on primitive integer rows.
+Fractions appear only in clearing rational input rows of denominators and
+in the particular solution of ``solve_affine``.  Matrices are row lists.
 """
 
 from __future__ import annotations
@@ -13,12 +12,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def vec_gcd(v):
-    return gcd(*v)
-
-
 def is_primitive(v):
-    return vec_gcd(v) == 1
+    return gcd(*v) == 1
 
 
 def primitive_part(v):
@@ -143,9 +138,8 @@ def _integer_row(row):
     """The row times the lcm of its denominators, as a list of ints."""
     if all(type(x) is int for x in row):
         return list(row)
-    row = [Fraction(x) for x in row]
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row]
+    d = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * d) for x in row]
 
 
 def rref(matrix):
@@ -174,9 +168,7 @@ def rref(matrix):
             f = a[i][col]
             if f and i != r:
                 # p > 0, so the pivots of earlier rows keep their signs
-                g = gcd(p, f)
-                s, t = p // g, f // g
-                a[i] = primitive_part([s * x - t * y
+                a[i] = primitive_part([p * x - f * y
                                        for x, y in zip(a[i], row)])
         pivots.append(col)
         r += 1
@@ -186,8 +178,7 @@ def rref(matrix):
 
 
 def nullspace(matrix, ncols=None):
-    """Basis of the rational nullspace of a matrix (rows may be empty), as
-    primitive integer vectors."""
+    """Primitive integer basis of the nullspace (rows may be empty)."""
     if ncols is None:
         if not matrix:
             raise ValueError("need ncols for an empty matrix")
@@ -215,11 +206,11 @@ def _null_basis(rows, pivots, ncols):
 def solve_affine(matrix, rhs, ncols=None):
     """Solve A x = b exactly in ``ncols`` unknowns (rows may be empty).
 
-    Returns ``(particular, null_basis)`` or None when inconsistent.  Free
-    variables are set to zero in the particular solution, the others are
-    Fractions; the null basis is made of primitive integer vectors.  One
-    elimination of [A | b] gives both: when it is consistent, its pivots lie
-    in A, and its rows restricted to A are the reduced row echelon form of A.
+    Returns ``(particular, null_basis)`` or None when inconsistent.  The
+    particular solution is 0 at free variables and Fractions elsewhere; the
+    null basis is that of ``nullspace``.  One elimination of [A | b] gives
+    both: when it is consistent, its pivots lie in A, and its rows
+    restricted to A are the reduced row echelon form of A.
     """
     if ncols is None:
         if not matrix:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import format_polynomial
+from .laurent import format_polynomial, parse_polynomial
 from .mutation import (MutationBounds, canonicalize_shear, enumerate_mutations,
                        mutate)
 from .polytopes import NotSimplexError, newton_polytope, simplex_weights
@@ -151,7 +151,6 @@ def p2_correspondence_check(depth, bounds=None):
     graph nodes must equal the set of componentwise squares of the Markov
     triples first appearing at that depth.
     """
-    from .laurent import parse_polynomial
     f = parse_polynomial("x + y + x^-1*y^-1")
     graph = build_graph(f, depth, bounds)
     markov = markov_tree(depth)

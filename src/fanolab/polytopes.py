@@ -2,8 +2,8 @@
 
 Full-dimensional hulls in rank 2 come from Andrew's monotone chain with
 integer cross products; every other rank enumerates facets over subsets of
-the points (desk scale: few points, dimension <= 3 for the certified
-paths).  No floating point anywhere.
+the points (desk scale: few points, low dimension).  No floating point
+anywhere.
 
 Point sets of lower dimension go through one chart, ``affine_chart``: a
 single Hermite normal form of the differences gives the affine dimension and
@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .laurent import ZeroPolynomialError, json_value
-from .linalg import hnf_rows, nullspace, primitive_part, rref, vec_gcd
+from .linalg import hnf_rows, is_primitive, nullspace, primitive_part, rref
 
 
 class DegeneratePolytopeError(ValueError):
@@ -56,9 +56,7 @@ def _hyperplane_normal(points, rank):
     p0 = points[0]
     diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
     basis = nullspace(diffs, ncols=rank)
-    if len(basis) != 1:
-        return None
-    return basis[0]
+    return basis[0] if len(basis) == 1 else None
 
 
 def _facets_full_dim(points, rank):
@@ -237,7 +235,7 @@ def is_fano(p):
     p.require_full_dim()
     return FanoReport(
         origin_interior=p.origin_strictly_interior(),
-        vertices_primitive=all(vec_gcd(v) == 1 for v in p.vertices),
+        vertices_primitive=all(is_primitive(v) for v in p.vertices),
     )
 
 
@@ -308,14 +306,19 @@ def lattice_points(p):
 class NormalForm:
     """Canonical vertex matrix under GL(n,Z), plus a stable byte encoding.
 
-    Equality of encodings decides lattice equivalence; certified for
-    rank <= 3 (the pairing-matrix canonicalization used here is the standard
-    one for reflexive-polytope databases).
+    Equality of encodings decides lattice equivalence in every rank.  Let V
+    be the vertex matrix of P (a column per vertex) and g in GL(n,Z).  gP
+    has vertex matrix gV and facets u g^-1 with P's offsets, so g permutes
+    the rows and columns of the pairing matrix: the candidates of gP are
+    the g V_sigma.  The row HNF depends only on the row lattice, which g
+    keeps, so HNF(g V_sigma) = HNF(V_sigma).  Conversely, if HNF(V_sigma)
+    = HNF(W_tau) for Q, then, V_sigma having full row rank, the rows of
+    V_sigma and of W_tau are bases of one lattice: W_tau = g V_sigma with
+    g unimodular, and Q = gP.
     """
 
     matrix: tuple
     encoding: bytes
-    certified: bool
 
     def __eq__(self, other):
         if not isinstance(other, NormalForm):
@@ -353,7 +356,7 @@ def normal_form(p):
         if best_matrix is None or h < best_matrix:
             best_matrix = h
     encoding = repr((p.rank, best_matrix)).encode()
-    return NormalForm(best_matrix, encoding, certified=p.rank <= 3)
+    return NormalForm(best_matrix, encoding)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +380,8 @@ def simplex_weights(p):
     basis = nullspace(cols, ncols=p.rank + 1)
     if len(basis) != 1:
         raise NotSimplexError("vertices do not satisfy a unique relation")
-    ints = basis[0]
-    if all(x < 0 for x in ints):
-        ints = tuple(-x for x in ints)
-    if any(x <= 0 for x in ints):
+    # the relation is positive at its free coordinate
+    if any(x <= 0 for x in basis[0]):
         raise OriginNotInteriorError(
             "relation is not positive: origin not interior to the simplex")
-    return tuple(sorted(ints))
+    return tuple(sorted(basis[0]))

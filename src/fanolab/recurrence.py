@@ -138,14 +138,9 @@ def fit_recurrence(terms, r_max=6, d_max=8):
             fit_top = n - holdout
             if fit_top <= r:
                 continue
-            rows = []
-            for k in range(r, fit_top):
-                row = []
-                for j in range(r + 1):
-                    c = terms[k - j]
-                    for e in range(d + 1):
-                        row.append(c * k ** e)
-                rows.append(row)
+            rows = [[terms[k - j] * k ** e
+                     for j in range(r + 1) for e in range(d + 1)]
+                    for k in range(r, fit_top)]
             if len(rows) < (r + 1) * (d + 1):
                 continue
             for vec in nullspace(rows):

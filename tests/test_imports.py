@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses, keeps a private
-helper nothing calls or a parameter its function never reads, and importing
-the CLI loads no module it does not need."""
+"""No module of the package imports a name it never uses or imports inside
+a function (bar the lazy sympy import), keeps a private helper nothing calls
+or a parameter its function never reads, and importing the CLI loads no
+module it does not need."""
 
 import ast
 import os
@@ -43,6 +44,44 @@ def test_unused_imports_are_found():
                          ids=lambda path: path.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_in_functions(source):
+    """Import statements inside function bodies, as sorted
+    ``"function.module"`` strings (nested functions count as their own)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Import):
+                found += [f"{node.name}.{alias.name}" for alias in sub.names]
+            elif isinstance(sub, ast.ImportFrom):
+                dots = "." * sub.level
+                found.append(f"{node.name}.{dots}{sub.module or ''}")
+    return sorted(set(found))
+
+
+def test_imports_in_functions_are_found():
+    source = ("import os\n"
+              "def f():\n    from .laurent import parse_polynomial\n"
+              "    def g():\n        import sympy\n"
+              "    return g\n"
+              "class C:\n    def m(self):\n        from . import linalg\n"
+              "        return linalg\n")
+    assert imports_in_functions(source) == [
+        "f..laurent", "f.sympy", "g.sympy", "m.."]
+
+
+# sympy is imported on first use, because only factoring needs it
+LAZY_IMPORTS = {"mutation.py": ["_sympy.sympy"]}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_imports_at_module_level(path):
+    assert imports_in_functions(path.read_text()) == \
+        LAZY_IMPORTS.get(path.name, [])
 
 
 def unreferenced_private_definitions(sources):

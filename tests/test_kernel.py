@@ -221,7 +221,20 @@ def test_public_constructor_keeps_its_checks():
         {(1,): 2}
 
 
-# -- the parse-time term cap (its refusal is tested in test_cli.py) ---------
+def test_monomial_power_is_built_directly():
+    # exponent k*e and coefficient c**k, equal to k products by the base
+    for text in ("-2/3*x*y^-2", "5*y", "x^-1"):
+        f = parse_polynomial(text, rank_hint=2)
+        for k in (0, 1, 2, 7):
+            power = LaurentPolynomial.one(2)
+            for _ in range(k):
+                power = power * f
+            assert_clean(f ** k)
+            assert f ** k == power
+    assert (parse_polynomial("x") ** 10 ** 8).terms == {(10 ** 8,): 1}
+
+
+# -- the parse-time caps (their refusals are tested in test_cli.py) ---------
 
 
 def test_parse_takes_multi_term_powers_under_the_cap():

@@ -1,8 +1,168 @@
+"""Integer elimination, checked against the Fraction elimination it
+replaced."""
+
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fanolab.linalg import nullspace, solve_affine, unimodular_inverse
+from fanolab.linalg import (nullspace, primitive_part, rref, solve_affine,
+                            unimodular_inverse)
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+# -- the Fraction oracle -------------------------------------------------------
+
+
+def fraction_rref(matrix):
+    """Reduced row echelon form over Fractions, every pivot 1."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    if not a:
+        return [], []
+    m, n = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = Fraction(1) / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return a[:r], pivots
+
+
+def fraction_null_basis(rows, pivots, ncols):
+    """Nullspace basis from ``fraction_rref``, 1 at each free column."""
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for r, pc in zip(rows, pivots):
+            vec[pc] = -r[j]
+        basis.append(tuple(vec))
+    return basis
+
+
+def cleared(vec):
+    """A rational vector times the lcm of its denominators, as ints."""
+    d = lcm(*(Fraction(x).denominator for x in vec))
+    return [int(x * d) for x in vec]
+
+
+@st.composite
+def matrices(draw):
+    """Int or Fraction matrices of up to 6 x 7, with zero rows and columns,
+    repeated and scaled rows, and pivots of either sign."""
+    entry = draw(st.sampled_from((
+        st.integers(-5, 5),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6))))
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=4))
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    if rows and draw(st.booleans()):
+        k = draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))
+        rows.append([k * x for x in draw(st.sampled_from(rows))])
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    return draw(st.permutations(rows)), ncols
+
+
+# -- integer elimination against the oracle ----------------------------------
+
+
+@SETTINGS
+@given(matrices())
+def test_rref_rows_are_primitive_multiples_of_the_oracle(case):
+    matrix, _ = case
+    rows, pivots = rref(matrix)
+    ref_rows, ref_pivots = fraction_rref(matrix)
+    assert pivots == ref_pivots
+    assert len(rows) == len(ref_rows)
+    for row, ref, pc in zip(rows, ref_rows, pivots):
+        assert all(type(x) is int for x in row)
+        assert row[pc] > 0
+        assert tuple(row) == primitive_part(cleared(ref))
+
+
+@SETTINGS
+@given(matrices())
+def test_nullspace_is_the_primitive_oracle_basis(case):
+    matrix, ncols = case
+    basis = nullspace(matrix, ncols=ncols)
+    ref = fraction_null_basis(*fraction_rref(matrix), ncols)
+    assert basis == [primitive_part(cleared(v)) for v in ref]
+    assert all(type(x) is int for v in basis for x in v)
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in matrix)
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_solve_affine_matches_the_oracle(case, data):
+    matrix, ncols = case
+    rhs = data.draw(st.lists(
+        st.one_of(st.integers(-5, 5),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+        min_size=len(matrix), max_size=len(matrix)))
+    got = solve_affine(matrix, rhs, ncols=ncols)
+    rows, pivots = fraction_rref([list(r) + [b] for r, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        assert got is None
+        return
+    x = [Fraction(0)] * ncols
+    for r, pc in zip(rows, pivots):
+        x[pc] = r[ncols]
+    particular, basis = got
+    assert particular == x
+    assert basis == nullspace(matrix, ncols=ncols)
+
+
+def _elementary_product(ops):
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for i, j, s in ops:
+        if i != j:
+            m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+        else:
+            m[i] = [-x for x in m[i]]
+    return m
+
+
+gl3 = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                         st.integers(-3, 3)), max_size=10).map(
+    _elementary_product)
+
+
+@SETTINGS
+@given(gl3)
+def test_unimodular_inverse_of_random_gl3_products(m):
+    inv = unimodular_inverse(m)
+    assert all(type(x) is int for row in inv for x in row)
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
+            for row in m] == [[int(i == j) for j in range(3)]
+                              for i in range(3)]
+    with pytest.raises(ValueError, match="singular"):
+        unimodular_inverse([m[0], m[1], [a + b for a, b in zip(m[0], m[1])]])
+    with pytest.raises(ValueError, match="not integral"):
+        unimodular_inverse([[2 * x for x in m[0]], m[1], m[2]])
+
+
+# -- fixed cases ---------------------------------------------------------------
 
 
 def test_solve_affine_without_rows_is_unconstrained():

@@ -132,16 +132,8 @@ def test_normal_form_detects_equivalence():
                                ((1, 3), (2, 7)))
     q = newton_polytope(f2)
     assert normal_form(p) == normal_form(q)
-    assert normal_form(p).certified
     other = newton_polytope(parse_polynomial("x + x^-1 + y + y^-1"))
     assert normal_form(p) != normal_form(other)
-
-
-def test_normal_form_uncertified_above_rank_3():
-    p = LatticePolytope.from_points(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-         (-1, -1, -1, -1)])
-    assert not normal_form(p).certified
 
 
 def test_simplex_weights():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fanolab.laurent import (LaurentPolynomial, format_polynomial,
@@ -240,8 +241,8 @@ def test_minkowski_difference_needs_b_parallel_to_the_span():
         assert _minkowski_oracle(a_points, b_points) == []
 
 
-def _gl3(ops, flip):
-    m = [[int(i == j) for j in range(3)] for i in range(3)]
+def _gl(n, ops, flip):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, j, s in ops:
         if i != j:
             m[i] = [a + s * b for a, b in zip(m[i], m[j])]
@@ -250,10 +251,17 @@ def _gl3(ops, flip):
     return m
 
 
-gl3 = st.builds(_gl3, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
-                                         st.sampled_from((-1, 1))),
-                               max_size=6),
-                st.booleans())
+def gl(n):
+    """Products of up to 8 elementary matrices in GL(n, Z)."""
+    index = st.integers(0, n - 1)
+    return st.builds(functools.partial(_gl, n),
+                     st.lists(st.tuples(index, index,
+                                        st.sampled_from((-1, 1))),
+                              max_size=8),
+                     st.booleans())
+
+
+gl3 = gl(3)
 
 
 def _apply(m, v):
@@ -274,6 +282,21 @@ def test_lower_dim_vertices_commute_with_gl3(dim, coords, height, m, g):
     image = LatticePolytope.from_points([_apply(g, q) for q in pts])
     assert image.dim == p.dim
     assert image.vertices == tuple(sorted(_apply(g, v) for v in p.vertices))
+
+
+@pytest.mark.parametrize("rank", (3, 4))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normal_form_invariant_under_gl(rank, data):
+    coord = st.integers(-2, 2)
+    points = data.draw(st.lists(st.tuples(*[coord] * rank),
+                                min_size=rank + 1, max_size=6))
+    p = LatticePolytope.from_points(points)
+    assume(p.is_full_dimensional)
+    g = data.draw(gl(rank))
+    image = LatticePolytope.from_points([_apply(g, q) for q in points])
+    assert normal_form(image) == normal_form(p)
+    assert normal_form(image).matrix == normal_form(p).matrix
 
 
 exponents3 = st.tuples(*[st.integers(-2, 2)] * 3)
