@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
+from operator import neg
 
 from .linalg import hnf_rows, unimodular_inverse
 
@@ -94,6 +95,10 @@ def _unpack(key, rank):
         key = (key - x) >> PACK_BITS
     e.append(key)
     return tuple(e)
+
+
+def _opposite(e):
+    return tuple(-x for x in e)
 
 
 def _packed_product(a, b):
@@ -304,6 +309,25 @@ class LaurentPolynomial:
             result = result * self
         return result
 
+    def pair(self, other):
+        """The constant term of self * other, without building the product:
+        the sum over m of self[m] * other[-m].  Packed keys are linear in
+        the exponent, so -m has the key -key."""
+        self._check_rank(other)
+        a, b = self.packed(), other.packed()
+        opposite = neg
+        if a is None or b is None:  # an exponent past the packing bound
+            a, b = self.terms, other.terms
+            opposite = _opposite
+        if len(a) > len(b):
+            a, b = b, a
+        total = 0
+        for m, c in a.items():
+            d = b.get(opposite(m))
+            if d is not None:
+                total += c * d
+        return _norm_coeff(total)
+
     def shift(self, exponent):
         """Multiply by the monomial x^exponent."""
         e0 = tuple(int(x) for x in exponent)
@@ -349,7 +373,7 @@ class LaurentPolynomial:
     def to_json_dict(self):
         return {
             "n": self.rank,
-            "terms": [{"e": list(e), "c": str(Fraction(c))}
+            "terms": [{"e": list(e), "c": str(c)}
                       for e, c in sorted(self.terms.items())],
         }
 
@@ -666,7 +690,7 @@ def format_polynomial(f):
             if k == 0:
                 continue
             mono.append(names[i] if k == 1 else f"{names[i]}^{k}")
-        mag = abs(Fraction(c))
+        mag = abs(c)
         if not mono:
             body = str(mag)
         elif mag == 1:

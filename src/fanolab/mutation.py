@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
 from .laurent import (LaurentPolynomial, RankMismatchError, ZeroPolynomialError,
                       _clean)
-from .linalg import complete_to_basis_last_row, is_primitive, primitive_part
+from .linalg import (_integer_row, complete_to_basis_last_row, is_primitive,
+                     primitive_part)
 from .polytopes import newton_polytope
 
 
@@ -317,7 +321,10 @@ def enumerate_mutations(f, bounds=None):
     The weight is the facet's inner normal u, at height c in [1, w_max]; the
     factors come from the minimal slice, the terms at level -c: from its
     factorization in rank 2, where it is an edge, and from ``factor_sweep``
-    in higher rank.
+    in higher rank.  Every candidate has at least two terms.  A factor and
+    its translates along the wall give one ``MutationData`` key, so each
+    edge is read from one end and each key is checked by ``is_mutable``
+    once.
     """
     if bounds is None:
         bounds = MutationBounds()
@@ -341,20 +348,12 @@ def enumerate_mutations(f, bounds=None):
                             for s0 in low for s1 in low if s0 != s1})
             candidates = factor_sweep(diffs, bounds.deg_max)
         for factor in candidates:
-            _try_seed(f, u, factor, tried)
+            data = MutationData(u, factor)
+            if data.key not in tried:
+                tried[data.key] = is_mutable(f, data)
     witnesses = [tried[k] for k in sorted(tried)
                  if isinstance(tried[k], MutationWitness)]
     return EnumerationResult(tuple(witnesses), f.rank == 2, bounds)
-
-
-def _try_seed(f, w, factor, tried):
-    """Check the mutation (w, factor) on f once, keeping its
-    ``is_mutable`` verdict in ``tried`` by its key."""
-    if len(factor.terms) <= 1:
-        return
-    data = MutationData(w, factor)
-    if data.key not in tried:
-        tried[data.key] = is_mutable(f, data)
 
 
 def _edge_factors(edge, mult, deg_max):
@@ -362,45 +361,42 @@ def _edge_factors(edge, mult, deg_max):
 
     ``edge`` maps the slice's exponents to coefficients.  Read along the
     primitive edge direction d from its lex-least end, the slice is a
-    polynomial in t, factored once.  Each divisor D of degree at most
-    ``deg_max`` with D^mult dividing it gives a factor along d from that
-    end and, with its coefficients reversed, one along -d from the other
-    end; those whose coefficients, scaled to constant term 1, are
-    nonnegative integers are yielded.
+    polynomial in t, factored once over the integers into primitive p_j of
+    multiplicity m_j with positive leading coefficients.  Each divisor
+    D = prod p_j^k_j with k_j * mult <= m_j and 1 <= deg D <= deg_max is
+    yielded along d when its coefficients are nonnegative and its constant
+    or leading coefficient is 1.  Those are the divisors with nonnegative
+    integer coefficients once scaled to 1 at either end: D is primitive, so
+    D / a is integral only for a = +-1, and a = -1 negates the leading
+    coefficient.  Read from the far end along -d, the same divisor is
+    x^(-deg D * d) * D, a translate that ``MutationData`` makes equal to D,
+    so one reading suffices.
     """
-    base = min(edge)
-    d = primitive_part(tuple(b - a for a, b in zip(base, max(edge))))
+    base, top = min(edge), max(edge)
+    d = primitive_part(tuple(b - a for a, b in zip(base, top)))
     i = next(i for i, x in enumerate(d) if x)
+    row = [0] * ((top[i] - base[i]) // d[i] + 1)
+    for e, c in edge.items():
+        row[(e[i] - base[i]) // d[i]] = c
     sympy = _sympy()
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c) * t ** ((e[i] - base[i]) // d[i])
-               for e, c in edge.items())
-    _, factors = sympy.factor_list(sympy.Poly(expr, t))
-    factors = [(p, m) for p, m in factors if p.degree() > 0]
-
-    # products of p^k over the factors (p, m) with k * mult <= m
-    def divisors(idx, current, degree):
-        if idx == len(factors):
-            if degree > 0:
-                yield current
-            return
-        p, m = factors[idx]
-        for k in range(m // mult + 1):
-            nd = degree + k * p.degree()
-            if nd > deg_max:
-                break
-            yield from divisors(idx + 1, current * p ** k if k else current,
-                                nd)
-
-    back = tuple(-x for x in d)
-    for divisor in divisors(0, sympy.Poly(1, t), 0):
-        coeffs = divisor.all_coeffs()  # descending, both ends nonzero
-        for direction, cs in ((d, coeffs[::-1]), (back, coeffs)):
-            scaled = [sympy.Rational(c) / cs[0] for c in cs]
-            if all(v >= 0 and v.is_integer for v in scaled):
-                yield LaurentPolynomial.from_terms(
-                    len(d), [(tuple(k * x for x in direction), int(v))
-                             for k, v in enumerate(scaled)])
+    _, factors = sympy.factor_list(sympy.Poly(_integer_row(row[::-1]),
+                                              sympy.Symbol("t")))
+    powers = []  # per factor, (degree, p^k along d) for each k allowed
+    for p, m in factors:
+        along = LaurentPolynomial._from_clean(2, {
+            (k * d[0], k * d[1]): int(c)
+            for k, c in enumerate(reversed(p.all_coeffs())) if c})
+        ks = range(min(m // mult, deg_max // p.degree()) + 1)
+        powers.append(list(zip([k * p.degree() for k in ks],
+                               factor_powers(along, ks))))
+    for choice in product(*powers):
+        degree = sum(deg for deg, _ in choice)
+        if 1 <= degree <= deg_max:
+            divisor = reduce(mul, [power for deg, power in choice if deg])
+            cs = divisor.terms
+            if min(cs.values()) > 0 and 1 in (
+                    cs[0, 0], cs[degree * d[0], degree * d[1]]):
+                yield divisor
 
 
 def factor_sweep(diffs, deg_max):

@@ -6,7 +6,8 @@ f^(a+b) = f^a * f^b, its constant term is the pairing
 
     ct(f^(a+b)) = sum over m of f^a[m] * f^b[-m],
 
-which reads one coefficient of each half power per term of the smaller one.
+which ``LaurentPolynomial.pair`` reads with one lookup per term of the
+smaller half power.
 ``PeriodCalculator`` keeps lo = f^a, multiplies once to get hi = f^(a+1),
 and pairs hi with lo and hi with itself for the constant terms of f^(2a+1)
 and f^(2a+2).  So n terms cost powers only up to about f^(n/2), with two
@@ -20,10 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from operator import neg
 
-from .laurent import (LaurentPolynomial, ZeroPolynomialError, _norm_coeff,
-                      parse_polynomial)
+from .laurent import LaurentPolynomial, ZeroPolynomialError, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -40,28 +39,6 @@ class PeriodSequence:
 
     def to_json_dict(self):
         return {"terms": [str(c) for c in self.coefficients]}
-
-
-def _pair(f, g):
-    """Constant term of f * g: the sum over m of f[m] * g[-m].  Packed keys
-    are linear in the exponent, so -m has the key -key."""
-    a, b = f.packed(), g.packed()
-    opposite = neg
-    if a is None or b is None:  # an exponent past the packing bound
-        a, b = f.terms, g.terms
-        opposite = _opposite
-    if len(a) > len(b):
-        a, b = b, a
-    total = 0
-    for m, c in a.items():
-        d = b.get(opposite(m))
-        if d is not None:
-            total += c * d
-    return _norm_coeff(total)
-
-
-def _opposite(e):
-    return tuple(-x for x in e)
 
 
 class PeriodCalculator:
@@ -81,8 +58,8 @@ class PeriodCalculator:
         while len(self._coeffs) <= k:
             lo = self._half
             self._half = hi = lo * self.f
-            self._coeffs.append(_pair(hi, lo))
-            self._coeffs.append(_pair(hi, hi))
+            self._coeffs.append(hi.pair(lo))
+            self._coeffs.append(hi.pair(hi))
         return self._coeffs[k]
 
     def prefix(self, n_terms):

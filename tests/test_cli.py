@@ -7,6 +7,7 @@ import pytest
 from fanolab import cli
 from fanolab.cli import main
 from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
+from fanolab.mutation_graph import MARKOV_DEPTH_CAP
 
 P2 = "x + y + x^-1*y^-1"
 
@@ -128,6 +129,23 @@ def test_markov(capsys):
     code, out, _ = run(capsys, "--json", "markov", "--correspondence",
                        "--depth", "2")
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("extra", [[], ["--correspondence"]])
+def test_markov_depth_past_the_cap_is_refused_quickly(capsys, extra):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "markov", *extra, "--depth", "40")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: depth 40 is above {MARKOV_DEPTH_CAP}"]
+
+
+def test_markov_depth_at_the_cap(capsys):
+    code, out, _ = run(capsys, "--json", "markov", "--depth",
+                       str(MARKOV_DEPTH_CAP))
+    assert code == 0
+    assert len(json.loads(out)["levels"]) == MARKOV_DEPTH_CAP + 1
 
 
 def test_rigid(capsys):

@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses or imports inside
-a function (bar the lazy sympy import), keeps a private helper nothing calls
-or a parameter its function never reads, and importing the CLI loads no
-module it does not need."""
+a function (bar the lazy sympy import), reads sympy for anything but
+factoring, keeps a private helper nothing calls or a parameter its function
+never reads, and importing the CLI loads no module it does not need."""
 
 import ast
 import os
@@ -82,6 +82,46 @@ LAZY_IMPORTS = {"mutation.py": ["_sympy.sympy"]}
 def test_package_imports_at_module_level(path):
     assert imports_in_functions(path.read_text()) == \
         LAZY_IMPORTS.get(path.name, [])
+
+
+# sympy only factors: a polynomial is factored by ``sympy.factor_list`` of a
+# ``sympy.Poly``, read through the module global, which a tracer can replace
+SYMPY_ATTRIBUTES = {"factor_list", "Poly", "Symbol"}
+
+
+def stray_sympy_reads(source):
+    """Attribute reads of the name ``sympy`` other than SYMPY_ATTRIBUTES,
+    and reads of ``factor_list`` on anything but that name (a
+    ``Poly.factor_list()`` call would bypass ``sympy.factor_list``), as
+    sorted source strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        on_sympy = isinstance(node.value, ast.Name) and node.value.id == "sympy"
+        if (node.attr not in SYMPY_ATTRIBUTES if on_sympy
+                else node.attr == "factor_list"):
+            found.append(ast.unparse(node))
+    return sorted(found)
+
+
+def test_stray_sympy_reads_are_found():
+    source = ("import sympy\n"
+              "p = sympy.Poly([1, 2, 1], sympy.Symbol('t'))\n"
+              "sympy.factor_list(p)\n"
+              "sympy.factor(p)\n"
+              "p.factor_list()\n"
+              "sympy.polys.factor_list(p)\n"
+              "sym.Rational(1, 2)\n")
+    assert stray_sympy_reads(source) == [
+        "p.factor_list", "sympy.factor", "sympy.polys",
+        "sympy.polys.factor_list"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_uses_sympy_only_to_factor(path):
+    assert stray_sympy_reads(path.read_text()) == []
 
 
 def unreferenced_private_definitions(sources):

@@ -111,6 +111,10 @@ def test_products_match_the_tuple_oracle(polys):
     assert typed_terms((f * g) * (g * h)) == \
         typed_terms(tuple_product(fg, gh))
     assert (f * g == f * h) == (fg == tuple_product(f, h))
+    # the pairing is the constant term of the product, never built
+    assert typed([f.pair(g), g.pair(f)]) == typed([fg.constant_term()] * 2)
+    assert typed([f.pair(f)]) == \
+        typed([tuple_product(f, f).constant_term()])
 
 
 def test_both_sides_of_the_packing_bound():
@@ -215,6 +219,8 @@ def test_public_constructor_keeps_its_checks():
         LaurentPolynomial(0, {})
     with pytest.raises(RankMismatchError):
         parse_polynomial("x + y").shift((1,))
+    with pytest.raises(RankMismatchError):
+        parse_polynomial("x + y").pair(parse_polynomial("x + y + z"))
     with pytest.raises(RankMismatchError):
         apply_shear(parse_polynomial("x + y + z"), (0, 0, 1), (1, 0))
     assert LaurentPolynomial(1, {(1,): Fraction(4, 2), (2,): 0}).terms == \

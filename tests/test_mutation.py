@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -330,6 +331,43 @@ def test_enumeration_matches_two_ended_factoring(f):
     assert list(result.seeds) == _old_enumerate_rank2(f, bounds)
     for witness in result.witnesses:
         assert witness == is_mutable(f, witness.data)
+
+
+P2_DEPTH2 = [node.polynomial for node in mutation_graph.build_graph(
+    parse_polynomial("x + y + x^-1*y^-1"), 2).nodes]
+RATIONAL_EDGE = "1/4*y^-1 + x*y^-1 + x^2*y^-1 + y"  # (x + 1/2)^2 / y + y
+
+
+@pytest.mark.parametrize("f", P2_DEPTH2 + [parse_polynomial(RATIONAL_EDGE)],
+                         ids=format_polynomial)
+def test_enumeration_factors_each_edge_once(f, monkeypatch):
+    # one integer factor_list per facet (u, c) with 1 <= c <= w_max whose
+    # slice at level -c has two or more terms
+    real = mutation.sympy  # imports sympy into the module global
+    factored = []
+
+    def factor_list(poly):
+        factored.append(poly)
+        return real.factor_list(poly)
+
+    monkeypatch.setattr(mutation, "sympy", SimpleNamespace(
+        factor_list=factor_list, Poly=real.Poly, Symbol=real.Symbol))
+    bounds = MutationBounds()
+    result = enumerate_mutations(f, bounds)
+    edges = [(u, c) for u, c in newton_polytope(f).facets
+             if 1 <= c <= bounds.w_max
+             and len(dict(weight_decomposition(f, u))[-c]) >= 2]
+    assert len(factored) == len(edges)
+    assert all(poly.domain.is_ZZ for poly in factored)
+    assert list(result.seeds) == _old_enumerate_rank2(f, bounds)
+
+
+def test_rational_edge_gives_integer_factors():
+    f = parse_polynomial(RATIONAL_EDGE)
+    factors = {format_polynomial(seed.factor)
+               for seed in enumerate_mutations(f).seeds
+               if seed.weight == (0, 1)}
+    assert factors == {"2*x + 1", "4*x^2 + 4*x + 1"}
 
 
 def test_build_graph_checks_each_seed_once(monkeypatch):
