@@ -1,7 +1,8 @@
-"""Golden corpus: `--json` stdout and exit codes of the CLI, byte for byte.
+"""Golden corpus: stdout, stderr and exit codes of the CLI, byte for byte.
 
 The corpus in ``tests/golden/corpus.json`` pins the output of every command
-below.  Refactors must replay it unchanged.  After an intended change of
+below: the ``--json`` cases, one text-mode case for each command and each
+branch of its text, and the error cases in both modes.  Refactors must replay it unchanged.  After an intended change of
 output, regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -131,15 +132,61 @@ def _cases():
     return [["--json"] + argv for argv in cases]
 
 
-CASES = _cases()
+def _text_cases():
+    p2, p2_polytope = POLYGON_POLYS[0], _polytope(POLYGONS[0])
+    return [
+        ["newton", p2],
+        ["newton", LOWER_DIM[1]],
+        ["points", p2_polytope],
+        ["dual", p2_polytope],
+        ["reflexive", p2_polytope],
+        ["weights", p2_polytope],
+        ["weights", _polytope(POLYGONS[2])],
+        ["nf", p2_polytope],
+        ["mutate", p2, "--weight", "2,-1", "--factor", "1 + x*y^2"],
+        ["period", p2, "--terms", "10"],
+        ["mutations", p2],
+        ["mutations", RANK3_POLYS[1]],
+        ["graph", p2, "--depth", "2"],
+        ["graph", p2, "--depth", "2", "--dot"],
+        ["markov", "--depth", "3"],
+        ["markov", "--correspondence", "--depth", "2"],
+        ["rigid", p2],
+        ["pf", p2, "--terms", "40"],
+        ["pf", p2, "--terms", "40", "--rmax", "2", "--dmax", "2"],
+        ["compare", p2, "--known", "projective-plane", "--terms", "10"],
+        ["compare", p2, POLYGON_POLYS[2], "--terms", "10"],
+    ]
+
+
+def _both_mode_cases():
+    p2 = POLYGON_POLYS[0]
+    cases = [
+        ["compare", "2*x + x*y + 2*y + y*x^-1 + 2*x^-1 + x^-1*y^-1 + 2*y^-1"
+         " + x*y^-1", "--known", "del-pezzo-4", "--terms", "20"],
+        ["mutate", p2, "--weight", "2,-2", "--factor", "1 + x*y^2"],
+        ["mutate", p2, "--weight", "2,y", "--factor", "1 + x*y^2"],
+        ["rigid", p2, "--wmax", "0"],
+        ["mutations", p2, "--degmax", "0"],
+        ["compare", p2, "--known", "nope"],
+        ["graph", p2, "--depth", "-1"],
+    ]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
+CASES = _cases() + _text_cases() + _both_mode_cases()
+
+
+def _command(argv):
+    return next(arg for arg in argv if not arg.startswith("--"))
 
 
 def run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
 
 
 @functools.cache
@@ -152,7 +199,7 @@ def test_corpus_lists_every_case():
 
 
 @pytest.mark.parametrize("index", range(len(CASES)),
-                         ids=[f"{i:03d}-{argv[1]}"
+                         ids=[f"{i:03d}-{_command(argv)}"
                               for i, argv in enumerate(CASES)])
 def test_golden(index):
     expected = _load()[index]
