@@ -1,11 +1,9 @@
 """Breadth-first mutation graphs and the Markov-tree comparison.
 
 Each node carries a shear-canonicalized Laurent polynomial.  An edge records
-the mutation applied.  When expanding a node we skip a seed exactly when the
-node already has an incident edge with the same label -- same weight line and
-same translate-canonical factor -- whose other endpoint is shear-equivalent
-to the would-be result; this prunes the reverse of the arriving mutation
-without hiding genuinely new branches.
+the mutation applied.  Expanding a node skips one seed: the inverse (-w, F)
+of the seed (w, F) by which the node was reached, because it leads back to
+the parent.  Every other seed gives a new branch; see ``build_graph``.
 """
 
 from __future__ import annotations
@@ -13,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import format_polynomial, parse_polynomial
-from .mutation import (MutationBounds, canonicalize_shear, enumerate_mutations,
-                       mutate)
+from .mutation import MutationBounds, enumerate_mutations, mutate
 from .polytopes import NotSimplexError, newton_polytope, simplex_weights
 
 
@@ -45,14 +42,24 @@ class MutationGraph:
         return [n for n in self.nodes if n.depth == d]
 
 
-def _edge_label(seed):
-    """Identity of a mutation edge: the key of the seed or of its inverse,
-    whichever is larger, so the weight counts only up to sign."""
-    return max(seed.key, seed.inverse().key)
-
-
 def build_graph(f, depth, bounds=None):
-    """Breadth-first mutation graph of f out to the given depth."""
+    """Breadth-first mutation graph of f out to the given depth.
+
+    A node reached by the seed (w, F) skips its inverse (-w, F) and no
+    other seed.  That prunes exactly the seeds whose result is
+    shear-equivalent to a neighbour joined by an edge of the same weight
+    line and factor:
+
+    - Mutating by (-w, F) undoes (w, F): level i of the result is
+      f_i * F^i * F^-i.  So the way back always leads to the parent.
+    - Any other seed of that edge label is the arriving seed (w, F) itself,
+      or the inverse of a child's seed.  Either way, at every nonzero level
+      i the result differs from the neighbour by F^(2i) or F^(-2i).  A
+      shear multiplies each level by a monomial, and every enumerated F has
+      at least two terms, so F^(2i) is no monomial.  The polynomials are
+      full-dimensional (``enumerate_mutations`` requires it), so some level
+      is nonzero and the result is new.
+    """
     if bounds is None:
         bounds = MutationBounds()
     if depth < 0:
@@ -60,7 +67,7 @@ def build_graph(f, depth, bounds=None):
     nodes = [GraphNode(0, f, 0)]
     edges = []
     complete = True
-    incident = {0: []}  # node index -> list of (label, neighbour index)
+    back = [None]  # node index -> key of the inverse of its arriving seed
     frontier = [0]
     for level in range(depth):
         next_frontier = []
@@ -70,17 +77,12 @@ def build_graph(f, depth, bounds=None):
             complete = complete and result.complete
             for witness in result.witnesses:
                 seed = witness.data
-                g = mutate(poly, seed, witness)
-                label = _edge_label(seed)
-                # g is already shear-canonical for the seed's weight
-                if any(lab == label and g == canonicalize_shear(
-                        nodes[nbr].polynomial, seed.weight)
-                       for lab, nbr in incident[idx]):
+                if seed.key == back[idx]:
                     continue
-                new = GraphNode(len(nodes), g, level + 1)
+                new = GraphNode(len(nodes), mutate(poly, seed, witness),
+                                level + 1)
                 nodes.append(new)
-                incident[new.index] = [(label, idx)]
-                incident[idx].append((label, new.index))
+                back.append(seed.inverse().key)
                 edges.append(GraphEdge(idx, new.index, seed.weight,
                                        seed.factor))
                 next_frontier.append(new.index)
@@ -114,6 +116,12 @@ def export_dot(graph):
 # 2-core 2.1 GHz Xeon depth 15 prints 6.4 MB of JSON in 0.24 s, depth 17
 # 54 MB in 2.5 s
 MARKOV_DEPTH_CAP = 15
+
+# the deepest correspondence check: it builds the mutation graph of
+# x + y + 1/(x*y) to the same depth, which takes 2.7-3.7 s at depth 4 on a
+# 2-core 2.1 GHz Xeon, while the graph at depth 5 was still running after
+# 150 s
+CORRESPONDENCE_DEPTH_CAP = 4
 
 
 def markov_tree(depth):
@@ -157,11 +165,14 @@ def p2_correspondence_check(depth, bounds=None):
 
     At each depth the set of weighted-projective weight triples read off the
     graph nodes must equal the set of componentwise squares of the Markov
-    triples first appearing at that depth.
+    triples first appearing at that depth.  A depth above
+    ``CORRESPONDENCE_DEPTH_CAP`` raises ValueError before the graph is built.
     """
-    f = parse_polynomial("x + y + x^-1*y^-1")
     markov = markov_tree(depth)  # first, so that a refused depth costs nothing
-    graph = build_graph(f, depth, bounds)
+    if depth > CORRESPONDENCE_DEPTH_CAP:
+        raise ValueError(f"depth {depth} is above {CORRESPONDENCE_DEPTH_CAP}"
+                         f" for the correspondence check")
+    graph = build_graph(parse_polynomial("x + y + x^-1*y^-1"), depth, bounds)
     per_depth = []
     ok = True
     for d in range(depth + 1):

@@ -1,9 +1,16 @@
+import pytest
+
 from fanolab import mutation
 from fanolab.laurent import parse_polynomial
-from fanolab.mutation_graph import (build_graph, export_dot, markov_tree,
+from fanolab.mutation import (MutationBounds, canonicalize_shear,
+                              enumerate_mutations, mutate)
+from fanolab.mutation_graph import (GraphEdge, GraphNode, MutationGraph,
+                                    build_graph, export_dot, markov_tree,
                                     p2_correspondence_check)
 from fanolab.periods import periods_agree
 from fanolab.polytopes import newton_polytope, simplex_weights
+
+from test_golden import POLYGON_POLYS
 
 P2 = "x + y + x^-1*y^-1"
 
@@ -78,3 +85,43 @@ def test_graph_slices_each_seed_once(monkeypatch):
     graph = build_graph(parse_polynomial(P2), 3)
     assert len(graph.nodes) == 22
     assert calls == {"weight_decomposition": 30, "is_mutable": 30}
+
+
+def _build_graph_by_incident_labels(f, depth, bounds=MutationBounds()):
+    """The reference search: a seed is skipped when the node has an incident
+    edge of the same weight line and factor whose other end is
+    shear-equivalent to the seed's result."""
+    nodes, edges = [GraphNode(0, f, 0)], []
+    complete = True
+    incident = {0: []}  # node index -> list of (label, neighbour index)
+    frontier = [0]
+    for level in range(depth):
+        next_frontier = []
+        for idx in frontier:
+            poly = nodes[idx].polynomial
+            result = enumerate_mutations(poly, bounds)
+            complete = complete and result.complete
+            for witness in result.witnesses:
+                seed = witness.data
+                g = mutate(poly, seed, witness)
+                label = max(seed.key, seed.inverse().key)
+                if any(lab == label and g == canonicalize_shear(
+                        nodes[nbr].polynomial, seed.weight)
+                       for lab, nbr in incident[idx]):
+                    continue
+                new = GraphNode(len(nodes), g, level + 1)
+                nodes.append(new)
+                incident[new.index] = [(label, idx)]
+                incident[idx].append((label, new.index))
+                edges.append(GraphEdge(idx, new.index, seed.weight,
+                                       seed.factor))
+                next_frontier.append(new.index)
+        frontier = next_frontier
+    return MutationGraph(tuple(nodes), tuple(edges), depth, bounds, complete)
+
+
+@pytest.mark.parametrize("text, depth", [(p, 2) for p in POLYGON_POLYS]
+                         + [(P2, 3)])
+def test_pruning_the_way_back_matches_the_incident_label_rule(text, depth):
+    f = parse_polynomial(text)
+    assert build_graph(f, depth) == _build_graph_by_incident_labels(f, depth)
