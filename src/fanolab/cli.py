@@ -9,6 +9,7 @@ search came back empty or partial (the answer is "inconclusive", not "no").
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -24,8 +25,8 @@ from .mutation import (MutationBounds, MutationData, enumerate_mutations,
 from .mutation_graph import (build_graph, export_dot, markov_tree,
                              p2_correspondence_check)
 from .periods import classical_period, known_series, periods_agree, KNOWN_SERIES
-from .polytopes import (LatticePolytope, NotSimplexError, dual_polytope,
-                        is_fano, is_reflexive, lattice_points, newton_polytope,
+from .polytopes import (LatticePolytope, dual_polytope, is_fano,
+                        is_reflexive, lattice_points, newton_polytope,
                         normal_form, simplex_weights)
 from .recurrence import fit_recurrence, to_differential_operator
 
@@ -92,18 +93,21 @@ def _weight_arg(text):
 
 
 def _bounds(args):
-    try:
-        return MutationBounds(w_max=args.wmax, deg_max=args.degmax)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    return MutationBounds(w_max=args.wmax, deg_max=args.degmax)
 
 
-def _emit(args, payload, text_lines):
+def _bounds_echo(bounds):
+    return {"wmax": bounds.w_max, "degmax": bounds.deg_max}
+
+
+def _emit(args, payload, render):
+    """Print the payload as JSON under --json, else the lines that
+    ``render(payload)`` reads off it."""
     if args.json:
         payload = {"format-version": FORMAT_VERSION, **payload}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in render(payload):
             print(line)
 
 
@@ -194,9 +198,8 @@ def _period_terms(args):
 
 
 def _cmd_period(args):
-    coeffs = [str(c) for c in _period_terms(args)]
-    _emit(args, {"terms": coeffs},
-          [f"c[{k}] = {c}" for k, c in enumerate(coeffs)])
+    _emit(args, {"terms": [str(c) for c in _period_terms(args)]},
+          lambda p: [f"c[{k}] = {c}" for k, c in enumerate(p["terms"])])
     return EXIT_OK
 
 
@@ -206,20 +209,32 @@ def _cmd_compare(args):
             raise _CliError(f"unknown series tag {args.known!r}; "
                             f"available: {sorted(KNOWN_SERIES)}")
         ref = known_series(args.known, args.terms)
-        label = args.known
     else:
         if args.other is None:
             raise _CliError("compare needs a second polynomial or --known")
         ref = _read_polynomial(args.other)
-        label = format_polynomial(ref)
     f = _read_polynomial(args.input)
     agree, where = periods_agree(f, ref, args.terms)
     _emit(args,
           {"agree": agree, "first-mismatch": where, "terms": args.terms},
-          [f"periods {'agree' if agree else 'differ'} through "
-           f"{args.terms} terms against {label}" +
-           ("" if agree else f"; first mismatch at index {where}")])
+          lambda p: [
+              f"periods {'agree' if p['agree'] else 'differ'} through "
+              f"{p['terms']} terms against "
+              f"{args.known or format_polynomial(ref)}" +
+              ("" if p["agree"]
+               else f"; first mismatch at index {p['first-mismatch']}")])
     return EXIT_OK
+
+
+def _newton_lines(payload):
+    lattice = payload["exponent-lattice"]
+    lines = [f"vertices: {payload['vertices']}",
+             f"dimension: {payload['dimension']}",
+             f"exponent lattice: rank {lattice['rank']}, "
+             f"index {lattice['index']}"]
+    if "fano" in payload:
+        lines.append(f"fano: {payload['fano']}")
+    return lines
 
 
 def _cmd_newton(args):
@@ -229,83 +244,73 @@ def _cmd_newton(args):
     payload = {"vertices": [list(v) for v in p.vertices],
                "dimension": p.dim,
                "exponent-lattice": {"rank": rank, "index": index}}
-    lines = [f"vertices: {[list(v) for v in p.vertices]}",
-             f"dimension: {p.dim}",
-             f"exponent lattice: rank {rank}, index {index}"]
     if p.is_full_dimensional:
-        rep = is_fano(p)
-        payload["fano"] = rep.is_fano
-        lines.append(f"fano: {rep.is_fano}")
-    _emit(args, payload, lines)
+        payload["fano"] = is_fano(p).is_fano
+    _emit(args, payload, _newton_lines)
     return EXIT_OK
 
 
 def _cmd_dual(args):
-    p = _read_polytope(args.input)
-    d = dual_polytope(p)
-    payload = {"vertices": [[str(x) for x in v] for v in d.vertices],
-               "integral": d.integral}
-    lines = [f"dual vertices: {[[str(x) for x in v] for v in d.vertices]}",
-             f"integral: {d.integral}"]
-    _emit(args, payload, lines)
+    d = dual_polytope(_read_polytope(args.input))
+    _emit(args, {"vertices": [[str(x) for x in v] for v in d.vertices],
+                 "integral": d.integral},
+          lambda p: [f"dual vertices: {p['vertices']}",
+                     f"integral: {p['integral']}"])
     return EXIT_OK
 
 
 def _cmd_reflexive(args):
-    p = _read_polytope(args.input)
-    ans = is_reflexive(p)
-    _emit(args, {"reflexive": ans}, [f"reflexive: {ans}"])
+    _emit(args, {"reflexive": is_reflexive(_read_polytope(args.input))},
+          lambda p: [f"reflexive: {p['reflexive']}"])
     return EXIT_OK
 
 
 def _cmd_points(args):
-    p = _read_polytope(args.input)
-    pts = lattice_points(p)
+    pts = lattice_points(_read_polytope(args.input))
     payload = {"count": len(pts.all),
                "boundary-count": len(pts.boundary),
                "interior-count": len(pts.interior),
                "points": [list(q) for q in pts.all],
                "boundary": [list(q) for q in pts.boundary],
                "interior": [list(q) for q in pts.interior]}
-    lines = [f"lattice points: {len(pts.all)} "
-             f"({len(pts.boundary)} boundary, {len(pts.interior)} interior)",
-             f"boundary: {[list(q) for q in pts.boundary]}",
-             f"interior: {[list(q) for q in pts.interior]}"]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda p: [
+        f"lattice points: {p['count']} ({p['boundary-count']} boundary, "
+        f"{p['interior-count']} interior)",
+        f"boundary: {p['boundary']}",
+        f"interior: {p['interior']}"])
     return EXIT_OK
 
 
 def _cmd_weights(args):
-    p = _read_polytope(args.input)
-    w = simplex_weights(p)
-    _emit(args, {"weights": list(w)}, [f"weights: {list(w)}"])
+    w = simplex_weights(_read_polytope(args.input))
+    _emit(args, {"weights": list(w)}, lambda p: [f"weights: {p['weights']}"])
     return EXIT_OK
 
 
 def _cmd_nf(args):
-    p = _read_polytope(args.input)
-    nf = normal_form(p)
-    payload = {"matrix": [list(r) for r in nf.matrix],
-               "encoding": nf.encoding.hex()}
-    lines = [f"normal form rows: {[list(r) for r in nf.matrix]}",
-             f"encoding: {nf.encoding.hex()}"]
-    _emit(args, payload, lines)
+    nf = normal_form(_read_polytope(args.input))
+    _emit(args, {"matrix": [list(r) for r in nf.matrix],
+                 "encoding": nf.encoding.hex()},
+          lambda p: [f"normal form rows: {p['matrix']}",
+                     f"encoding: {p['encoding']}"])
     return EXIT_OK
 
 
 def _cmd_mutate(args):
     f = _read_polynomial(args.input)
     factor = _read_polynomial(args.factor, rank_hint=f.rank)
-    w = _weight_arg(args.weight)
-    try:
-        data = MutationData(w, factor)
-        g = mutate(f, data)
-    except ValueError as exc:
-        raise _CliError(str(exc))
-    _emit(args, {"result": g.to_json_dict(),
-                 "text": format_polynomial(g)},
-          [format_polynomial(g)])
+    g = mutate(f, MutationData(_weight_arg(args.weight), factor))
+    _emit(args, {"result": g.to_json_dict(), "text": format_polynomial(g)},
+          lambda p: [p["text"]])
     return EXIT_OK
+
+
+def _mutations_lines(payload):
+    bounds = payload["bounds"]
+    return [f"{len(payload['seeds'])} mutation(s); search "
+            f"{'complete' if payload['complete'] else 'partial'} within "
+            f"wmax={bounds['wmax']} degmax={bounds['degmax']}"] + [
+        f"  w={s['weight']}  F={s['factor']}" for s in payload["seeds"]]
 
 
 def _cmd_mutations(args):
@@ -313,17 +318,23 @@ def _cmd_mutations(args):
     bounds = _bounds(args)
     result = enumerate_mutations(f, bounds)
     payload = {"complete": result.complete,
-               "bounds": {"wmax": bounds.w_max, "degmax": bounds.deg_max},
+               "bounds": _bounds_echo(bounds),
                "seeds": [{"weight": list(s.weight),
                           "factor": format_polynomial(s.factor)}
                          for s in result.seeds]}
-    lines = [f"{len(result.seeds)} mutation(s); search "
-             f"{'complete' if result.complete else 'partial'} within "
-             f"wmax={bounds.w_max} degmax={bounds.deg_max}"]
-    lines += [f"  w={list(s.weight)}  F={format_polynomial(s.factor)}"
-              for s in result.seeds]
-    _emit(args, payload, lines)
+    _emit(args, payload, _mutations_lines)
     return EXIT_OK if result.complete else EXIT_INCONCLUSIVE
+
+
+def _graph_lines(payload):
+    nodes, edges = payload["nodes"], payload["edges"]
+    return ([f"{len(nodes)} nodes, {len(edges)} edges to depth "
+             f"{payload['depth']}; search "
+             f"{'complete' if payload['complete'] else 'partial'}"] +
+            [f"  [{n['id']}] depth {n['depth']}: {n['polynomial']}"
+             for n in nodes] +
+            [f"  {e['source']} -> {e['target']}  w={e['weight']} "
+             f"F={e['factor']}" for e in edges])
 
 
 def _cmd_graph(args):
@@ -332,96 +343,84 @@ def _cmd_graph(args):
     graph = build_graph(f, args.depth, bounds)
     if args.dot:
         print(export_dot(graph), end="")
-        return EXIT_OK if graph.complete else EXIT_INCONCLUSIVE
-    payload = {"depth": graph.depth, "complete": graph.complete,
-               "bounds": {"wmax": bounds.w_max, "degmax": bounds.deg_max},
-               "nodes": [{"id": n.index, "depth": n.depth,
-                          "polynomial": format_polynomial(n.polynomial)}
-                         for n in graph.nodes],
-               "edges": [{"source": e.source, "target": e.target,
-                          "weight": list(e.weight),
-                          "factor": format_polynomial(e.factor)}
-                         for e in graph.edges]}
-    lines = [f"{len(graph.nodes)} nodes, {len(graph.edges)} edges to depth "
-             f"{graph.depth}; search "
-             f"{'complete' if graph.complete else 'partial'}"]
-    for n in graph.nodes:
-        lines.append(f"  [{n.index}] depth {n.depth}: "
-                     f"{format_polynomial(n.polynomial)}")
-    for e in graph.edges:
-        lines.append(f"  {e.source} -> {e.target}  w={list(e.weight)} "
-                     f"F={format_polynomial(e.factor)}")
-    _emit(args, payload, lines)
+    else:
+        payload = {"depth": graph.depth, "complete": graph.complete,
+                   "bounds": _bounds_echo(bounds),
+                   "nodes": [{"id": n.index, "depth": n.depth,
+                              "polynomial": format_polynomial(n.polynomial)}
+                             for n in graph.nodes],
+                   "edges": [{"source": e.source, "target": e.target,
+                              "weight": list(e.weight),
+                              "factor": format_polynomial(e.factor)}
+                             for e in graph.edges]}
+        _emit(args, payload, _graph_lines)
     return EXIT_OK if graph.complete else EXIT_INCONCLUSIVE
 
 
+def _correspondence_lines(payload):
+    # the text shows the sorted weight sets as tuples
+    return [f"correspondence: {'ok' if payload['ok'] else 'FAILED'}"] + [
+        f"  depth {d['depth']}: graph {[tuple(t) for t in d['graph']]} vs "
+        f"markov^2 {[tuple(t) for t in d['markov-squared']]} -> "
+        f"{d['agree']}" for d in payload["per-depth"]]
+
+
 def _cmd_markov(args):
-    if args.correspondence:
-        bounds = _bounds(args)
-        report = p2_correspondence_check(args.depth, bounds)
-        payload = {"ok": report.ok, "complete": report.complete,
-                   "bounds": {"wmax": bounds.w_max,
-                              "degmax": bounds.deg_max},
-                   "per-depth": [
-                       {"depth": d,
-                        "graph": sorted(list(t) for t in gw),
-                        "markov-squared": sorted(list(t) for t in mw),
-                        "agree": agree}
-                       for d, (gw, mw, agree)
-                       in enumerate(report.per_depth)]}
-        lines = [f"correspondence: {'ok' if report.ok else 'FAILED'}"]
-        for d, (gw, mw, agree) in enumerate(report.per_depth):
-            lines.append(f"  depth {d}: graph {sorted(gw)} vs "
-                         f"markov^2 {sorted(mw)} -> {agree}")
-        _emit(args, payload, lines)
-        return EXIT_OK if report.complete else EXIT_INCONCLUSIVE
-    levels = markov_tree(args.depth)
-    payload = {"levels": [[list(t) for t in lv] for lv in levels]}
-    lines = [f"depth {d}: {[list(t) for t in lv]}"
-             for d, lv in enumerate(levels)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    if not args.correspondence:
+        _emit(args, {"levels": [[list(t) for t in lv]
+                                for lv in markov_tree(args.depth)]},
+              lambda p: [f"depth {d}: {lv}"
+                         for d, lv in enumerate(p["levels"])])
+        return EXIT_OK
+    bounds = _bounds(args)
+    report = p2_correspondence_check(args.depth, bounds)
+    payload = {"ok": report.ok, "complete": report.complete,
+               "bounds": _bounds_echo(bounds),
+               "per-depth": [
+                   {"depth": d,
+                    "graph": sorted(list(t) for t in gw),
+                    "markov-squared": sorted(list(t) for t in mw),
+                    "agree": agree}
+                   for d, (gw, mw, agree) in enumerate(report.per_depth)]}
+    _emit(args, payload, _correspondence_lines)
+    return EXIT_OK if report.complete else EXIT_INCONCLUSIVE
 
 
 def _cmd_rigid(args):
     f = _read_polynomial(args.input)
     bounds = _bounds(args)
-    try:
-        report = is_rigid(f, bounds)
-    except (ValueError, NotSimplexError) as exc:
-        raise _CliError(str(exc))
+    report = is_rigid(f, bounds)
     payload = {"verdict": report.verdict,
                "dimension": report.space.dimension,
                "seed-count": report.seed_count,
                "complete": report.complete,
-               "bounds": {"wmax": bounds.w_max, "degmax": bounds.deg_max}}
-    lines = [f"verdict: {report.verdict} "
-             f"(space dimension {report.space.dimension}, "
-             f"{report.seed_count} seeds, search "
-             f"{'complete' if report.complete else 'partial'})"]
-    _emit(args, payload, lines)
+               "bounds": _bounds_echo(bounds)}
+    _emit(args, payload, lambda p: [
+        f"verdict: {p['verdict']} (space dimension {p['dimension']}, "
+        f"{p['seed-count']} seeds, search "
+        f"{'complete' if p['complete'] else 'partial'})"])
     return EXIT_INCONCLUSIVE if report.verdict == "inconclusive" else EXIT_OK
 
 
 def _cmd_pf(args):
     terms = _period_terms(args)
     rec = fit_recurrence(terms, r_max=args.rmax, d_max=args.dmax)
+    bounds = {"rmax": args.rmax, "dmax": args.dmax}
     if rec is None:
-        _emit(args, {"found": False, "terms": args.terms,
-                     "bounds": {"rmax": args.rmax, "dmax": args.dmax}},
-              [f"no recurrence with order <= {args.rmax} and degree <= "
-               f"{args.dmax} found from {args.terms} terms"])
+        _emit(args, {"found": False, "terms": args.terms, "bounds": bounds},
+              lambda p: [f"no recurrence with order <= {p['bounds']['rmax']}"
+                         f" and degree <= {p['bounds']['dmax']} found from "
+                         f"{p['terms']} terms"])
         return EXIT_INCONCLUSIVE
-    op = to_differential_operator(rec)
     payload = {"found": True, "order": rec.order, "degree": rec.degree,
                "recurrence": rec.to_string(),
                "coefficients": [list(q) for q in rec.coefficients],
-               "operator": op.to_string(),
-               "bounds": {"rmax": args.rmax, "dmax": args.dmax}}
-    lines = [f"recurrence (order {rec.order}, degree {rec.degree}):",
-             f"  {rec.to_string()}",
-             f"operator: {op.to_string()}"]
-    _emit(args, payload, lines)
+               "operator": to_differential_operator(rec).to_string(),
+               "bounds": bounds}
+    _emit(args, payload, lambda p: [
+        f"recurrence (order {p['order']}, degree {p['degree']}):",
+        f"  {p['recurrence']}",
+        f"operator: {p['operator']}"])
     return EXIT_OK
 
 
@@ -435,7 +434,10 @@ def _add_bounds(sub):
                      help="largest factor degree to try (default 6)")
 
 
+@functools.cache
 def build_parser():
+    """The fanolab argument parser, built on the first call and shared by
+    every later one: ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="fanolab",
                      description="Laurent polynomial mutation workbench")
     parser.add_argument("--json", action="store_true",
@@ -526,14 +528,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (_CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,7 @@ import pytest
 from fanolab import cli
 from fanolab.cli import main
 from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
-from fanolab.mutation_graph import MARKOV_DEPTH_CAP
+from fanolab.mutation_graph import CORRESPONDENCE_DEPTH_CAP, MARKOV_DEPTH_CAP
 
 P2 = "x + y + x^-1*y^-1"
 
@@ -139,6 +139,18 @@ def test_markov_depth_past_the_cap_is_refused_quickly(capsys, extra):
     assert code == 1 and out == ""
     assert err.splitlines() == [
         f"error: depth 40 is above {MARKOV_DEPTH_CAP}"]
+
+
+def test_correspondence_past_its_cap_is_refused_quickly(capsys):
+    depth = CORRESPONDENCE_DEPTH_CAP + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "markov", "--correspondence", "--depth",
+                         str(depth))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: depth {depth} is above {CORRESPONDENCE_DEPTH_CAP} for the "
+        "correspondence check"]
 
 
 def test_markov_depth_at_the_cap(capsys):
@@ -363,3 +375,33 @@ def test_inexact_or_zero_denominator_coefficient_is_usage_error(
 def test_threads_flag_accepted(capsys):
     code, _, _ = run(capsys, "--threads", "4", "period", P2, "--terms", "3")
     assert code == 0
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "--json", "weights", P2)[0] == 0
+        assert run(capsys, "reflexive", P2)[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("fanolab") == 1
+
+
+def test_json_graph_formats_each_polynomial_once(capsys, monkeypatch):
+    formatted, format_polynomial = [], cli.format_polynomial
+
+    def counted(f):
+        formatted.append(f)
+        return format_polynomial(f)
+    monkeypatch.setattr(cli, "format_polynomial", counted)
+    code, out, _ = run(capsys, "--json", "graph", P2, "--depth", "2")
+    data = json.loads(out)
+    assert code == 0
+    assert len(formatted) == len(data["nodes"]) + len(data["edges"])
