@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .laurent import LaurentPolynomial, ZeroPolynomialError, parse_polynomial
+from .laurent import LaurentPolynomial, ZeroPolynomialError
 
 
 @dataclass(frozen=True)
@@ -131,19 +131,12 @@ def _cubic_threefold(k):
     return factorial(2 * m) * factorial(3 * m) // factorial(m) ** 5
 
 
-_DEL_PEZZO_4_GENERATOR = ("2*x + x*y + 2*y + y*x^-1 + 2*x^-1 + "
-                          "x^-1*y^-1 + 2*y^-1 + x*y^-1")
-_del_pezzo_4_calc = None
-
-
 def _del_pezzo_4(k):
-    # no simple closed form is on record; generated from a standard
-    # degree-4 del Pezzo model
-    global _del_pezzo_4_calc
-    if _del_pezzo_4_calc is None:
-        _del_pezzo_4_calc = PeriodCalculator(
-            parse_polynomial(_DEL_PEZZO_4_GENERATOR))
-    return _del_pezzo_4_calc.coefficient(k)
+    # the intersection of two quadrics in P^4, by quantum Lefschetz: k! times
+    # the t^k coefficient of e^(-4t) * sum over d of (2d)!^2 / d!^5 * t^d
+    # (Coates-Corti-Galkin-Kasprzyk, arXiv:1303.3288)
+    return sum(comb(k, d) * (-4) ** (k - d) * comb(2 * d, d) ** 2
+               for d in range(k + 1))
 
 
 KNOWN_SERIES = {
