@@ -2,7 +2,8 @@
 
 The corpus in ``tests/golden/corpus.json`` pins the output of every command
 below: the ``--json`` cases, one text-mode case for each command and each
-branch of its text, and the error cases in both modes.  Refactors must replay it unchanged.  After an intended change of
+branch of its text, the error cases in both modes, and hulls outside
+rank 2.  Refactors must replay it unchanged.  After an intended change of
 output, regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -16,6 +17,7 @@ import io
 import json
 import pathlib
 import sys
+from itertools import product
 
 import pytest
 
@@ -174,7 +176,24 @@ def _both_mode_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
-CASES = _cases() + _text_cases() + _both_mode_cases()
+def _hull_cases():
+    """Hulls outside rank 2: ranks 1 and 4, rank-3 supports with points
+    on faces, and the octahedron and the cube given by all their lattice
+    points."""
+    cases = [["newton", poly] for poly in (
+        "x^3 + x + x^-2",
+        "(x + 1 + x^-1)*(y + 1 + y^-1)*(z + 1 + z^-1)",
+        "(x + y + z + 1)^3/(x*y*z)",
+        "x + y + z + w + x^-1*y^-1*z^-1*w^-1")]
+    cube = list(product((1, 0, -1), repeat=3))
+    octahedron = [v for v in cube if sum(map(abs, v)) <= 1]
+    for points in (octahedron, cube):
+        for cmd in ("points", "dual", "reflexive", "nf"):
+            cases.append([cmd, _polytope(points)])
+    return [["--json"] + argv for argv in cases]
+
+
+CASES = _cases() + _text_cases() + _both_mode_cases() + _hull_cases()
 
 
 def _command(argv):
