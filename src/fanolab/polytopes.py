@@ -1,9 +1,9 @@
 """Lattice polytope geometry with exact rational arithmetic.
 
-Full-dimensional hulls in rank 2 come from Andrew's monotone chain with
-integer cross products; every other rank enumerates facets over subsets of
-the points (desk scale: few points, low dimension).  No floating point
-anywhere.
+Full-dimensional hulls come from Andrew's monotone chain with integer cross
+products in rank 2, and from one double-description pass in every other
+rank, which reads the vertices off the point-facet incidences.  No floating
+point anywhere.
 
 Point sets of lower dimension go through one chart, ``affine_chart``: a
 single Hermite normal form of the differences gives the affine dimension and
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import reduce
+from itertools import permutations, product
+from operator import and_
 
 from .laurent import ZeroPolynomialError, json_value
 from .linalg import hnf_rows, is_primitive, nullspace, primitive_part, rref
@@ -48,63 +50,50 @@ def affine_chart(points):
     return [next(j for j, x in enumerate(row) if x) for row in h[:dim]]
 
 
-def _hyperplane_normal(points, rank):
-    """Primitive integer normal of the hyperplane through the given points.
+def _hull(points, rank):
+    """Vertices and facets of sorted, distinct points that affinely span,
+    by double description (Fukuda-Prodon, 1996).
 
-    Returns None when the points do not span an affine hyperplane.
+    The facets (u, c) are the extreme rays of the pointed cone of (u, c)
+    with <u, p> + c >= 0 at every point.  It starts as the simplicial cone
+    of rank + 1 affinely independent points and cuts by the others in order.
+    Each ray carries the bitmask, distinct per ray, of the points so far on
+    its facet.  Rays either side of a point span a new ray when adjacent:
+    they share rank - 1 points and no third mask holds the shared ones.  A
+    point is a vertex when the masks through it meet in it alone.
     """
-    p0 = points[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    basis = nullspace(diffs, ncols=rank)
-    return basis[0] if len(basis) == 1 else None
-
-
-def _facets_full_dim(points, rank):
-    """All facets of conv(points) as (inner primitive normal u, offset c).
-
-    The polytope is { v : <u,v> >= -c }.  Assumes the points affinely span.
-    Tries every rank-subset of the points: the hull of rank 1 and rank >= 3,
-    and the reference the rank-2 chain is tested against.
-    """
-    facets = {}
-    for subset in combinations(points, rank):
-        u = _hyperplane_normal(list(subset), rank)
-        if u is None:
+    lifted = [p + (1,) for p in points]
+    start = []
+    for i, q in enumerate(lifted):
+        if len(start) <= rank and len(
+                rref([lifted[j] for j in start] + [q])[1]) > len(start):
+            start.append(i)
+    rays = []
+    for i in start:
+        others = [j for j in start if j != i]
+        r = nullspace([lifted[j] for j in others], ncols=rank + 1)[0]
+        if sum(a * b for a, b in zip(r, lifted[i])) < 0:
+            r = tuple(-x for x in r)
+        rays.append((r, sum(1 << j for j in others)))
+    for i, q in enumerate(lifted):
+        if i in start:
             continue
-        alpha = sum(a * b for a, b in zip(u, subset[0]))
-        lo = hi = False
-        for p in points:
-            val = sum(a * b for a, b in zip(u, p))
-            if val < alpha:
-                lo = True
-            elif val > alpha:
-                hi = True
-            if lo and hi:
-                break
-        if lo and hi:
-            continue
-        if hi:  # points on the >= side: u is already the inner normal
-            facets[(u, -alpha)] = None
-        elif lo:
-            u = tuple(-x for x in u)
-            facets[(u, alpha)] = None
-        else:
-            # all points on the hyperplane: degenerate input
-            raise DegeneratePolytopeError("points do not span the space")
-    return sorted(facets)
-
-
-def _vertices_full_dim(points, facets, rank):
-    """The points whose active facet normals have full rank."""
-    verts = []
-    for p in points:
-        active = [u for (u, c) in facets
-                  if sum(a * b for a, b in zip(u, p)) == -c]
-        if len(active) >= rank:
-            _, pivots = rref(active)
-            if len(pivots) == rank:
-                verts.append(p)
-    return verts
+        bit = 1 << i
+        signed = [(sum(a * b for a, b in zip(r, q)), r, m) for r, m in rays]
+        rays = [(r, m | bit if s == 0 else m) for s, r, m in signed if s >= 0]
+        above = [x for x in signed if x[0] > 0]
+        below = [x for x in signed if x[0] < 0]
+        for (s, r, m1), (t, r2, m2) in product(above, below):
+            shared = m1 & m2
+            if shared.bit_count() >= rank - 1 and not any(
+                    m & shared == shared
+                    for _, _, m in signed if m not in (m1, m2)):
+                rays.append((primitive_part([s * y - t * x
+                                             for x, y in zip(r, r2)]),
+                             shared | bit))
+    verts = [p for i, p in enumerate(points)
+             if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i]
+    return verts, sorted((r[:-1], r[-1]) for r, _ in rays)
 
 
 def _cross(o, a, b):
@@ -167,11 +156,7 @@ class LatticePolytope:
             inner = cls.from_points(list(preimage), rank=dim)
             verts = sorted(preimage[v] for v in inner.vertices)
             return cls(rank, tuple(verts), (), dim)
-        if rank == 2:
-            verts, facets = _polygon(pts)
-        else:
-            facets = _facets_full_dim(pts, rank)
-            verts = _vertices_full_dim(pts, facets, rank)
+        verts, facets = _polygon(pts) if rank == 2 else _hull(pts, rank)
         return cls(rank, tuple(sorted(verts)), tuple(facets), dim)
 
     @property

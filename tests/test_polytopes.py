@@ -8,10 +8,10 @@ from fanolab.laurent import parse_polynomial
 from fanolab.mutation_graph import build_graph
 from fanolab.polytopes import (DegeneratePolytopeError, LatticePolytope,
                                NotSimplexError, OriginNotInteriorError,
-                               _facets_full_dim, _vertices_full_dim,
                                dual_polytope, is_fano, is_reflexive,
                                lattice_points, newton_polytope, normal_form,
                                simplex_weights)
+from hull_oracle import _facets_full_dim, _vertices_full_dim
 
 
 def shoelace_twice_area(vertices):
@@ -179,3 +179,11 @@ def test_polygon_of_largest_depth3_p2_node():
     assert len(f.terms) == 118
     p = newton_polytope(f)
     assert (p.vertices, p.facets) == subset_hull(f.support())
+
+
+def test_hull_of_a_286_point_rank3_support():
+    p = newton_polytope(parse_polynomial("(x + y + z + 1)^10"))
+    assert p.vertices == ((0, 0, 0), (0, 0, 10), (0, 10, 0), (10, 0, 0))
+    assert p.facets == (((-1, -1, -1), 10), ((0, 0, 1), 0), ((0, 1, 0), 0),
+                        ((1, 0, 0), 0))
+

@@ -16,10 +16,10 @@ from fanolab.mutation import (MutationData, apply_shear, canonicalize_shear,
                               enumerate_mutations, exact_divide, mutate,
                               shear_equivalent, weight_decomposition)
 from fanolab.periods import classical_period, periods_agree
-from fanolab.polytopes import (LatticePolytope, _facets_full_dim,
-                               _vertices_full_dim, dual_polytope,
-                               is_reflexive, lattice_points, newton_polytope,
-                               normal_form)
+from fanolab.polytopes import (LatticePolytope, _hull, _polygon,
+                               affine_chart, dual_polytope, is_reflexive,
+                               lattice_points, newton_polytope, normal_form)
+from hull_oracle import _facets_full_dim, _vertices_full_dim
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -177,6 +177,47 @@ def test_polygon_matches_subset_hull(points, g):
                                         for u, c in p.facets))
 
 
+@st.composite
+def point_sets(draw, rank):
+    """Point sets of any rank with the lattice points of segments between
+    corners (on edges, on higher faces or inside) and repeated points."""
+    coord = st.integers(-2, 2)
+    corners = draw(st.lists(st.tuples(*[coord] * rank), min_size=rank + 1,
+                            max_size=rank + 4))
+    pts = list(corners)
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(corners),
+                                        st.sampled_from(corners)),
+                              max_size=3)):
+        d = [y - x for x, y in zip(a, b)]
+        g = gcd(*d)
+        pts += [tuple(x + k * e // g for x, e in zip(a, d))
+                for k in range(1, g)]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts))
+
+
+@pytest.mark.parametrize("rank", (1, 3, 4))
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_hull_matches_subset_oracle(rank, data):
+    points = data.draw(point_sets(rank))
+    p = LatticePolytope.from_points(points)
+    assume(p.is_full_dimensional)
+    pts = sorted(set(points))
+    facets = _facets_full_dim(pts, rank)
+    assert p.facets == tuple(facets)
+    assert p.vertices == tuple(_vertices_full_dim(pts, facets, rank))
+
+
+@SETTINGS
+@given(point_sets2())
+def test_double_description_matches_the_chain_in_rank2(points):
+    pts = sorted(set(points))
+    assume(len(affine_chart(pts)) == 2)
+    ring, facets = _polygon(pts)
+    assert _hull(pts, 2) == (sorted(ring), facets)
+
+
 def _minkowski_oracle(a_points, b_points):
     """Every u of a box one wider than the bounding-box bound with
     u + b in conv(a_points) for every b, in the order of that box."""
@@ -299,6 +340,18 @@ def test_normal_form_invariant_under_gl(rank, data):
 
 
 exponents3 = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@SETTINGS
+@given(st.dictionaries(st.tuples(*[st.integers(-1, 1)] * 3), coeffs,
+                       min_size=4, max_size=6), gl3)
+def test_newton_lattice_points_invariant_under_gl3(terms, m):
+    f = LaurentPolynomial.from_terms(3, terms.items())
+    p, q = newton_polytope(f), newton_polytope(substitute_unimodular(f, m))
+    assert q.dim == p.dim
+    if p.is_full_dimensional:
+        assert len(lattice_points(p).all) == len(lattice_points(q).all)
+        assert normal_form(p) == normal_form(q)
 
 
 @SETTINGS
