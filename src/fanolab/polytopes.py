@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
+from math import prod
 from operator import and_
 
 from .laurent import ZeroPolynomialError, json_value
@@ -145,6 +146,8 @@ class LatticePolytope:
             raise ValueError("need at least one point")
         if rank is None:
             rank = len(pts[0])
+        if rank < 1:
+            raise ValueError("rank must be a positive integer")
         if any(len(p) != rank for p in pts):
             raise ValueError("points of mixed dimension")
         pivots = affine_chart(pts)
@@ -266,10 +269,21 @@ class LatticePointSet:
     interior: tuple
 
 
+# the most bounding-box points lattice_points visits: boxes of 10,404, 91,204
+# and 1,004,004 points took 0.34, 1.0 and 12 s through ``points --json`` on a
+# 2-core 2.0 GHz Xeon
+LATTICE_BOX_CAP = 100_000
+
+
 def lattice_points(p):
-    """Exhaustive bounding-box enumeration with exact membership tests."""
+    """Exhaustive bounding-box enumeration with exact membership tests; a
+    box of more than ``LATTICE_BOX_CAP`` points raises ValueError first."""
     p.require_full_dim()
     lo, hi = p.bounding_box()
+    box = prod(b - a + 1 for a, b in zip(lo, hi))
+    if box > LATTICE_BOX_CAP:
+        raise ValueError(f"the bounding box holds {box} lattice points, "
+                         f"above {LATTICE_BOX_CAP}")
     pts, bdry, intr = [], [], []
     for q in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         vals = [sum(a * b for a, b in zip(u, q)) + c for (u, c) in p.facets]

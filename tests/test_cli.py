@@ -8,6 +8,7 @@ from fanolab import cli
 from fanolab.cli import main
 from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
 from fanolab.mutation_graph import CORRESPONDENCE_DEPTH_CAP, MARKOV_DEPTH_CAP
+from fanolab.polytopes import LATTICE_BOX_CAP
 
 P2 = "x + y + x^-1*y^-1"
 
@@ -291,6 +292,30 @@ def test_power_past_the_exponent_cap_is_refused_quickly(capsys):
     assert err.splitlines() == [
         "error: cannot read polynomial: the exponent 20000 is above "
         f"{PARSE_POWER_CAP} (at position 5)"]
+
+
+@pytest.mark.parametrize("command, arg", [
+    ("points", '{"n": 2, "vertices": [[3000, 0], [0, 3000], [-1, -1]]}'),
+    ("rigid", "x^3000 + y^3000 + x^-1*y^-1")])
+def test_lattice_box_past_the_cap_is_refused_quickly(capsys, command, arg):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, arg)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: the bounding box holds 9012004 lattice points, above "
+        f"{LATTICE_BOX_CAP}"]
+
+
+@pytest.mark.parametrize("command",
+                         ["reflexive", "weights", "dual", "points", "nf"])
+def test_rank_zero_polytope_is_refused_quickly(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, '{"n": 0, "vertices": [[]]}')
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: cannot read polytope: rank must be a positive integer"]
 
 
 def test_period_and_pf_share_one_cache_entry(tmp_path, capsys, monkeypatch):

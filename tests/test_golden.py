@@ -172,6 +172,8 @@ def _both_mode_cases():
         ["mutations", p2, "--degmax", "0"],
         ["compare", p2, "--known", "nope"],
         ["graph", p2, "--depth", "-1"],
+        ["reflexive", '{"n": 0, "vertices": [[]]}'],
+        ["points", '{"n": 2, "vertices": [[3000, 0], [0, 3000], [-1, -1]]}'],
     ]
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 

@@ -6,8 +6,9 @@ import pytest
 
 from fanolab.laurent import parse_polynomial
 from fanolab.mutation_graph import build_graph
-from fanolab.polytopes import (DegeneratePolytopeError, LatticePolytope,
-                               NotSimplexError, OriginNotInteriorError,
+from fanolab.polytopes import (LATTICE_BOX_CAP, DegeneratePolytopeError,
+                               LatticePolytope, NotSimplexError,
+                               OriginNotInteriorError,
                                dual_polytope, is_fano, is_reflexive,
                                lattice_points, newton_polytope, normal_form,
                                simplex_weights)
@@ -187,3 +188,19 @@ def test_hull_of_a_286_point_rank3_support():
     assert p.facets == (((-1, -1, -1), 10), ((0, 0, 1), 0), ((0, 1, 0), 0),
                         ((1, 0, 0), 0))
 
+
+@pytest.mark.parametrize("points, rank", [([()], None), ([()], 0),
+                                          ([(1,)], 0), ([(1,)], -1)])
+def test_rank_below_one_is_refused(points, rank):
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        LatticePolytope.from_points(points, rank=rank)
+
+
+def test_lattice_box_past_the_cap_is_refused():
+    # the box of the triangle holds (n + 2)^2 points, the least square
+    # above the cap
+    n = 315
+    assert (n + 1) ** 2 <= LATTICE_BOX_CAP < (n + 2) ** 2
+    p = LatticePolytope.from_points([(n, 0), (0, n), (-1, -1)])
+    with pytest.raises(ValueError, match=f"holds {(n + 2) ** 2} lattice"):
+        lattice_points(p)
