@@ -2,9 +2,9 @@
 
 The corpus in ``tests/golden/corpus.json`` pins the output of every command
 below: the ``--json`` cases, one text-mode case for each command and each
-branch of its text, the error cases in both modes, and hulls outside
-rank 2.  Refactors must replay it unchanged.  After an intended change of
-output, regenerate it with
+branch of its text, the error cases in both modes, hulls outside rank 2,
+and ``compare --known`` on every reference tag.  Refactors must replay it
+unchanged.  After an intended change of output, regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -195,7 +195,23 @@ def _hull_cases():
     return [["--json"] + argv for argv in cases]
 
 
-CASES = _cases() + _text_cases() + _both_mode_cases() + _hull_cases()
+def _known_series_cases():
+    """``compare --known`` on the tags not pinned above, and one mismatch."""
+    cases = [
+        ["compare", "x + x^-1 + y + y^-1", "--known",
+         "quadric-surface-product", "--terms", "20"],
+        ["compare", RANK3_POLYS[1], "--known", "cubic-threefold",
+         "--terms", "20"],
+        ["compare", POLYGON_POLYS[0], "--known", "quadric-surface-product",
+         "--terms", "10"],
+        ["compare", "2*x + x*y + 2*y + y*x^-1 + 2*x^-1 + x^-1*y^-1 + 2*y^-1"
+         " + x*y^-1", "--known", "del-pezzo-4", "--terms", "60"],
+    ]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
+CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
+         + _known_series_cases())
 
 
 def _command(argv):
