@@ -55,8 +55,11 @@ class _Parser(argparse.ArgumentParser):
 def _load_text(arg):
     """Inline text, inline JSON, or the content of a file path."""
     if os.path.exists(arg) and not set(arg) & set("+^{ "):
-        with open(arg) as fh:
-            return fh.read().strip()
+        try:
+            with open(arg) as fh:
+                return fh.read().strip()
+        except OSError as exc:
+            raise _CliError(f"cannot read {arg}: {exc.strerror}") from exc
     return arg
 
 
@@ -168,6 +171,9 @@ def _cache_store(path, cache):
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
+        except OSError as exc:
+            raise _CliError(f"cannot write cache file {path}: "
+                            f"{exc.strerror}") from exc
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)

@@ -20,7 +20,7 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .laurent import LaurentPolynomial, ZeroPolynomialError
 
@@ -108,50 +108,43 @@ def _term_source(obj, n_terms):
 
 # ---------------------------------------------------------------------------
 # reference series
-
-
-def _projective_plane(k):
-    # nonzero only in degrees divisible by 3
-    if k % 3:
-        return 0
-    m = k // 3
-    return factorial(3 * m) // factorial(m) ** 3
-
-
-def _quadric_surface_product(k):
-    if k % 2:
-        return 0
-    return comb(k, k // 2) ** 2
-
-
-def _cubic_threefold(k):
-    if k % 2:
-        return 0
-    m = k // 2
-    return factorial(2 * m) * factorial(3 * m) // factorial(m) ** 5
-
-
-def _del_pezzo_4(k):
-    # the intersection of two quadrics in P^4, by quantum Lefschetz: k! times
-    # the t^k coefficient of e^(-4t) * sum over d of (2d)!^2 / d!^5 * t^d
-    # (Coates-Corti-Galkin-Kasprzyk, arXiv:1303.3288)
-    return sum(comb(k, d) * (-4) ** (k - d) * comb(2 * d, d) ** 2
-               for d in range(k + 1))
-
+#
+# Each tag names a complete intersection of degrees a_j in P^N, as
+# (N, degrees).  By quantum Lefschetz (Givental, IMRN 1996; Coates-Corti-
+# Galkin-Kasprzyk, arXiv:1303.3288) its regularized quantum period has k-th
+# term k! times the t^k coefficient of
+#
+#     e^(-ct) * sum over d of prod_j (d a_j)! / d!^(N+1) * t^(dr),
+#
+# with Fano index r = N + 1 - sum a_j, and c = prod a_j! if r = 1, else 0.
 
 KNOWN_SERIES = {
-    "projective-plane": _projective_plane,
-    "quadric-surface-product": _quadric_surface_product,
-    "cubic-threefold": _cubic_threefold,
-    "del-pezzo-4": _del_pezzo_4,
+    "projective-plane": (2, ()),
+    "quadric-surface-product": (3, (2,)),  # the quadric in P^3 is P^1 x P^1
+    "cubic-threefold": (4, (3,)),
+    "del-pezzo-4": (4, (2, 2)),
 }
+
+
+def _complete_intersection_period(ambient, degrees, n_terms):
+    index = ambient + 1 - sum(degrees)
+    shift = prod(map(factorial, degrees)) if index == 1 else 0
+    # as r + sum a_j = N + 1, h_d = (dr)! prod_j (d a_j)! / d!^(N+1) is a
+    # product of multinomial coefficients, so every term is an int
+    h = [prod(factorial(d * a) // factorial(d) ** a for a in (index, *degrees))
+         for d in range(n_terms // index + 1)]
+    if not shift:
+        return tuple(0 if k % index else h[k // index] for k in range(n_terms))
+    return tuple(sum(comb(k, d) * (-shift) ** (k - d) * h[d]  # r = 1
+                     for d in range(k + 1)) for k in range(n_terms))
 
 
 def known_series(tag, n_terms):
     """Reference period sequence for a named Fano variety."""
-    try:
-        gen = KNOWN_SERIES[tag]
-    except KeyError:
+    if tag not in KNOWN_SERIES:
         raise KeyError(f"unknown series tag {tag!r}; "
-                       f"available: {sorted(KNOWN_SERIES)}") from None
-    return PeriodSequence(tuple(gen(k) for k in range(n_terms)))
+                       f"available: {sorted(KNOWN_SERIES)}")
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
+    return PeriodSequence(
+        _complete_intersection_period(*KNOWN_SERIES[tag], n_terms))

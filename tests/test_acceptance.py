@@ -151,7 +151,14 @@ def test_criterion_10_recurrence_fit():
            "verified through term 59")
 
 
-def test_criterion_11_property_suite():
+def test_criterion_11_property_suite(property_outcomes):
+    # runs last; see conftest.py
+    if property_outcomes is not None:
+        passed = sum(property_outcomes.values())
+        failed = len(property_outcomes) - passed
+        report(11, not failed, f"randomized property suite: {passed} passed"
+               f"{f', {failed} did not pass' if failed else ''} in this session")
+        return
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "tests/test_properties.py"],
         capture_output=True, text=True, cwd=__file__.rsplit("/tests/", 1)[0])

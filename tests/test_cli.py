@@ -1,3 +1,4 @@
+import errno
 import json
 import time
 from fractions import Fraction
@@ -211,6 +212,43 @@ def test_cache_non_object_is_refused(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "does not hold a JSON object" in err
     assert cache.read_text() == "[1, 2, 3]\n"
+
+
+@pytest.mark.parametrize("command", ["period", "pf"])
+def test_cache_in_a_missing_directory_is_usage_error(tmp_path, capsys,
+                                                     command):
+    cache = tmp_path / "missing" / "cache.json"
+    code, out, err = run(capsys, "--cache", str(cache), command, P2,
+                         "--terms", "20")
+    assert code == 1 and out == ""
+    assert err == (f"error: cannot write cache file {cache}: "
+                   "No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_cache_rename_removes_the_temp_file(tmp_path, capsys,
+                                                   monkeypatch):
+    def refuse(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    cache = tmp_path / "cache.json"
+    code, out, err = run(capsys, "--cache", str(cache), "period", P2)
+    assert code == 1 and out == ""
+    assert err == (f"error: cannot write cache file {cache}: "
+                   "Invalid cross-device link\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["newton", "period", "points"])
+def test_directory_input_is_usage_error(tmp_path, capsys, monkeypatch,
+                                        command):
+    (tmp_path / "xdir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for argv in ([command, "xdir"], ["--json", command, "xdir"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: cannot read xdir: Is a directory\n"
 
 
 @pytest.mark.parametrize("command", ["period", "pf"])

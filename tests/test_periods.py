@@ -1,13 +1,14 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolab.laurent import LaurentPolynomial, parse_polynomial
-from fanolab.periods import (PeriodCalculator, PeriodSequence,
-                             classical_period, known_series, periods_agree)
+from fanolab.periods import (KNOWN_SERIES, PeriodCalculator, PeriodSequence,
+                             _complete_intersection_period, classical_period,
+                             known_series, periods_agree)
 
 
 def iterated_power_period(f, n_terms):
@@ -164,21 +165,99 @@ def test_periods_agree_rejects_negative_term_count(n_terms):
             periods_agree(f, other, n_terms)
 
 
+# -- the reference series against their closed forms -----------------------
+
+def _projective_plane(k):
+    # nonzero only in degrees divisible by 3
+    if k % 3:
+        return 0
+    m = k // 3
+    return factorial(3 * m) // factorial(m) ** 3
+
+
+def _quadric_surface_product(k):
+    if k % 2:
+        return 0
+    return comb(k, k // 2) ** 2
+
+
+def _cubic_threefold(k):
+    if k % 2:
+        return 0
+    m = k // 2
+    return factorial(2 * m) * factorial(3 * m) // factorial(m) ** 5
+
+
+def _del_pezzo_4(k):
+    # k! times the t^k coefficient of e^(-4t) * sum over d of
+    # (2d)!^2 / d!^5 * t^d
+    return sum(comb(k, d) * (-4) ** (k - d) * comb(2 * d, d) ** 2
+               for d in range(k + 1))
+
+
+CLOSED_FORMS = {
+    "projective-plane": _projective_plane,
+    "quadric-surface-product": _quadric_surface_product,
+    "cubic-threefold": _cubic_threefold,
+    "del-pezzo-4": _del_pezzo_4,
+}
+
+
 def test_known_series_closed_forms():
-    p2 = known_series("projective-plane", 13)
-    for k in range(13):
-        expect = factorial(k) // (factorial(k // 3) ** 3) if k % 3 == 0 \
-            else 0
-        assert p2[k] == (factorial(k) // factorial(k // 3) ** 3
-                         if k % 3 == 0 else 0)
-    quad = known_series("quadric-surface-product", 9)
-    for k in range(9):
-        assert quad[k] == (comb(k, k // 2) ** 2 if k % 2 == 0 else 0)
-    cubic = known_series("cubic-threefold", 9)
-    for k in range(0, 9, 2):
-        m = k // 2
-        assert cubic[k] == factorial(2 * m) * factorial(3 * m) \
-            // factorial(m) ** 5
+    assert sorted(KNOWN_SERIES) == sorted(CLOSED_FORMS)
+    for tag, closed_form in CLOSED_FORMS.items():
+        seq = known_series(tag, 60)
+        assert typed(seq) == typed([closed_form(k) for k in range(60)])
+
+
+@pytest.mark.parametrize("n_terms", [-1, -3])
+def test_known_series_rejects_negative_term_count(n_terms):
+    with pytest.raises(ValueError, match="n_terms must be >= 0"):
+        known_series("projective-plane", n_terms)
+
+
+def weak_lg_model(ambient, degrees):
+    """Przyjalkowski's weak Landau-Ginzburg model of the complete
+    intersection of the given degrees in P^ambient, as text:
+    prod_j (x_{j,1} + ... + x_{j,a_j-1} + 1)^(a_j) / (prod x * prod y)
+    + sum y over r - 1 variables y, minus prod a_j! when the Fano index r
+    is 1.  The parser wants one indexed family, so x and y share it."""
+    index = ambient + 1 - sum(degrees)
+    names = iter(f"x{i}" for i in range(1, ambient + 1))
+    xs = [[next(names) for _ in range(a - 1)] for a in degrees]
+    ys = [next(names) for _ in range(index - 1)]
+    numerator = "*".join(f"({' + '.join(group + ['1'])})^{a}"
+                         for group, a in zip(xs, degrees)) or "1"
+    denominator = "*".join(sum(xs, []) + ys)
+    shift = prod(map(factorial, degrees)) if index == 1 else 0
+    return f"{numerator}/({denominator})" + "".join(f" + {y}" for y in ys) \
+        + (f" - {shift}" if shift else "")
+
+
+def test_weak_lg_model_text():
+    assert weak_lg_model(2, ()) == "1/(x1*x2) + x1 + x2"
+    assert weak_lg_model(5, (2, 2)) == \
+        "(x1 + 1)^2*(x2 + 1)^2/(x1*x2*x3) + x3"
+    assert weak_lg_model(5, (2, 3)) == \
+        "(x1 + 1)^2*(x2 + x3 + 1)^3/(x1*x2*x3) - 12"
+
+
+COMPLETE_INTERSECTIONS = (
+    (2, ()), (3, ()),
+    (3, (2,)), (3, (3,)),
+    (4, (2,)), (4, (3,)), (4, (4,)), (4, (2, 2)),
+    (5, (2,)), (5, (3,)), (5, (2, 2)), (5, (2, 3)),
+)
+
+
+@pytest.mark.parametrize("ambient, degrees", COMPLETE_INTERSECTIONS,
+                         ids=[f"P{n}-{'-'.join(map(str, d)) or 'plain'}"
+                              for n, d in COMPLETE_INTERSECTIONS])
+def test_complete_intersection_period_matches_weak_lg_model(ambient,
+                                                            degrees):
+    f = parse_polynomial(weak_lg_model(ambient, degrees))
+    assert typed(classical_period(f, 10)) == \
+        typed(_complete_intersection_period(ambient, degrees, 10))
 
 
 def test_known_series_match_model_polynomials():
