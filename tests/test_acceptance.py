@@ -156,8 +156,11 @@ def test_criterion_11_property_suite(property_outcomes):
     if property_outcomes is not None:
         passed = sum(property_outcomes.values())
         failed = len(property_outcomes) - passed
-        report(11, not failed, f"randomized property suite: {passed} passed"
-               f"{f', {failed} did not pass' if failed else ''} in this session")
+        detail = f"{passed} passed"
+        if failed:
+            detail += f", {failed} did not pass"
+        report(11, not failed,
+               f"randomized property suite: {detail} in this session")
         return
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "tests/test_properties.py"],
