@@ -210,8 +210,23 @@ def _known_series_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _nf_cases():
+    """``nf`` past the bench inputs: the cube with an apex over a square
+    face (9 vertices), the 4-D cross-polytope and a GL(3, Z) image of the
+    hexagonal bipyramid."""
+    cube_with_apex = list(product((-1, 1), repeat=3)) + [(0, 0, 2)]
+    cross4 = [tuple(s * (i == j) for j in range(4))
+              for i in range(4) for s in (1, -1)]
+    g = ((1, 1, 0), (0, 1, 1), (1, 1, 1))
+    bipyramid = [tuple(sum(a * b for a, b in zip(row, v)) for row in g)
+                 for v in SOLIDS[5]]
+    return [argv for points in (cube_with_apex, cross4, bipyramid)
+            for argv in (["nf", _polytope(points)],
+                         ["--json", "nf", _polytope(points)])]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
-         + _known_series_cases())
+         + _known_series_cases() + _nf_cases())
 
 
 def _command(argv):
