@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations, product
+from itertools import product
 from math import prod
 from operator import and_
 
@@ -305,6 +305,11 @@ def lattice_points(p):
 class NormalForm:
     """Canonical vertex matrix under GL(n,Z), plus a stable byte encoding.
 
+    The key of a column order sigma is the list of rows of the vertex-facet
+    pairing matrix, with columns in order sigma, sorted descending.  The
+    candidates are the vertex matrices V_sigma of the orders of largest
+    key, and the normal form is the least row HNF among them.
+
     Equality of encodings decides lattice equivalence in every rank.  Let V
     be the vertex matrix of P (a column per vertex) and g in GL(n,Z).  gP
     has vertex matrix gV and facets u g^-1 with P's offsets, so g permutes
@@ -314,6 +319,25 @@ class NormalForm:
     = HNF(W_tau) for Q, then, V_sigma having full row rank, the rows of
     V_sigma and of W_tau are bases of one lattice: W_tau = g V_sigma with
     g unimodular, and Q = gP.
+
+    ``_maximising_orders`` finds the same orders as trying all k!, so the
+    argument holds.  The orders of blocks B list B's blocks in turn, each
+    in any order.  Let L_1, ..., L_i be the best lines kept in the first i
+    steps.  Claim: every kept state (R, B) has each order of B take the
+    rows in R to L_1, ..., L_i and every other row to at most L_i, and the
+    orders whose key begins L_1, ..., L_i are the orders of the kept
+    states.  It holds at the start.  If the key of sigma begins L_1, ...,
+    L_(i+1), then sigma is an order of a kept (R, B), so its (i+1)-th row is
+    its largest row r outside R.  r sigma is at most r's best line under B,
+    which is at most L_(i+1), so they are equal: (B, r) is kept, and sigma
+    sorts r descending within each block, so it is an order of the split.
+    Conversely, an order of a kept split takes r to L_(i+1) and every other
+    unused row to at most its best line under B, at most L_(i+1).  The claim
+    uses only B and the lines of R, so one state per B suffices.  Distinct
+    vertices have distinct pairing columns, as the normals span, so the
+    blocks become single columns by the last row.  Then each state is one
+    order, whose key is L_1, ..., L_i and its unused rows sorted, and the
+    largest of those keys is the largest key.
     """
 
     matrix: tuple
@@ -328,34 +352,60 @@ class NormalForm:
         return hash(self.encoding)
 
 
+def _maximising_orders(pairing):
+    """The column orders that maximise the rows of ``pairing`` sorted
+    descending, built one row at a time.
+
+    A state is an ordered partition of the columns into blocks, with the
+    rows used to split it.  A row's best line under the blocks is its
+    entries sorted descending within each block, in block order.  Each step
+    keeps every (state, unused row) whose best line is the largest, and
+    splits each block by that row's values, descending; states with equal
+    blocks are kept once.  Once every block is a single column, each state
+    is one order, scored by its unused rows sorted descending.  Returns the
+    orders, sorted, as tuples.
+    """
+    states = {(tuple(range(len(pairing[0]))),): frozenset()}
+    while any(len(b) > 1 for blocks in states for b in blocks):
+        best, kept = [], []
+        for blocks, used in states.items():
+            for i, row in enumerate(pairing):
+                if i in used:
+                    continue
+                line = [x for b in blocks
+                        for x in sorted((row[j] for j in b), reverse=True)]
+                if line > best:
+                    best, kept = line, []
+                if line == best:
+                    kept.append((blocks, used, i))
+        states = {}
+        for blocks, used, i in kept:
+            row = pairing[i]
+            split = tuple(tuple(j for j in b if row[j] == x)
+                          for b in blocks
+                          for x in sorted({row[j] for j in b}, reverse=True))
+            states.setdefault(split, used | {i})
+    rest = {}
+    for blocks, used in states.items():
+        sigma = tuple(j for (j,) in blocks)
+        rest[sigma] = sorted((tuple(row[j] for j in sigma)
+                              for i, row in enumerate(pairing)
+                              if i not in used), reverse=True)
+    best = max(rest.values())
+    return sorted(sigma for sigma, key in rest.items() if key == best)
+
+
 def normal_form(p):
-    """GL(n,Z)-canonical form via vertex-facet pairing matrix maximisation."""
+    """GL(n,Z)-canonical form: the least row HNF of the vertex matrix over
+    the column orders that maximise the sorted pairing matrix."""
     p.require_full_dim()
-    verts = list(p.vertices)
-    normals = [u for (u, _) in p.facets]
-    k = len(verts)
+    verts = p.vertices
     pairing = [[sum(a * b for a, b in zip(u, v)) for v in verts]
-               for u in normals]
-    best_key = None
-    best_perms = []
-    for sigma in permutations(range(k)):
-        rows = sorted((tuple(row[j] for j in sigma) for row in pairing),
-                      reverse=True)
-        key = tuple(rows)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_perms = [sigma]
-        elif key == best_key:
-            best_perms.append(sigma)
-    best_matrix = None
-    for sigma in best_perms:
-        h, _ = hnf_rows([[verts[j][i] for j in sigma]
-                            for i in range(p.rank)])
-        h = tuple(map(tuple, h))
-        if best_matrix is None or h < best_matrix:
-            best_matrix = h
-    encoding = repr((p.rank, best_matrix)).encode()
-    return NormalForm(best_matrix, encoding)
+               for (u, _) in p.facets]
+    matrix = min(tuple(map(tuple, hnf_rows([[verts[j][i] for j in sigma]
+                                            for i in range(p.rank)])[0]))
+                 for sigma in _maximising_orders(pairing))
+    return NormalForm(matrix, repr((p.rank, matrix)).encode())
 
 
 # ---------------------------------------------------------------------------

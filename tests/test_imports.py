@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses or imports inside
 a function (bar the lazy sympy import), reads sympy for anything but
-factoring, keeps a private helper nothing calls or a parameter its function
-never reads, and importing the CLI loads no module it does not need."""
+factoring, enumerates orders or subsets with itertools, keeps a private
+helper nothing calls or a parameter its function never reads, and importing
+the CLI loads no module it does not need."""
 
 import ast
 import os
@@ -122,6 +123,40 @@ def test_stray_sympy_reads_are_found():
                          ids=lambda path: path.name)
 def test_package_uses_sympy_only_to_factor(path):
     assert stray_sympy_reads(path.read_text()) == []
+
+
+# k! orders and point subsets belong to the test oracles
+# (``tests/nf_oracle.py``, ``tests/hull_oracle.py``)
+ENUMERATORS = {"permutations", "combinations"}
+
+
+def enumerator_reads(source):
+    """Names of ENUMERATORS imported from ``itertools`` or read as
+    attributes of the name ``itertools``, as sorted strings."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            found |= {alias.name for alias in node.names} & ENUMERATORS
+        elif isinstance(node, ast.Attribute) and node.attr in ENUMERATORS \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "itertools":
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_enumerator_reads_are_found():
+    source = ("from itertools import product, permutations as perms\n"
+              "import itertools\n"
+              "itertools.combinations([1, 2], 1)\n"
+              "itertools.chain()\n"
+              "combinations = None\n")
+    assert enumerator_reads(source) == ["combinations", "permutations"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_enumerates_no_orders_or_subsets(path):
+    assert enumerator_reads(path.read_text()) == []
 
 
 def unreferenced_private_definitions(sources):

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -135,6 +137,52 @@ def test_normal_form_detects_equivalence():
     assert normal_form(p) == normal_form(q)
     other = newton_polytope(parse_polynomial("x + x^-1 + y + y^-1"))
     assert normal_form(p) != normal_form(other)
+
+
+def _a3_dual():
+    """The polar dual of the A3 root polytope conv(+-e_i, e_i - e_j)."""
+    units = [tuple(s * (k == i) for k in range(3))
+             for i in range(3) for s in (1, -1)]
+    roots = [tuple((k == i) - (k == j) for k in range(3))
+             for i in range(3) for j in range(3) if i != j]
+    return dual_polytope(
+        LatticePolytope.from_points(units + roots)).to_lattice_polytope()
+
+
+# polytopes whose k! vertex orders are out of reach or slow
+LARGER_POLYTOPES = {
+    "a3-dual": (_a3_dual().vertices, 14),
+    "4-cube": (list(product((-1, 1), repeat=4)), 16),
+    "cube-with-apex": (list(product((-1, 1), repeat=3)) + [(0, 0, 2)], 9),
+}
+
+
+def _random_gl(rng, n, steps=8):
+    """A product of random elementary +-1 matrices in GL(n, Z)."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_POLYTOPES))
+def test_normal_form_of_larger_polytopes(name):
+    points, k = LARGER_POLYTOPES[name]
+    p = LatticePolytope.from_points(points)
+    assert len(p.vertices) == k
+    start = time.perf_counter()
+    nf = normal_form(p)
+    assert time.perf_counter() - start < 1
+    g = _random_gl(random.Random(name), p.rank)
+    image = LatticePolytope.from_points(
+        [[sum(a * b for a, b in zip(row, v)) for row in g] for v in points])
+    assert normal_form(image) == nf
+
+
+def test_a3_dual_is_reflexive():
+    assert is_reflexive(_a3_dual())
 
 
 def test_simplex_weights():

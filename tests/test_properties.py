@@ -18,8 +18,10 @@ from fanolab.mutation import (MutationData, apply_shear, canonicalize_shear,
 from fanolab.periods import classical_period, periods_agree
 from fanolab.polytopes import (LatticePolytope, _hull, _polygon,
                                affine_chart, dual_polytope, is_reflexive,
-                               lattice_points, newton_polytope, normal_form)
+                               _maximising_orders, lattice_points,
+                               newton_polytope, normal_form)
 from hull_oracle import _facets_full_dim, _vertices_full_dim
+from nf_oracle import normal_form_by_permutations
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -337,6 +339,23 @@ def test_normal_form_invariant_under_gl(rank, data):
     g = data.draw(gl(rank))
     image = LatticePolytope.from_points([_apply(g, q) for q in points])
     assert normal_form(image) == normal_form(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normal_form_matches_the_permutation_oracle(data):
+    # at most 8 points, so at most 8 vertices and 8! orders for the oracle
+    rank = data.draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    points = data.draw(st.lists(st.tuples(*[coord] * rank),
+                                min_size=rank + 1, max_size=8))
+    p = LatticePolytope.from_points(points)
+    assume(p.is_full_dimensional)
+    pairing = [[sum(a * b for a, b in zip(u, v)) for v in p.vertices]
+               for u, _ in p.facets]
+    best_perms, matrix = normal_form_by_permutations(p)
+    assert _maximising_orders(pairing) == best_perms
+    assert normal_form(p).matrix == matrix
 
 
 exponents3 = st.tuples(*[st.integers(-2, 2)] * 3)
