@@ -332,8 +332,9 @@ class NormalForm:
     which is at most L_(i+1), so they are equal: (B, r) is kept, and sigma
     sorts r descending within each block, so it is an order of the split.
     Conversely, an order of a kept split takes r to L_(i+1) and every other
-    unused row to at most its best line under B, at most L_(i+1).  The claim
-    uses only B and the lines of R, so one state per B suffices.  Distinct
+    unused row to at most its best line under B, at most L_(i+1), so its
+    key begins L_1, ..., L_(i+1).  The claim uses only B and the lines of
+    R, so one state per B suffices.  Distinct
     vertices have distinct pairing columns, as the normals span, so the
     blocks become single columns by the last row.  Then each state is one
     order, whose key is L_1, ..., L_i and its unused rows sorted, and the
