@@ -65,7 +65,7 @@ def check_weight(w, rank):
 
 
 def weight_value(w, e):
-    return sum(a * b for a, b in zip(w, e))
+    return sum(map(mul, w, e))
 
 
 def weight_decomposition(f, w):
@@ -124,7 +124,9 @@ def exact_divide(g, d):
     """Quotient g / d in the Laurent ring, or None when d does not divide g.
 
     Greedy cancellation of the lex-largest term, with a Newton-polytope
-    bounding-box guard so failures terminate.
+    bounding-box guard so failures terminate.  A quotient coefficient is
+    an int when the remainder term is an int that the int leading
+    coefficient divides, and a Fraction otherwise.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -138,6 +140,7 @@ def exact_divide(g, d):
         return None
     lead = max(d.terms)
     lead_c = d.terms[lead]
+    lead_int = type(lead_c) is int
     rem = dict(g.terms)
     quot = {}
     while rem:
@@ -145,7 +148,11 @@ def exact_divide(g, d):
         m = tuple(a - b for a, b in zip(e, lead))
         if any(x < a or x > b for x, a, b in zip(m, lo, hi)):
             return None
-        c = Fraction(rem[e]) / Fraction(lead_c)
+        c = rem[e]
+        if lead_int and type(c) is int and not c % lead_c:
+            c //= lead_c
+        else:
+            c = Fraction(c) / lead_c
         quot[m] = c
         for de, dc in d.terms.items():
             key = tuple(a + b for a, b in zip(m, de))
@@ -260,20 +267,28 @@ def canonicalize_shear(f, w):
     reducing the lex-least T-image of that slice into the box
     [0, |l|)^(n-1).  That shear is (s', 0) in T-coordinates, so f is
     sheared by T^-1 (s', 0); no other exponent is moved into T-coordinates.
+    Each term's level is computed once.  T^-1 (s', 0) lies on the wall by
+    construction, so the shear is applied here without ``apply_shear``'s
+    checks.
     """
     if f.is_zero():
         return f
     w = check_weight(w, f.rank)
-    levels = {weight_value(w, e) for e in f.terms} - {0}
+    terms = f.terms
+    level = {e: weight_value(w, e) for e in terms}
+    levels = set(level.values()) - {0}
     if not levels:
         return f
     l0 = min(levels, key=lambda l: (abs(l), l))
     t, t_inv = complete_to_basis_last_row(w)
     anchor = min(tuple(weight_value(row, e) for row in t[:-1])
-                 for e in f.terms if weight_value(w, e) == l0)
+                 for e, lev in level.items() if lev == l0)
     shear = tuple(-(a // l0) if l0 > 0 else a // -l0 for a in anchor)
     # zip stops at the n-1 entries of s', skipping the last column of T^-1
-    return apply_shear(f, w, tuple(weight_value(row, shear) for row in t_inv))
+    s = tuple(weight_value(row, shear) for row in t_inv)
+    return LaurentPolynomial._from_clean(f.rank, {
+        tuple(a + level[e] * b for a, b in zip(e, s)): c
+        for e, c in terms.items()})
 
 
 def shear_equivalent(f, g, w):
@@ -315,7 +330,7 @@ class EnumerationResult:
         return tuple(witness.data for witness in self.witnesses)
 
 
-def enumerate_mutations(f, bounds=None):
+def enumerate_mutations(f, bounds=None, memo=None):
     """Mutations of f within the bounds, one Newton-polytope facet at a time.
 
     The weight is the facet's inner normal u, at height c in [1, w_max]; the
@@ -324,10 +339,14 @@ def enumerate_mutations(f, bounds=None):
     in higher rank.  Every candidate has at least two terms.  A factor and
     its translates along the wall give one ``MutationData`` key, so each
     edge is read from one end and each key is checked by ``is_mutable``
-    once.
+    once.  ``memo`` holds the rank-2 edge divisors by coefficient row (see
+    ``_edge_factors``); a search that enumerates many polynomials passes
+    one dict to every call, and a call without one starts its own.
     """
     if bounds is None:
         bounds = MutationBounds()
+    if memo is None:
+        memo = {}
     if f.is_zero():
         raise ZeroPolynomialError("cannot mutate the zero polynomial")
     if f.rank == 1:
@@ -342,7 +361,7 @@ def enumerate_mutations(f, bounds=None):
         if len(low) == 1:
             continue
         if f.rank == 2:
-            candidates = _edge_factors(low, c, bounds.deg_max)
+            candidates = _edge_factors(low, c, bounds.deg_max, memo)
         else:
             diffs = sorted({tuple(b - a for a, b in zip(s0, s1))
                             for s0 in low for s1 in low if s0 != s1})
@@ -356,21 +375,17 @@ def enumerate_mutations(f, bounds=None):
     return EnumerationResult(tuple(witnesses), f.rank == 2, bounds)
 
 
-def _edge_factors(edge, mult, deg_max):
+def _edge_factors(edge, mult, deg_max, memo):
     """Candidate factors F with F^mult dividing a rank-2 edge slice.
 
     ``edge`` maps the slice's exponents to coefficients.  Read along the
     primitive edge direction d from its lex-least end, the slice is a
-    polynomial in t, factored once over the integers into primitive p_j of
-    multiplicity m_j with positive leading coefficients.  Each divisor
-    D = prod p_j^k_j with k_j * mult <= m_j and 1 <= deg D <= deg_max is
-    yielded along d when its coefficients are nonnegative and its constant
-    or leading coefficient is 1.  Those are the divisors with nonnegative
-    integer coefficients once scaled to 1 at either end: D is primitive, so
-    D / a is integral only for a = +-1, and a = -1 negates the leading
-    coefficient.  Read from the far end along -d, the same divisor is
-    x^(-deg D * d) * D, a translate that ``MutationData`` makes equal to D,
-    so one reading suffices.
+    polynomial in t, cleared of denominators.  Its candidate divisors
+    depend on nothing else, so they are found once per ``(row, mult,
+    deg_max)`` key of ``memo`` by ``_edge_divisors``, as coefficient rows
+    in t, and each is built along d here.  Read from the far end along -d,
+    the same divisor is x^(-deg D * d) * D, a translate that
+    ``MutationData`` makes equal to D, so one reading suffices.
     """
     base, top = min(edge), max(edge)
     d = primitive_part(tuple(b - a for a, b in zip(base, top)))
@@ -378,25 +393,45 @@ def _edge_factors(edge, mult, deg_max):
     row = [0] * ((top[i] - base[i]) // d[i] + 1)
     for e, c in edge.items():
         row[(e[i] - base[i]) // d[i]] = c
+    key = (tuple(_integer_row(row)), mult, deg_max)
+    if key not in memo:
+        memo[key] = _edge_divisors(*key)
+    return [LaurentPolynomial._from_clean(2, {
+        (k * d[0], k * d[1]): c for k, c in enumerate(cs) if c})
+        for cs in memo[key]]
+
+
+def _edge_divisors(row, mult, deg_max):
+    """The divisors D of an integer polynomial with D^mult dividing it, as
+    coefficient rows in t, ascending.
+
+    ``row`` lists the coefficients by ascending power of t.  One
+    ``factor_list`` over the integers gives primitive p_j of multiplicity
+    m_j with positive leading coefficients.  Each D = prod p_j^k_j with
+    k_j * mult <= m_j and 1 <= deg D <= deg_max is kept when its
+    coefficients are nonnegative and its constant or leading coefficient is
+    1.  Those are the divisors with nonnegative integer coefficients once
+    scaled to 1 at either end: D is primitive, so D / a is integral only
+    for a = +-1, and a = -1 negates the leading coefficient.
+    """
     sympy = _sympy()
-    _, factors = sympy.factor_list(sympy.Poly(_integer_row(row[::-1]),
-                                              sympy.Symbol("t")))
-    powers = []  # per factor, (degree, p^k along d) for each k allowed
+    _, factors = sympy.factor_list(sympy.Poly(row[::-1], sympy.Symbol("t")))
+    powers = []  # per factor, (degree, p^k in t) for each k allowed
     for p, m in factors:
-        along = LaurentPolynomial._from_clean(2, {
-            (k * d[0], k * d[1]): int(c)
-            for k, c in enumerate(reversed(p.all_coeffs())) if c})
+        along = LaurentPolynomial._from_clean(1, {
+            (k,): int(c) for k, c in enumerate(reversed(p.all_coeffs())) if c})
         ks = range(min(m // mult, deg_max // p.degree()) + 1)
         powers.append(list(zip([k * p.degree() for k in ks],
                                factor_powers(along, ks))))
+    divisors = []
     for choice in product(*powers):
         degree = sum(deg for deg, _ in choice)
         if 1 <= degree <= deg_max:
-            divisor = reduce(mul, [power for deg, power in choice if deg])
-            cs = divisor.terms
-            if min(cs.values()) > 0 and 1 in (
-                    cs[0, 0], cs[degree * d[0], degree * d[1]]):
-                yield divisor
+            cs = reduce(mul, [power for deg, power in choice if deg]).terms
+            if min(cs.values()) > 0 and 1 in (cs[(0,)], cs[(degree,)]):
+                divisors.append(tuple(cs.get((k,), 0)
+                                      for k in range(degree + 1)))
+    return divisors
 
 
 def factor_sweep(diffs, deg_max):

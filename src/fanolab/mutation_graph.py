@@ -42,6 +42,14 @@ class MutationGraph:
         return [n for n in self.nodes if n.depth == d]
 
 
+# the deepest mutation graph built: each level multiplies the nodes, and on
+# a 2-core 2.1 GHz Xeon depth 4 takes 1.4-1.8 s for x + y + 1/(x*y), 2.7-3.5 s
+# for the square's maximally mutable polynomial (3,201 nodes) and 0.2-0.3 s
+# for x + y + 1/x + 1/y, while x + y + 1/(x*y) at depth 5 was still running
+# after 150 s
+GRAPH_DEPTH_CAP = 4
+
+
 def build_graph(f, depth, bounds=None):
     """Breadth-first mutation graph of f out to the given depth.
 
@@ -59,21 +67,28 @@ def build_graph(f, depth, bounds=None):
       at least two terms, so F^(2i) is no monomial.  The polynomials are
       full-dimensional (``enumerate_mutations`` requires it), so some level
       is nonzero and the result is new.
+
+    The search keeps one edge-divisor memo for every node it expands, so
+    a coefficient row met again is not factored again.  A depth above
+    ``GRAPH_DEPTH_CAP`` raises ValueError before the first enumeration.
     """
     if bounds is None:
         bounds = MutationBounds()
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if depth > GRAPH_DEPTH_CAP:
+        raise ValueError(f"depth {depth} is above {GRAPH_DEPTH_CAP}")
     nodes = [GraphNode(0, f, 0)]
     edges = []
     complete = True
     back = [None]  # node index -> key of the inverse of its arriving seed
     frontier = [0]
+    memo = {}
     for level in range(depth):
         next_frontier = []
         for idx in frontier:
             poly = nodes[idx].polynomial
-            result = enumerate_mutations(poly, bounds)
+            result = enumerate_mutations(poly, bounds, memo)
             complete = complete and result.complete
             for witness in result.witnesses:
                 seed = witness.data
@@ -118,10 +133,8 @@ def export_dot(graph):
 MARKOV_DEPTH_CAP = 15
 
 # the deepest correspondence check: it builds the mutation graph of
-# x + y + 1/(x*y) to the same depth, which takes 2.7-3.7 s at depth 4 on a
-# 2-core 2.1 GHz Xeon, while the graph at depth 5 was still running after
-# 150 s
-CORRESPONDENCE_DEPTH_CAP = 4
+# x + y + 1/(x*y) to the same depth
+CORRESPONDENCE_DEPTH_CAP = GRAPH_DEPTH_CAP
 
 
 def markov_tree(depth):

@@ -353,6 +353,13 @@ class NormalForm:
         return hash(self.encoding)
 
 
+# the most states _maximising_orders keeps after a step: the 5-D
+# cross-polytope peaks at 3,840 (2.2-2.4 s for its normal form on a 2-core
+# 2.1 GHz Xeon), while the 6-D one keeps 7,680 from the fifth step on and
+# was still running after 43 s, at 23,040 states
+NORMAL_FORM_STATE_CAP = 5_000
+
+
 def _maximising_orders(pairing):
     """The column orders that maximise the rows of ``pairing`` sorted
     descending, built one row at a time.
@@ -364,7 +371,8 @@ def _maximising_orders(pairing):
     splits each block by that row's values, descending; states with equal
     blocks are kept once.  Once every block is a single column, each state
     is one order, scored by its unused rows sorted descending.  Returns the
-    orders, sorted, as tuples.
+    orders, sorted, as tuples.  A step that keeps more than
+    ``NORMAL_FORM_STATE_CAP`` states raises ValueError.
     """
     states = {(tuple(range(len(pairing[0]))),): frozenset()}
     while any(len(b) > 1 for blocks in states for b in blocks):
@@ -386,6 +394,10 @@ def _maximising_orders(pairing):
                           for b in blocks
                           for x in sorted({row[j] for j in b}, reverse=True))
             states.setdefault(split, used | {i})
+        if len(states) > NORMAL_FORM_STATE_CAP:
+            raise ValueError(f"the normal form search keeps {len(states)} "
+                             f"partial vertex orders, above "
+                             f"{NORMAL_FORM_STATE_CAP}")
     rest = {}
     for blocks, used in states.items():
         sigma = tuple(j for (j,) in blocks)

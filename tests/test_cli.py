@@ -8,8 +8,9 @@ import pytest
 from fanolab import cli
 from fanolab.cli import main
 from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
-from fanolab.mutation_graph import CORRESPONDENCE_DEPTH_CAP, MARKOV_DEPTH_CAP
-from fanolab.polytopes import LATTICE_BOX_CAP
+from fanolab.mutation_graph import (CORRESPONDENCE_DEPTH_CAP,
+                                    GRAPH_DEPTH_CAP, MARKOV_DEPTH_CAP)
+from fanolab.polytopes import LATTICE_BOX_CAP, NORMAL_FORM_STATE_CAP
 
 P2 = "x + y + x^-1*y^-1"
 
@@ -122,6 +123,15 @@ def test_graph_and_dot(capsys):
     assert len(data["nodes"]) == 4 and len(data["edges"]) == 3
     code, out, _ = run(capsys, "graph", P2, "--depth", "1", "--dot")
     assert code == 0 and out.startswith("digraph")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_graph_depth_past_the_cap_is_refused_quickly(capsys, mode):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *mode, "graph", P2, "--depth", "6")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: depth 6 is above {GRAPH_DEPTH_CAP}"]
 
 
 def test_markov(capsys):
@@ -343,6 +353,30 @@ def test_lattice_box_past_the_cap_is_refused_quickly(capsys, command, arg):
     assert err.splitlines() == [
         f"error: the bounding box holds 9012004 lattice points, above "
         f"{LATTICE_BOX_CAP}"]
+
+
+def _cross_polytope(n):
+    vertices = [[s * (i == j) for j in range(n)]
+                for i in range(n) for s in (1, -1)]
+    return json.dumps({"n": n, "vertices": vertices})
+
+
+def test_nf_past_the_state_cap_is_refused(capsys):
+    # the 6-D cross-polytope keeps 7,680 states from the fifth step on
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", _cross_polytope(6))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: the normal form search keeps 7680 partial vertex orders, "
+        f"above {NORMAL_FORM_STATE_CAP}"]
+
+
+def test_nf_below_the_state_cap_answers(capsys):
+    # the 5-D cross-polytope peaks at 3,840 states
+    code, out, _ = run(capsys, "--json", "nf", _cross_polytope(5))
+    assert code == 0
+    assert [len(row) for row in json.loads(out)["matrix"]] == [10] * 5
 
 
 @pytest.mark.parametrize("command",

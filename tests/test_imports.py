@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses or imports inside
 a function (bar the lazy sympy import), reads sympy for anything but
 factoring, enumerates orders or subsets with itertools, keeps a private
-helper nothing calls or a parameter its function never reads, and importing
-the CLI loads no module it does not need."""
+helper nothing calls or a parameter its function never reads, or caches a
+function for the whole process (bar the CLI parser), and importing the CLI
+loads no module it does not need."""
 
 import ast
 import os
@@ -210,6 +211,58 @@ def test_package_has_no_unreferenced_private_definitions():
     sources = {path.stem: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+# a memo lives as long as the search that owns it: a process-wide cache
+# would share entries between the jobs of one process and between tests;
+# the CLI builds its parser once per process
+CACHES = {"cache", "lru_cache"}
+CACHED = {"cli.py": ["build_parser"]}
+
+
+def cached_definitions(source):
+    """Functions and classes decorated with ``functools.cache`` or
+    ``lru_cache``, read as attributes of ``functools`` or imported from it,
+    called or not, as sorted names."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "functools"
+                for alias in node.names if alias.name in CACHES}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        for decorator in node.decorator_list:
+            target = (decorator.func if isinstance(decorator, ast.Call)
+                      else decorator)
+            if isinstance(target, ast.Name) and target.id in imported or (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in CACHES
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "functools"):
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_cached_definitions_are_found():
+    source = ("import functools\n"
+              "from functools import lru_cache as memo, reduce\n"
+              "@functools.cache\ndef a():\n    pass\n"
+              "@memo(maxsize=None)\ndef b():\n    pass\n"
+              "class C:\n    @functools.lru_cache()\n"
+              "    def m(self):\n        pass\n"
+              "@reduce\ndef d():\n    pass\n"
+              "@other.cache\ndef e():\n    pass\n"
+              "def cache(f):\n    return f\n")
+    assert cached_definitions(source) == ["a", "b", "m"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_keeps_no_process_wide_cache(path):
+    assert cached_definitions(path.read_text()) == CACHED.get(path.name, [])
 
 
 def unread_parameters(source):

@@ -13,8 +13,9 @@ from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
                               NotMutable, apply_shear, canonicalize_shear,
                               enumerate_mutations, exact_divide, is_mutable,
                               mutate, shear_equivalent, weight_decomposition)
-from fanolab.linalg import (complete_to_basis_last_row, identity,
-                            is_primitive, primitive_part, unimodular_inverse)
+from fanolab.linalg import (_integer_row, complete_to_basis_last_row,
+                            identity, is_primitive, primitive_part,
+                            unimodular_inverse)
 from fanolab.periods import periods_agree
 from fanolab.polytopes import newton_polytope
 
@@ -235,6 +236,78 @@ def test_canonicalize_shear_matches_oracle(data):
     assert canonicalize_shear(canon, w) == canon
 
 
+def _old_exact_divide(g, d):
+    """Greedy division with every quotient coefficient a Fraction."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if g.is_zero():
+        return LaurentPolynomial.zero(g.rank)
+    n = g.rank
+    gs, ds = g.support(), d.support()
+    lo = tuple(min(e[i] for e in gs) - min(e[i] for e in ds) for i in range(n))
+    hi = tuple(max(e[i] for e in gs) - max(e[i] for e in ds) for i in range(n))
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    lead = max(d.terms)
+    lead_c = d.terms[lead]
+    rem = dict(g.terms)
+    quot = {}
+    while rem:
+        e = max(rem)
+        m = tuple(a - b for a, b in zip(e, lead))
+        if any(x < a or x > b for x, a, b in zip(m, lo, hi)):
+            return None
+        c = Fraction(rem[e]) / Fraction(lead_c)
+        quot[m] = c
+        for de, dc in d.terms.items():
+            key = tuple(a + b for a, b in zip(m, de))
+            new = rem.get(key, 0) - c * dc
+            if new:
+                rem[key] = new
+            else:
+                rem.pop(key, None)
+    return LaurentPolynomial(n, quot)
+
+
+# ints, negative and non-unit leads, and Fractions
+coefficients = st.sampled_from([1, -1, 2, -2, 3, -4, 6, Fraction(1, 2),
+                                Fraction(-2, 3), Fraction(5, 4)])
+
+
+@st.composite
+def division_pairs(draw):
+    """(g, d) in rank 1-3: g = q * d, plus a stray polynomial half the
+    time, so that some pairs divide and some do not."""
+    n = draw(st.integers(1, 3))
+
+    def poly():
+        exps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                             min_size=1, max_size=4, unique=True))
+        cs = draw(st.lists(coefficients, min_size=len(exps),
+                           max_size=len(exps)))
+        return LaurentPolynomial.from_terms(n, zip(exps, cs))
+
+    d, g = poly(), poly()
+    if draw(st.booleans()):
+        g = g * d
+    if draw(st.booleans()):
+        g = g + poly()
+    return g, d
+
+
+def _types(f):
+    return None if f is None else {e: type(c) for e, c in f.terms.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_pairs())
+def test_exact_divide_matches_the_fraction_oracle(pair):
+    g, d = pair
+    q, oracle = exact_divide(g, d), _old_exact_divide(g, d)
+    assert (q is None) == (oracle is None)
+    assert q == oracle and _types(q) == _types(oracle)
+
+
 def _old_line_factor_candidates(slice_poly, base, direction, mult, deg_max):
     """Divisors of the edge slice read from one end, factored there."""
     coeffs = {}
@@ -333,16 +406,37 @@ def test_enumeration_matches_two_ended_factoring(f):
         assert witness == is_mutable(f, witness.data)
 
 
+H = "2*x + x*y + 2*y + y*x^-1 + 2*x^-1 + x^-1*y^-1 + 2*y^-1 + x*y^-1"
 P2_DEPTH2 = [node.polynomial for node in mutation_graph.build_graph(
     parse_polynomial("x + y + x^-1*y^-1"), 2).nodes]
 RATIONAL_EDGE = "1/4*y^-1 + x*y^-1 + x^2*y^-1 + y"  # (x + 1/2)^2 / y + y
 
 
-@pytest.mark.parametrize("f", P2_DEPTH2 + [parse_polynomial(RATIONAL_EDGE)],
-                         ids=format_polynomial)
-def test_enumeration_factors_each_edge_once(f, monkeypatch):
-    # one integer factor_list per facet (u, c) with 1 <= c <= w_max whose
-    # slice at level -c has two or more terms
+def _edge_keys(f, bounds):
+    """The (integer coefficient row, mult) of each factored edge: every
+    facet (u, c) with 1 <= c <= w_max whose slice at level -c has two or
+    more terms, read along the edge from its lex-least end."""
+    keys = []
+    for u, c in newton_polytope(f).facets:
+        if not 1 <= c <= bounds.w_max:
+            continue
+        edge = dict(weight_decomposition(f, u))[-c]
+        if len(edge) < 2:
+            continue
+        support = sorted(edge.support())
+        d = primitive_part(tuple(b - a
+                                 for a, b in zip(support[0], support[-1])))
+        length = next((b - a) // x
+                      for a, b, x in zip(support[0], support[-1], d) if x)
+        row = [edge.coefficient(tuple(a + k * x
+                                      for a, x in zip(support[0], d)))
+               for k in range(length + 1)]
+        keys.append((tuple(_integer_row(row)), c))
+    return keys
+
+
+def _count_factor_list(monkeypatch):
+    """Record every polynomial factored through ``mutation.sympy``."""
     real = mutation.sympy  # imports sympy into the module global
     factored = []
 
@@ -352,14 +446,53 @@ def test_enumeration_factors_each_edge_once(f, monkeypatch):
 
     monkeypatch.setattr(mutation, "sympy", SimpleNamespace(
         factor_list=factor_list, Poly=real.Poly, Symbol=real.Symbol))
+    return factored
+
+
+@pytest.mark.parametrize("f", P2_DEPTH2 + [parse_polynomial(RATIONAL_EDGE)],
+                         ids=format_polynomial)
+def test_enumeration_factors_each_edge_once(f, monkeypatch):
+    # one integer factor_list per distinct coefficient row among the facets
+    # (u, c) with 1 <= c <= w_max whose slice at level -c has two or more
+    # terms
+    factored = _count_factor_list(monkeypatch)
     bounds = MutationBounds()
     result = enumerate_mutations(f, bounds)
-    edges = [(u, c) for u, c in newton_polytope(f).facets
-             if 1 <= c <= bounds.w_max
-             and len(dict(weight_decomposition(f, u))[-c]) >= 2]
-    assert len(factored) == len(edges)
+    assert len(factored) == len(set(_edge_keys(f, bounds)))
     assert all(poly.domain.is_ZZ for poly in factored)
     assert list(result.seeds) == _old_enumerate_rank2(f, bounds)
+
+
+GRAPHS = [("x + y + x^-1*y^-1", 3), (H, 2)]
+
+
+@pytest.mark.parametrize("text, depth", GRAPHS)
+def test_build_graph_factors_each_edge_row_once(text, depth, monkeypatch):
+    # the search shares one memo, so a row met again on another node is not
+    # factored again
+    factored = _count_factor_list(monkeypatch)
+    bounds = MutationBounds()
+    graph = mutation_graph.build_graph(parse_polynomial(text), depth, bounds)
+    edges = [key for node in graph.nodes if node.depth < depth
+             for key in _edge_keys(node.polynomial, bounds)]
+    assert len(factored) == len(set(edges)) < len(edges)
+
+
+@pytest.mark.parametrize("text, depth", GRAPHS)
+def test_shared_memo_gives_the_seeds_of_a_fresh_enumeration(text, depth,
+                                                            monkeypatch):
+    enumerate_real = mutation_graph.enumerate_mutations
+    checked = []
+
+    def compared(f, bounds, memo):
+        result = enumerate_real(f, bounds, memo)
+        assert result == enumerate_real(f, bounds)
+        checked.append(f)
+        return result
+
+    monkeypatch.setattr(mutation_graph, "enumerate_mutations", compared)
+    graph = mutation_graph.build_graph(parse_polynomial(text), depth)
+    assert len(checked) == sum(node.depth < depth for node in graph.nodes)
 
 
 def test_rational_edge_gives_integer_factors():
