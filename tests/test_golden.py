@@ -3,7 +3,8 @@
 The corpus in ``tests/golden/corpus.json`` pins the output of every command
 below: the ``--json`` cases, one text-mode case for each command and each
 branch of its text, the error cases in both modes, hulls outside rank 2,
-and ``compare --known`` on every reference tag.  Refactors must replay it
+mutation searches and graphs in rank 3, and ``compare --known`` on every
+reference tag.  Refactors must replay it
 unchanged.  After an intended change of output, regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -225,8 +226,22 @@ def _nf_cases():
                          ["--json", "nf", _polytope(points)])]
 
 
+def _rank3_cases():
+    """Rank-3 graphs, and mutation and rigidity searches on the octahedron
+    and on the lift of the quadric mirror by z + 1/z."""
+    octahedron = "x + 1/x + y + 1/y + z + 1/z"
+    cases = [
+        ["graph", RANK3_POLYS[0], "--depth", "2"],
+        ["graph", RANK3_POLYS[1], "--depth", "1"],
+        ["mutations", "x + y + 1/(x*y) + z + 1/z"],
+        ["mutations", octahedron],
+        ["rigid", octahedron],
+    ]
+    return [["--json"] + argv for argv in cases]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
-         + _known_series_cases() + _nf_cases())
+         + _known_series_cases() + _nf_cases() + _rank3_cases())
 
 
 def _command(argv):
