@@ -30,20 +30,20 @@ from .polytopes import (LatticePolytope, OriginNotInteriorError,
 
 
 def _minkowski_difference_points(a_points, b_points):
-    """Integer points u with u + conv(b_points) contained in conv(a_points),
-    in sorted order.
+    """Yield the integer points u with u + conv(b_points) contained in
+    conv(a_points), in sorted order.
 
     a_points must hold every lattice point of conv(a_points), as the lattice
     points of a polytope on one hyperplane do.  Then u + conv(b_points) lies
     in conv(a_points) exactly when u + b is in a_points for every b, and
-    each such u is a - b_points[0] for some a.
+    each such u is a - b_points[0] for some a.  The points are tested as
+    they are asked for, so a caller that needs only one stops there.
     """
     a_set = set(a_points)
     b0 = b_points[0]
-    cands = {tuple(x - y for x, y in zip(a, b0)) for a in a_set}
-    return sorted(u for u in cands
-                  if all(tuple(x + y for x, y in zip(u, b)) in a_set
-                         for b in b_points))
+    for u in sorted({tuple(x - y for x, y in zip(a, b0)) for a in a_set}):
+        if all(tuple(x + y for x, y in zip(u, b)) in a_set for b in b_points):
+            yield u
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +63,9 @@ def seed_set(p, bounds=None):
     In two variables the list is complete within the bounds: one weight per
     edge, with factors the binomial powers (1 + x^d)^m along the edge that
     can possibly divide the matching slice.  In higher rank the factors are
-    a heuristic sweep (binomials and trinomials from facet-point
-    differences) and the result is flagged partial.
+    a heuristic sweep (powers of binomials and trinomials from facet-point
+    differences, each chain stopped at its first power that does not fit
+    in the facet) and the result is flagged partial.
     """
     if bounds is None:
         bounds = MutationBounds()
@@ -100,11 +101,20 @@ def seed_set(p, bounds=None):
 
 
 def _higher_rank_factors(face_pts, height, bounds):
+    """The sweep's powers F with a translate of supp(F^height) in the face.
+
+    Each chain stops at its first power without one, because no higher
+    power of its base has one (see ``factor_sweep``).
+    """
     diffs = sorted({primitive_part(tuple(b - a for a, b in zip(s0, s1)))
                     for s0 in face_pts for s1 in face_pts if s0 != s1})
-    return [power for power in factor_sweep(diffs, bounds.deg_max)
-            if _minkowski_difference_points(face_pts,
-                                            (power ** height).support())]
+    for chain in factor_sweep(diffs, bounds.deg_max):
+        for power in chain:
+            fits = _minkowski_difference_points(face_pts,
+                                                (power ** height).support())
+            if next(fits, None) is None:
+                break
+            yield power
 
 
 # ---------------------------------------------------------------------------

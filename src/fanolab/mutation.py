@@ -339,7 +339,10 @@ def enumerate_mutations(f, bounds=None, memo=None):
     in higher rank.  Every candidate has at least two terms.  A factor and
     its translates along the wall give one ``MutationData`` key, so each
     edge is read from one end and each key is checked by ``is_mutable``
-    once.  ``memo`` holds the rank-2 edge divisors by coefficient row (see
+    once.  Each rank-2 divisor is a chain of its own; a higher-rank power
+    chain stops at its first key that is not mutable, because no higher
+    power of that base is (see ``factor_sweep``).  ``memo`` holds the
+    rank-2 edge divisors by coefficient row (see
     ``_edge_factors``); a search that enumerates many polynomials passes
     one dict to every call, and a call without one starts its own.
     """
@@ -361,15 +364,19 @@ def enumerate_mutations(f, bounds=None, memo=None):
         if len(low) == 1:
             continue
         if f.rank == 2:
-            candidates = _edge_factors(low, c, bounds.deg_max, memo)
+            chains = [[factor] for factor in
+                      _edge_factors(low, c, bounds.deg_max, memo)]
         else:
             diffs = sorted({tuple(b - a for a, b in zip(s0, s1))
                             for s0 in low for s1 in low if s0 != s1})
-            candidates = factor_sweep(diffs, bounds.deg_max)
-        for factor in candidates:
-            data = MutationData(u, factor)
-            if data.key not in tried:
-                tried[data.key] = is_mutable(f, data)
+            chains = factor_sweep(diffs, bounds.deg_max)
+        for chain in chains:
+            for factor in chain:
+                data = MutationData(u, factor)
+                if data.key not in tried:
+                    tried[data.key] = is_mutable(f, data)
+                if isinstance(tried[data.key], NotMutable):
+                    break
     witnesses = [tried[k] for k in sorted(tried)
                  if isinstance(tried[k], MutationWitness)]
     return EnumerationResult(tuple(witnesses), f.rank == 2, bounds)
@@ -435,11 +442,21 @@ def _edge_divisors(row, mult, deg_max):
 
 
 def factor_sweep(diffs, deg_max):
-    """Higher-rank factor candidates from sorted distinct nonzero exponents.
+    """Higher-rank factor candidates from sorted distinct nonzero exponents,
+    as one lazy power chain per base.
 
-    Yields each binomial 1 + x^d and then the trinomials 1 + x^d + x^d'
-    with d' > d, every one followed by its powers while the degree (terms
-    minus one, times the power) stays within ``deg_max``.
+    The bases are each binomial 1 + x^d and then the trinomials
+    1 + x^d + x^d' with d' > d.  The chain of a base B yields B, B^2, ...
+    while the degree (terms minus one, times the power) stays within
+    ``deg_max``, and multiplies only when asked for the next power.  B has
+    constant term 1 and positive coefficients, so B^k divides B^(k+1) and
+    supp(B^k) lies in supp(B^(k+1)).  A caller may therefore stop a chain
+    at its first failing power, by either rule:
+
+    - if (w, B^k) is not mutable, neither is (w, B^(k+1)), because
+      B^(k|i|) divides B^((k+1)|i|) at every level i;
+    - if no translate of supp(B^(k*h)) fits in a face, no translate of
+      supp(B^((k+1)*h)) does.
     """
     for i, d1 in enumerate(diffs):
         n = len(d1)
@@ -447,4 +464,4 @@ def factor_sweep(diffs, deg_max):
         for base in [binomial] + [binomial + LaurentPolynomial.monomial(n, d2)
                                   for d2 in diffs[i + 1:]]:
             top = deg_max // (len(base.terms) - 1)
-            yield from factor_powers(base, range(1, top + 1))
+            yield factor_powers(base, range(1, top + 1))

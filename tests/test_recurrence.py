@@ -83,6 +83,21 @@ def test_operator_recurrence_round_trip():
     assert verify_recurrence(back, p2_terms(50)) == (True, None)
 
 
+@pytest.mark.parametrize("text", (
+    P2,
+    "x + 1/x + y + 1/y",
+    "x + y + z + 1/(x*y*z)",
+    "x + 1/x + y + 1/y + z + 1/z",
+    "x + y + x*y + 1/x + 1/y + 1/(x*y)",
+))
+def test_operator_recurrence_round_trip_on_mirrors(text):
+    terms = list(classical_period(parse_polynomial(text), 40).coefficients)
+    rec = fit_recurrence(terms)
+    back = to_differential_operator(rec).to_recurrence(terms)
+    assert back.coefficients == rec.coefficients
+    assert verify_recurrence(back, terms) == (True, None)
+
+
 def test_quadric_surface_recurrence():
     f = parse_polynomial("x + x^-1 + y + y^-1")
     terms = list(classical_period(f, 40).coefficients)
