@@ -19,6 +19,7 @@ from fanolab.mutation import (MutationData, NotMutable, enumerate_mutations,
 from fanolab.polytopes import LatticePolytope, lattice_points, newton_polytope
 from sweep_oracle import sweep_seeds, sweep_witnesses
 from test_golden import SOLIDS
+from test_properties import _gl
 
 POLYS = (
     "x + 1/x + y + 1/y + z + 1/z",
@@ -34,30 +35,20 @@ def test_enumerate_mutations_matches_the_flat_sweep(text):
     assert enumerate_mutations(f).witnesses == sweep_witnesses(f)
 
 
-@pytest.mark.parametrize("vertices", [parse_polynomial(text) for text in POLYS]
-                         + list(SOLIDS),
-                         ids=[f"poly{i}" for i in range(len(POLYS))]
-                         + [f"solid{i}" for i in range(len(SOLIDS))])
-def test_seed_set_matches_the_flat_sweep(vertices):
-    p = (newton_polytope(vertices) if isinstance(vertices, LaurentPolynomial)
-         else LatticePolytope.from_points(vertices))
+@pytest.mark.parametrize(
+    "p", [newton_polytope(parse_polynomial(text)) for text in POLYS]
+    + [LatticePolytope.from_points(vertices) for vertices in SOLIDS],
+    ids=[f"poly{i}" for i in range(len(POLYS))]
+    + [f"solid{i}" for i in range(len(SOLIDS))])
+def test_seed_set_matches_the_flat_sweep(p):
     assert seed_set(p).seeds == sweep_seeds(p)
 
 
-def _gl3(ops, flip):
-    m = [[int(i == j) for j in range(3)] for i in range(3)]
-    for i, j, s in ops:
-        if i != j:
-            m[i] = [a + s * b for a, b in zip(m[i], m[j])]
-    if flip:
-        m[0] = [-x for x in m[0]]
-    return m
-
-
 # products of at most 4 elementary matrices in GL(3, Z)
-gl3 = st.builds(_gl3, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
-                                         st.sampled_from((-1, 1))),
-                               max_size=4),
+gl3 = st.builds(functools.partial(_gl, 3),
+                st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.sampled_from((-1, 1))),
+                         max_size=4),
                 st.booleans())
 
 
@@ -81,11 +72,6 @@ slices = st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
                          max_size=3)
 
 
-@functools.cache
-def _power(base, k):
-    return base ** k
-
-
 @settings(max_examples=60, deadline=None)
 @given(bases, st.integers(1, 3),
        st.lists(st.tuples(st.integers(0, 4), slices), min_size=1,
@@ -95,15 +81,14 @@ def test_a_power_that_is_not_mutable_stops_its_chain(base, k, lows):
     # B^k divides some slices and not others
     terms = {(0, 0, 1): 1}
     for i, (j, q) in enumerate(lows, start=1):
-        piece = _power(base, j) * LaurentPolynomial.from_terms(
+        piece = base ** j * LaurentPolynomial.from_terms(
             3, [((a, b, -i), c) for (a, b), c in q.items()])
         terms.update(piece.terms)
     f = LaurentPolynomial.from_terms(3, terms.items())
     w = (0, 0, 1)
-    assert exact_divide(_power(base, k + 1), _power(base, k)) == base
-    if isinstance(is_mutable(f, MutationData(w, _power(base, k))),
-                  NotMutable):
-        assert isinstance(is_mutable(f, MutationData(w, _power(base, k + 1))),
+    assert exact_divide(base ** (k + 1), base ** k) == base
+    if isinstance(is_mutable(f, MutationData(w, base ** k)), NotMutable):
+        assert isinstance(is_mutable(f, MutationData(w, base ** (k + 1))),
                           NotMutable)
 
 
@@ -115,7 +100,7 @@ def test_a_power_that_does_not_fit_stops_its_chain(base, k, height, corners):
     p = LatticePolytope.from_points(corners)
     assume(p.is_full_dimensional)
     face = [(a, b, 0) for a, b in lattice_points(p).all]
-    lower, upper = _power(base, k * height), _power(base, (k + 1) * height)
+    lower, upper = base ** (k * height), base ** ((k + 1) * height)
     assert set(lower.support()) <= set(upper.support())
     if not list(_minkowski_difference_points(face, lower.support())):
         assert not list(_minkowski_difference_points(face, upper.support()))
