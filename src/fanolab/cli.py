@@ -63,29 +63,24 @@ def _load_text(arg):
     return arg
 
 
-def _read_polynomial(arg, rank_hint=None):
+def _read(arg, what, rank_hint=None):
+    """The polynomial, or for ``what="polytope"`` the polytope, held by arg
+    as polynomial text or JSON.  A polytope is read from JSON vertices or
+    as the Newton polytope of a polynomial."""
     text = _load_text(arg)
     try:
-        if text.lstrip().startswith("{"):
-            return LaurentPolynomial.from_json_dict(json.loads(text))
-        return parse_polynomial(text, rank_hint=rank_hint)
-    except (ParseError, KeyError, TypeError, ValueError,
-            json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot read polynomial: {exc}") from exc
-
-
-def _read_polytope(arg):
-    text = _load_text(arg)
-    try:
-        if text.lstrip().startswith("{"):
+        if not text.lstrip().startswith("{"):
+            f = parse_polynomial(text, rank_hint=rank_hint)
+        else:
             data = json.loads(text)
-            if "vertices" in data:
+            if what == "polytope" and "vertices" in data:
                 return LatticePolytope.from_json_dict(data)
-            return newton_polytope(LaurentPolynomial.from_json_dict(data))
-        return newton_polytope(parse_polynomial(text))
-    except (ParseError, KeyError, TypeError, ValueError,
-            json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot read polytope: {exc}") from exc
+            f = LaurentPolynomial.from_json_dict(data)
+        return newton_polytope(f) if what == "polytope" else f
+    except KeyError as exc:
+        raise _CliError(f"cannot read {what}: missing key {exc}") from exc
+    except (ParseError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        raise _CliError(f"cannot read {what}: {exc}") from exc
 
 
 def _weight_arg(text):
@@ -186,7 +181,7 @@ def _period_terms(args):
     Entries are keyed by the polynomial and the term count only, so
     ``period`` and ``pf`` share them.
     """
-    f = _read_polynomial(args.input)
+    f = _read(args.input, "polynomial")
     cache = _cache_load(args.cache)
     key = _cache_key("period", {"poly": f.to_json_dict(),
                                 "terms": args.terms})
@@ -218,8 +213,8 @@ def _cmd_compare(args):
     else:
         if args.other is None:
             raise _CliError("compare needs a second polynomial or --known")
-        ref = _read_polynomial(args.other)
-    f = _read_polynomial(args.input)
+        ref = _read(args.other, "polynomial")
+    f = _read(args.input, "polynomial")
     agree, where = periods_agree(f, ref, args.terms)
     _emit(args,
           {"agree": agree, "first-mismatch": where, "terms": args.terms},
@@ -244,7 +239,7 @@ def _newton_lines(payload):
 
 
 def _cmd_newton(args):
-    f = _read_polynomial(args.input)
+    f = _read(args.input, "polynomial")
     p = newton_polytope(f)
     rank, index = exponent_lattice_index(f)
     payload = {"vertices": [list(v) for v in p.vertices],
@@ -257,7 +252,7 @@ def _cmd_newton(args):
 
 
 def _cmd_dual(args):
-    d = dual_polytope(_read_polytope(args.input))
+    d = dual_polytope(_read(args.input, "polytope"))
     _emit(args, {"vertices": [[str(x) for x in v] for v in d.vertices],
                  "integral": d.integral},
           lambda p: [f"dual vertices: {p['vertices']}",
@@ -266,13 +261,13 @@ def _cmd_dual(args):
 
 
 def _cmd_reflexive(args):
-    _emit(args, {"reflexive": is_reflexive(_read_polytope(args.input))},
+    _emit(args, {"reflexive": is_reflexive(_read(args.input, "polytope"))},
           lambda p: [f"reflexive: {p['reflexive']}"])
     return EXIT_OK
 
 
 def _cmd_points(args):
-    pts = lattice_points(_read_polytope(args.input))
+    pts = lattice_points(_read(args.input, "polytope"))
     payload = {"count": len(pts.all),
                "boundary-count": len(pts.boundary),
                "interior-count": len(pts.interior),
@@ -288,13 +283,13 @@ def _cmd_points(args):
 
 
 def _cmd_weights(args):
-    w = simplex_weights(_read_polytope(args.input))
+    w = simplex_weights(_read(args.input, "polytope"))
     _emit(args, {"weights": list(w)}, lambda p: [f"weights: {p['weights']}"])
     return EXIT_OK
 
 
 def _cmd_nf(args):
-    nf = normal_form(_read_polytope(args.input))
+    nf = normal_form(_read(args.input, "polytope"))
     _emit(args, {"matrix": [list(r) for r in nf.matrix],
                  "encoding": nf.encoding.hex()},
           lambda p: [f"normal form rows: {p['matrix']}",
@@ -303,8 +298,8 @@ def _cmd_nf(args):
 
 
 def _cmd_mutate(args):
-    f = _read_polynomial(args.input)
-    factor = _read_polynomial(args.factor, rank_hint=f.rank)
+    f = _read(args.input, "polynomial")
+    factor = _read(args.factor, "polynomial", rank_hint=f.rank)
     g = mutate(f, MutationData(_weight_arg(args.weight), factor))
     _emit(args, {"result": g.to_json_dict(), "text": format_polynomial(g)},
           lambda p: [p["text"]])
@@ -320,7 +315,7 @@ def _mutations_lines(payload):
 
 
 def _cmd_mutations(args):
-    f = _read_polynomial(args.input)
+    f = _read(args.input, "polynomial")
     bounds = _bounds(args)
     result = enumerate_mutations(f, bounds)
     payload = {"complete": result.complete,
@@ -344,7 +339,7 @@ def _graph_lines(payload):
 
 
 def _cmd_graph(args):
-    f = _read_polynomial(args.input)
+    f = _read(args.input, "polynomial")
     bounds = _bounds(args)
     graph = build_graph(f, args.depth, bounds)
     if args.dot:
@@ -393,7 +388,7 @@ def _cmd_markov(args):
 
 
 def _cmd_rigid(args):
-    f = _read_polynomial(args.input)
+    f = _read(args.input, "polynomial")
     bounds = _bounds(args)
     report = is_rigid(f, bounds)
     payload = {"verdict": report.verdict,

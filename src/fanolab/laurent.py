@@ -303,11 +303,7 @@ class LaurentPolynomial:
             (e, c), = self.terms.items()
             return LaurentPolynomial._from_clean(
                 self.rank, {tuple(k * x for x in e): c ** k})
-        # plain iterated multiplication by the base
-        result = LaurentPolynomial.one(self.rank)
-        for _ in range(k):
-            result = result * self
-        return result
+        return next(factor_powers(self, (k,)))
 
     def pair(self, other):
         """The constant term of self * other, without building the product:
@@ -391,6 +387,21 @@ class LaurentPolynomial:
                       for x in json_value(t["e"], list, "an exponent vector"))
             terms[e] = terms.get(e, 0) + _json_coefficient(t["c"])
         return cls(rank, terms)
+
+
+def factor_powers(factor, exponents):
+    """Yield F^k for each k of an ascending sequence of exponents k >= 0.
+
+    One multiplication per step up to the largest k, none for F^1.  Only
+    the latest power is kept, so a caller that needs several at once holds
+    them itself.
+    """
+    power, done = LaurentPolynomial.one(factor.rank), 0
+    for k in exponents:
+        while done < k:
+            power = power * factor if done else factor
+            done += 1
+        yield power
 
 
 def _json_coefficient(c):
@@ -566,15 +577,18 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
+                divisor_pos = self.peek()[2]
                 rhs = self.factor()
                 if val == "*":
                     poly = poly * rhs
                 else:
-                    poly = poly * self._invert(rhs, pos)
+                    poly = poly * self._invert(rhs, divisor_pos)
             else:
                 return poly
 
     def _invert(self, poly, pos):
+        if poly.is_zero():
+            raise ParseError("zero denominator", pos)
         if len(poly) != 1:
             raise ParseError("division is only defined by monomials", pos)
         (e, c), = poly.terms.items()
@@ -592,18 +606,17 @@ class _Parser:
             return self._power(base, k, pos)
         return base
 
-    def _power(self, base, k, pos):
+    @staticmethod
+    def _power(base, k, pos):
         """base^k, refused for a base of two or more terms when k passes
-        PARSE_POWER_CAP or as soon as one multiplication passes
+        PARSE_POWER_CAP or as soon as one power on the way passes
         PARSE_TERM_CAP terms."""
         if len(base) <= 1:
             return base ** k
         if k > PARSE_POWER_CAP:
             raise ParseError(
                 f"the exponent {k} is above {PARSE_POWER_CAP}", pos)
-        power = LaurentPolynomial.one(self.rank)
-        for _ in range(k):
-            power = power * base
+        for power in factor_powers(base, range(k + 1)):
             if len(power) > PARSE_TERM_CAP:
                 raise ParseError(
                     f"the power has more than {PARSE_TERM_CAP} terms", pos)
@@ -622,23 +635,7 @@ class _Parser:
     def base(self):
         kind, val, pos = self.next()
         if kind == "num":
-            c = int(val)
-            nxt_kind, nxt_val, _ = self.peek()
-            # rational coefficient p/q followed by '*' or end-of-term
-            if nxt_kind == "op" and nxt_val == "/":
-                save = self.i
-                self.next()
-                k2, v2, p2 = self.peek()
-                if k2 == "num":
-                    self.next()
-                    k3, v3, _ = self.peek()
-                    if not (k3 == "op" and v3 == "^"):
-                        if not int(v2):
-                            raise ParseError("zero denominator", p2)
-                        return LaurentPolynomial(
-                            self.rank, {(0,) * self.rank: Fraction(c, int(v2))})
-                self.i = save
-            return LaurentPolynomial(self.rank, {(0,) * self.rank: c})
+            return LaurentPolynomial(self.rank, {(0,) * self.rank: int(val)})
         if kind == "var":
             e = [0] * self.rank
             e[self.var_index[val]] = 1

@@ -1,7 +1,8 @@
 """Exact integer linear algebra helpers.
 
-Everything here works over Python ints: Hermite normal forms, unimodular
-basis completion, and Gauss-Jordan elimination on primitive integer rows.
+Everything here works over Python ints: one Hermite normal form, which
+also yields unimodular transforms, inverses and basis completions, and one
+Gauss-Jordan elimination on primitive integer rows.
 Fractions appear only in clearing rational input rows of denominators and
 in the particular solution of ``solve_affine``.  Matrices are row lists.
 """
@@ -27,20 +28,23 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def hnf_rows(matrix):
-    """Row-style Hermite normal form.
+def hnf_rows(matrix, ncols=None):
+    """Row-style Hermite normal form of the first ``ncols`` columns (all of
+    them by default).
 
     Returns ``(H, rank)``: the nonzero rows of H are an echelon basis of the
     row lattice, pivots positive, entries above each pivot reduced into
-    [0, pivot).  No transform is kept, so the cost is linear in the number
-    of rows.
+    [0, pivot).  Pivots lie in the first ``ncols`` columns only; the other
+    columns are carried through the same row operations, so for M with k
+    columns the form of [M | I] with ``ncols=k`` is [H | U], where U is
+    unimodular and U M = H.  The cost is linear in the number of rows.
     """
     if not matrix:
         return [], 0
     a = [list(map(int, row)) for row in matrix]
     m, n = len(a), len(a[0])
     r = 0
-    for col in range(n):
+    for col in range(n if ncols is None else ncols):
         # clear column below row r using gcd row operations
         pivot_row = None
         for i in range(r, m):
@@ -70,20 +74,21 @@ def hnf_rows(matrix):
 
 
 def unimodular_inverse(matrix):
-    """Exact integer inverse of a matrix with determinant +-1, read from
-    the reduced row echelon form of [M | I].
+    """Exact integer inverse of a matrix with determinant +-1: the Hermite
+    normal form of [M | I] is [I | M^-1] exactly then.
 
     Raises ValueError for any other square matrix.
     """
     n = len(matrix)
-    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                         for i, row in enumerate(matrix)])
-    if pivots != list(range(n)):
+    rows, rank = hnf_rows([list(row) + e
+                           for row, e in zip(matrix, identity(n))], ncols=n)
+    if rank < n:
         raise ValueError("matrix is singular")
-    # a primitive row with pivot p is p times the rational row of M^-1
+    # H = I exactly when every pivot is 1, as entries above a pivot lie
+    # in [0, pivot)
     if any(row[i] != 1 for i, row in enumerate(rows)):
         raise ValueError("matrix inverse is not integral")
-    return tuple(row[n:] for row in rows)
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def complete_to_basis_last_row(w):
@@ -91,43 +96,20 @@ def complete_to_basis_last_row(w):
     the primitive covector w.
 
     Used to slice exponent lattices: under e -> T e the last coordinate of
-    the image is w(e).  Column operations reduce w to (1, 0, ..., 0) and are
-    recorded in V, while the inverse row operations build V^-1 alongside;
-    T is V^-1 with its first row (which is w) moved last, so T^-1 is V with
-    its first column moved last.
+    the image is w(e).  The Hermite normal form of the column w beside I,
+    pivoting in that column only, is [e_1 | U] with U w = e_1, so w is the
+    first column of U^-1.  T is the transpose of U^-1 with its first row
+    moved last, and T^-1 is the transpose of U with its first column moved
+    last.
     """
     w = tuple(int(x) for x in w)
     if not is_primitive(w):
         raise ValueError("weight must be primitive")
-    n = len(w)
-    row = list(w)
-    v, v_inv = identity(n), identity(n)
-
-    def swap(j):
-        row[0], row[j] = row[j], row[0]
-        for r in v:
-            r[0], r[j] = r[j], r[0]
-        v_inv[0], v_inv[j] = v_inv[j], v_inv[0]
-
-    swap(next(i for i in range(n) if row[i] != 0))
-    for j in range(1, n):
-        while row[j] != 0:
-            # column 0 -= q * column j, undone by row j += q * row 0
-            q = row[0] // row[j]
-            row[0] -= q * row[j]
-            for r in v:
-                r[0] -= q * r[j]
-            v_inv[j] = [a + q * b for a, b in zip(v_inv[j], v_inv[0])]
-            swap(j)
-    if row[0] < 0:
-        row[0] = -row[0]
-        for r in v:
-            r[0] = -r[0]
-        v_inv[0] = [-x for x in v_inv[0]]
-    assert row[0] == 1 and all(x == 0 for x in row[1:])
-    t = tuple(tuple(r) for r in v_inv[1:] + v_inv[:1])
-    t_inv = tuple(tuple(r[1:] + r[:1]) for r in v)
-    return t, t_inv
+    rows, _ = hnf_rows([[x] + e for x, e in zip(w, identity(len(w)))],
+                       ncols=1)
+    u = [row[1:] for row in rows]
+    t = tuple(zip(*unimodular_inverse(u)))
+    return t[1:] + t[:1], tuple(r[1:] + r[:1] for r in zip(*u))
 
 
 # ---------------------------------------------------------------------------

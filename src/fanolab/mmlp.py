@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, factor_powers
 from .linalg import nullspace, primitive_part, solve_affine
 from .mutation import (InvalidWeightError, MutationBounds, MutationData,
-                       factor_powers, factor_sweep, weight_value)
+                       factor_sweep, weight_value)
 from .polytopes import (LatticePolytope, OriginNotInteriorError,
                         lattice_points, newton_polytope)
 

@@ -22,7 +22,7 @@ from itertools import product
 from operator import mul
 
 from .laurent import (LaurentPolynomial, RankMismatchError, ZeroPolynomialError,
-                      _clean)
+                      _clean, factor_powers)
 from .linalg import (_integer_row, complete_to_basis_last_row, is_primitive,
                      primitive_part)
 from .polytopes import newton_polytope
@@ -166,20 +166,6 @@ def exact_divide(g, d):
 
 # ---------------------------------------------------------------------------
 # mutability and mutation
-
-
-def factor_powers(factor, exponents):
-    """Yield F^k for each k of an ascending sequence of exponents k >= 0.
-
-    One multiplication per step up to the largest k, none for F^1.  Only the latest power
-    is kept, so a caller that needs several at once holds them itself.
-    """
-    power, done = LaurentPolynomial.one(factor.rank), 0
-    for k in exponents:
-        while done < k:
-            power = power * factor if done else factor
-            done += 1
-        yield power
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,12 @@ def fit_recurrence(terms, r_max=6, d_max=8):
 
     The search is graded by order + degree (ties to the smaller order).
     The last r_max + 5 terms never enter the linear system; a candidate is
-    accepted only when it checks against every supplied term.
+    accepted only when it checks against every supplied term.  Raises
+    ValueError unless r_max >= 1 and d_max >= 0.
     """
+    if r_max < 1 or d_max < 0:
+        raise ValueError("the order bound must be positive and the degree "
+                         "bound nonnegative")
     terms = list(terms)
     n = len(terms)
     holdout = r_max + 5

@@ -461,6 +461,7 @@ def test_malformed_json_input_is_usage_error(capsys, command, data, message):
     ('{"n": 1, "terms": [{"e": [1], "c": "1/0"}]}',
      "coefficient '1/0' has a zero denominator"),
     ("x + 1/0", "zero denominator (at position 6)"),
+    ("x/0", "zero denominator (at position 2)"),
 ])
 def test_inexact_or_zero_denominator_coefficient_is_usage_error(
         capsys, text, message):

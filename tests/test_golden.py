@@ -240,8 +240,22 @@ def _rank3_cases():
     return [["--json"] + argv for argv in cases]
 
 
+def _refusal_cases():
+    """Refused input, in both modes: ``pf`` bounds that allow no order or a
+    negative degree, and JSON documents that lack a key."""
+    p2 = POLYGON_POLYS[0]
+    cases = [
+        ["pf", p2, "--rmax", "0"],
+        ["pf", p2, "--dmax", "-1"],
+        ["points", '{"n": 2}'],
+        ["period", '{"n": 1, "terms": [{"e": [1]}]}'],
+    ]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
-         + _known_series_cases() + _nf_cases() + _rank3_cases())
+         + _known_series_cases() + _nf_cases() + _rank3_cases()
+         + _refusal_cases())
 
 
 def _command(argv):

@@ -1,14 +1,17 @@
 """Integer elimination, checked against the Fraction elimination it
-replaced."""
+replaced, and the Hermite normal form with its transform, checked against
+the Euclid loop and the elimination it replaced."""
 
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fanolab.linalg import (nullspace, primitive_part, rref, solve_affine,
-                            unimodular_inverse)
+from fanolab.linalg import (complete_to_basis_last_row, hnf_rows, identity,
+                            is_primitive, nullspace, primitive_part, rref,
+                            solve_affine, unimodular_inverse)
+import linalg_oracle
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -133,8 +136,8 @@ def test_solve_affine_matches_the_oracle(case, data):
     assert basis == nullspace(matrix, ncols=ncols)
 
 
-def _elementary_product(ops):
-    m = [[int(i == j) for j in range(3)] for i in range(3)]
+def _elementary_product(ops, n=3):
+    m = identity(n)
     for i, j, s in ops:
         if i != j:
             m[i] = [a + s * b for a, b in zip(m[i], m[j])]
@@ -160,6 +163,83 @@ def test_unimodular_inverse_of_random_gl3_products(m):
         unimodular_inverse([m[0], m[1], [a + b for a, b in zip(m[0], m[1])]])
     with pytest.raises(ValueError, match="not integral"):
         unimodular_inverse([[2 * x for x in m[0]], m[1], m[2]])
+
+
+# -- the Hermite normal form and its transform ---------------------------------
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+    min_size=1, max_size=8)))
+def test_hnf_rows_carries_its_transform(matrix):
+    m, n = len(matrix), len(matrix[0])
+    rows, rank = hnf_rows([row + e for row, e in zip(matrix, identity(m))],
+                          ncols=n)
+    h, u = [row[:n] for row in rows], [row[n:] for row in rows]
+    assert _product(u, matrix) == h
+    assert _product(u, linalg_oracle.unimodular_inverse(u)) == identity(m)
+    assert (h, rank) == hnf_rows(matrix)
+    assert all(not any(row) for row in h[rank:])
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h[:rank]]
+    assert pivots == sorted(set(pivots))
+    for r, pc in enumerate(pivots):
+        assert h[r][pc] > 0
+        assert all(0 <= h[i][pc] < h[r][pc] for i in range(r))
+
+
+@SETTINGS
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.integers(-50, 50), min_size=n, max_size=n)))
+def test_basis_completion_matches_the_euclid_oracle(w):
+    assume(is_primitive(w))
+    t, t_inv = complete_to_basis_last_row(w)
+    assert (t, t_inv) == linalg_oracle.complete_to_basis_last_row(w)
+    assert t[-1] == tuple(w)
+    assert _product(t, t_inv) == identity(len(w))
+
+
+def _outcome(inverse, m):
+    """The inverse, or the message of the ValueError it raises."""
+    try:
+        return inverse(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def square_matrices(draw):
+    """A GL(n, Z) product, or one with a row replaced by a combination of
+    the others (singular) or scaled by k (determinant +-k), n <= 5."""
+    n = draw(st.integers(1, 5))
+    m = _elementary_product(draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(-3, 3)), max_size=12)), n)
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(("unimodular", "singular", "scaled")))
+    if kind == "singular":
+        ks = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        m[i] = [sum(k * row[j] for r, (k, row) in enumerate(zip(ks, m))
+                    if r != i) for j in range(n)]
+    elif kind == "scaled":
+        k = draw(st.sampled_from((2, -2, 3, -5)))
+        m[i] = [k * x for x in m[i]]
+    return m
+
+
+@SETTINGS
+@given(square_matrices())
+def test_unimodular_inverse_matches_the_elimination_oracle(m):
+    got = _outcome(unimodular_inverse, m)
+    assert got == _outcome(linalg_oracle.unimodular_inverse, m)
+    if not isinstance(got, str):
+        assert all(type(x) is int for row in got for x in row)
+        assert _product(m, got) == identity(len(m))
 
 
 # -- fixed cases ---------------------------------------------------------------

@@ -19,6 +19,15 @@ def test_fit_constant_sequence():
     assert rec.coefficients == ((1,), (-1,))
 
 
+def test_fit_refuses_bounds_that_allow_no_candidate():
+    with pytest.raises(ValueError):
+        fit_recurrence([1] * 30, r_max=0)
+    with pytest.raises(ValueError):
+        fit_recurrence([1] * 30, d_max=-1)
+    rec = fit_recurrence([1] * 30, d_max=0)
+    assert rec.order == 1 and rec.degree == 0
+
+
 def test_fit_factorials():
     import math
     rec = fit_recurrence([math.factorial(k) for k in range(30)])
