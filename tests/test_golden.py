@@ -253,9 +253,33 @@ def _refusal_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _branch_cases():
+    """Branches no case above reaches: the one rank-2 seed set that a
+    bound makes partial (and the same input without the bound), a Graphviz
+    label without weights, the parser's variable-set errors, a factor of
+    higher rank than its polynomial, and refusals of rank 1, negative
+    depths and term counts and an origin outside the polytope."""
+    cases = [
+        ["rigid", "x + y + x^-1*y^-3", "--wmax", "2"],
+        ["rigid", "x + y + x^-1*y^-3"],
+        ["compare", "x + 1/x"],
+        ["period", "x1 + y"],
+        ["period", "y1 + y2"],
+        ["period", "x0 + x1"],
+        ["mutate", "x + 1/x", "--weight", "1", "--factor", "1 + y"],
+        ["rigid", "x + 1/x"],
+        ["markov", "--depth", "-1"],
+        ["period", "x + y + 1/(x*y)", "--terms", "-1"],
+        ["reflexive", "x + y + 1"],
+        ["weights", "x + y + 1"],
+    ]
+    return [["graph", "x + y + 1/x + 1/y", "--depth", "1", "--dot"]] + [
+        argv for case in cases for argv in (case, ["--json"] + case)]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
-         + _refusal_cases())
+         + _refusal_cases() + _branch_cases())
 
 
 def _command(argv):

@@ -60,6 +60,15 @@ def test_parse_format_round_trip(f):
 
 
 @SETTINGS
+@given(st.integers(5, 6).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(-3, 3)] * n), coeffs, min_size=1,
+    max_size=6).map(lambda d: LaurentPolynomial.from_terms(n, d.items()))))
+def test_parse_format_round_trip_with_indexed_names(f):
+    # past rank 4 the names are x1..xn; the highest index may be absent
+    assert parse_polynomial(format_polynomial(f), rank_hint=f.rank) == f
+
+
+@SETTINGS
 @given(polys(min_terms=1), polys(min_terms=1))
 def test_exact_divide_inverts_multiplication(f, g):
     q = exact_divide(f * g, g)
