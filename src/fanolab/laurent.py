@@ -265,11 +265,7 @@ class LaurentPolynomial:
         return LaurentPolynomial._from_clean(self.rank, _clean(acc))
 
     def __sub__(self, other):
-        self._check_rank(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) - c
-        return LaurentPolynomial._from_clean(self.rank, _clean(acc))
+        return self + -other
 
     def __neg__(self):
         return self.scale(-1)
@@ -392,16 +388,16 @@ class LaurentPolynomial:
 def factor_powers(factor, exponents):
     """Yield F^k for each k of an ascending sequence of exponents k >= 0.
 
-    One multiplication per step up to the largest k, none for F^1.  Only
-    the latest power is kept, so a caller that needs several at once holds
-    them itself.
+    One multiplication per step up to the largest k, none for F^1, and
+    F^0 is built only when asked for.  Only the latest power is kept, so a
+    caller that needs several at once holds them itself.
     """
-    power, done = LaurentPolynomial.one(factor.rank), 0
+    power, done = None, 0
     for k in exponents:
         while done < k:
             power = power * factor if done else factor
             done += 1
-        yield power
+        yield power if k else LaurentPolynomial.one(factor.rank)
 
 
 def _json_coefficient(c):
@@ -660,10 +656,8 @@ def parse_polynomial(text, rank_hint=None):
             raise ParseError(
                 f"rank hint {rank_hint} smaller than required rank {rank}")
         rank = rank_hint
-    if rank == 0:
-        if rank_hint is None:
-            raise ParseError("constant polynomial needs a rank hint")
-        rank = rank_hint
+    if rank == 0 and rank_hint is None:
+        raise ParseError("constant polynomial needs a rank hint")
     parser = _Parser(text, rank, var_index)
     return parser.parse()
 

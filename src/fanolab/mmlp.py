@@ -82,12 +82,10 @@ def seed_set(p, bounds=None):
         if c > bounds.w_max:
             complete = False
             continue
+        # sorted, as pts is, and at least rank >= 2 of them: the vertices
         face_pts = [q for q in pts
                     if sum(a * b for a, b in zip(u, q)) == -c]
-        if len(face_pts) < 2:
-            continue
         if p.rank == 2:
-            face_pts.sort()
             d = primitive_part(tuple(b - a for a, b in
                                      zip(face_pts[0], face_pts[-1])))
             base = LaurentPolynomial.one(2) + LaurentPolynomial.monomial(2, d)
@@ -264,8 +262,7 @@ def is_rigid(f, bounds=None):
     p = newton_polytope(f)
     seeds = seed_set(p, bounds)
     space = coefficient_space(p, seeds.seeds)
-    pinned = not space.empty and space.dimension == 0 and \
-        space.member() == f
+    pinned = space.dimension == 0 and space.member() == f
     if seeds.complete:
         verdict = "rigid-within-bounds" if pinned else "not-rigid"
     else:

@@ -98,11 +98,11 @@ class MutationData:
         object.__setattr__(self, "weight", w)
         if self.factor.is_zero():
             raise InvalidFactorError("factor must be nonzero")
-        for e in self.factor.support():
-            if weight_value(w, e) != 0:
-                raise InvalidFactorError(
-                    f"factor term x^{e} is not on the wall w = 0")
-        base = min(self.factor.support())
+        off = [e for e in self.factor.terms if weight_value(w, e)]
+        if off:
+            raise InvalidFactorError(
+                f"factor term x^{min(off)} is not on the wall w = 0")
+        base = min(self.factor.terms)
         if any(base):
             object.__setattr__(self, "factor",
                                self.factor.shift(tuple(-x for x in base)))
@@ -133,7 +133,7 @@ def exact_divide(g, d):
     if g.is_zero():
         return LaurentPolynomial.zero(g.rank)
     n = g.rank
-    gs, ds = g.support(), d.support()
+    gs, ds = g.terms, d.terms
     lo = tuple(min(e[i] for e in gs) - min(e[i] for e in ds) for i in range(n))
     hi = tuple(max(e[i] for e in gs) - max(e[i] for e in ds) for i in range(n))
     if any(a > b for a, b in zip(lo, hi)):
@@ -346,9 +346,8 @@ def enumerate_mutations(f, bounds=None, memo=None):
     for (u, c) in p.facets:
         if c < 1 or c > bounds.w_max:
             continue
+        # a facet of a full-dimensional Newton polytope holds >= rank terms
         low = {e: a for e, a in f.terms.items() if weight_value(u, e) == -c}
-        if len(low) == 1:
-            continue
         if f.rank == 2:
             chains = [[factor] for factor in
                       _edge_factors(low, c, bounds.deg_max, memo)]

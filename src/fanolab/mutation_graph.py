@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .laurent import format_polynomial, parse_polynomial
 from .mutation import MutationBounds, enumerate_mutations, mutate
-from .polytopes import NotSimplexError, newton_polytope, simplex_weights
+from .polytopes import newton_polytope, simplex_weights
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def export_dot(graph):
     for n in graph.nodes:
         try:
             extra = " | " + str(simplex_weights(newton_polytope(n.polynomial)))
-        except (NotSimplexError, ValueError):
+        except ValueError:
             extra = ""
         label = format_polynomial(n.polynomial) + extra
         lines.append(f'  n{n.index} [label="{label}"];')

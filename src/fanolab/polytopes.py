@@ -206,7 +206,7 @@ def newton_polytope(f):
     """Convex hull of the exponent vectors of a nonzero Laurent polynomial."""
     if f.is_zero():
         raise ZeroPolynomialError("Newton polytope of 0 is undefined")
-    return LatticePolytope.from_points(f.support(), rank=f.rank)
+    return LatticePolytope.from_points(f.terms, rank=f.rank)
 
 
 @dataclass(frozen=True)
@@ -342,15 +342,11 @@ class NormalForm:
     """
 
     matrix: tuple
-    encoding: bytes
 
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return self.encoding == other.encoding
-
-    def __hash__(self):
-        return hash(self.encoding)
+    @property
+    def encoding(self):
+        # the matrix has one row per coordinate, so its length is the rank
+        return repr((len(self.matrix), self.matrix)).encode()
 
 
 # the most states _maximising_orders keeps after a step: the 5-D
@@ -418,7 +414,7 @@ def normal_form(p):
     matrix = min(tuple(map(tuple, hnf_rows([[verts[j][i] for j in sigma]
                                             for i in range(p.rank)])[0]))
                  for sigma in _maximising_orders(pairing))
-    return NormalForm(matrix, repr((p.rank, matrix)).encode())
+    return NormalForm(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +435,7 @@ def simplex_weights(p):
     if not p.origin_strictly_interior():
         raise OriginNotInteriorError("weights need the origin interior")
     cols = [[v[i] for v in p.vertices] for i in range(p.rank)]
-    basis = nullspace(cols, ncols=p.rank + 1)
-    if len(basis) != 1:
-        raise NotSimplexError("vertices do not satisfy a unique relation")
-    # the relation is positive at its free coordinate
-    if any(x <= 0 for x in basis[0]):
-        raise OriginNotInteriorError(
-            "relation is not positive: origin not interior to the simplex")
-    return tuple(sorted(basis[0]))
+    # the vertices span, so the one relation is the origin's barycentric
+    # coordinates: positive, as the basis vector is at its free coordinate
+    (weights,) = nullspace(cols, ncols=p.rank + 1)
+    return tuple(sorted(weights))

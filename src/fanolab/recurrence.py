@@ -13,6 +13,7 @@ differential operator in D = t d/dt annihilating the generating series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .linalg import nullspace, primitive_part
 
@@ -32,12 +33,6 @@ def _poly_eval(p, x):
     return acc
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return _poly_trim([(p[i] if i < len(p) else 0) +
-                       (q[i] if i < len(q) else 0) for i in range(n)])
-
-
 def _poly_mul(p, q):
     if not p or not q:
         return ()
@@ -49,14 +44,11 @@ def _poly_mul(p, q):
 
 
 def _poly_shift(p, s):
-    """The polynomial p(k + s)."""
-    out = ()
-    power = (1,)
-    base = (s, 1)
-    for c in p:
-        out = _poly_add(out, _poly_mul((c,), power))
-        power = _poly_mul(power, base)
-    return out
+    """The polynomial p(k + s): its k^j coefficient is the sum over i >= j
+    of C(i, j) s^(i - j) p_i, by the binomial theorem."""
+    return _poly_trim([sum(comb(i, j) * s ** (i - j) * c
+                           for i, c in enumerate(p[j:], j))
+                       for j in range(len(p))])
 
 
 def _poly_str(p, var):

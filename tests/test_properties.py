@@ -10,16 +10,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fanolab.laurent import (LaurentPolynomial, format_polynomial,
                              parse_polynomial, substitute_unimodular)
-from fanolab.linalg import unimodular_inverse
+from fanolab.linalg import is_primitive, nullspace, unimodular_inverse
 from fanolab.mmlp import _minkowski_difference_points
 from fanolab.mutation import (MutationData, apply_shear, canonicalize_shear,
                               enumerate_mutations, exact_divide, mutate,
                               shear_equivalent, weight_decomposition)
 from fanolab.periods import classical_period, periods_agree
 from fanolab.polytopes import (LatticePolytope, _hull, _polygon,
-                               affine_chart, dual_polytope, is_reflexive,
-                               _maximising_orders, lattice_points,
-                               newton_polytope, normal_form)
+                               affine_chart, dual_polytope, is_fano,
+                               is_reflexive, _maximising_orders,
+                               lattice_points, newton_polytope, normal_form,
+                               simplex_weights)
 from hull_oracle import _facets_full_dim, _vertices_full_dim
 from nf_oracle import normal_form_by_permutations
 
@@ -348,6 +349,34 @@ def test_normal_form_invariant_under_gl(rank, data):
     g = data.draw(gl(rank))
     image = LatticePolytope.from_points([_apply(g, q) for q in points])
     assert normal_form(image) == normal_form(p)
+
+
+@pytest.mark.parametrize("rank", (2, 3, 4))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fano_simplex_vertices_have_one_positive_relation(rank, data):
+    """What ``simplex_weights`` relies on without checking: the vertices of
+    a Fano simplex satisfy exactly one relation, positive in every entry.
+    The simplex is the GL(n, Z) image g of the columns b_i of a lower
+    triangular L and of a = -sum mu_i b_i, so (1, mu) is its relation.
+    L's last diagonal entry is 1, so its last column is primitive."""
+    mu = data.draw(st.lists(st.integers(1, 4), min_size=rank,
+                            max_size=rank))
+    lower = [[data.draw(st.integers(1, 3 if i < rank - 1 else 1)) if i == j
+              else data.draw(st.integers(-2, 2)) if j < i else 0
+              for j in range(rank)] for i in range(rank)]
+    g = data.draw(gl(rank))
+    basis = [_apply(g, col) for col in zip(*lower)]
+    apex = tuple(-sum(m * b[i] for m, b in zip(mu, basis))
+                 for i in range(rank))
+    assume(all(is_primitive(v) for v in basis + [apex]))
+    p = LatticePolytope.from_points(basis + [apex])
+    assert is_fano(p).is_fano and len(p.vertices) == rank + 1
+    relations = nullspace([[v[i] for v in p.vertices] for i in range(rank)],
+                          ncols=rank + 1)
+    assert len(relations) == 1 and all(x > 0 for x in relations[0])
+    assert sorted(relations[0]) == sorted([1] + mu)
+    assert simplex_weights(p) == tuple(sorted([1] + mu))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanolab.laurent import parse_polynomial
 from fanolab.periods import classical_period
 from fanolab.recurrence import (DifferentialOperator, PolynomialRecurrence,
+                                _poly_mul, _poly_shift, _poly_trim,
                                 fit_recurrence, to_differential_operator,
                                 verify_recurrence)
 
@@ -26,6 +28,27 @@ def test_fit_refuses_bounds_that_allow_no_candidate():
         fit_recurrence([1] * 30, d_max=-1)
     rec = fit_recurrence([1] * 30, d_max=0)
     assert rec.order == 1 and rec.degree == 0
+
+
+def _old_poly_shift(p, s):
+    """p(k + s) as a sum of c_i (k + s)^i, one power of k + s at a time."""
+    def add(p, q):
+        n = max(len(p), len(q))
+        return _poly_trim([(p[i] if i < len(p) else 0) +
+                           (q[i] if i < len(q) else 0) for i in range(n)])
+    out, power = (), (1,)
+    for c in p:
+        out = add(out, _poly_mul((c,), power))
+        power = _poly_mul(power, (s, 1))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=13),
+       st.integers(-50, 50))
+def test_poly_shift_matches_the_power_by_power_oracle(p, s):
+    # trailing zeros included: both trim their result
+    assert _poly_shift(tuple(p), s) == _old_poly_shift(tuple(p), s)
 
 
 def test_fit_factorials():
