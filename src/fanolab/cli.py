@@ -53,14 +53,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_text(arg):
-    """Inline text, inline JSON, or the content of a file path."""
-    if os.path.exists(arg) and not set(arg) & set("+^{ "):
-        try:
-            with open(arg) as fh:
-                return fh.read().strip()
-        except OSError as exc:
-            raise _CliError(f"cannot read {arg}: {exc.strerror}") from exc
-    return arg
+    """Inline text or JSON, or the content of the file ``@path`` names."""
+    if not arg.startswith("@"):
+        return arg
+    try:
+        with open(arg[1:]) as fh:
+            return fh.read().strip()
+    except OSError as exc:
+        raise _CliError(f"cannot read {arg[1:]}: {exc.strerror}") from exc
 
 
 def _read(arg, what, rank_hint=None):

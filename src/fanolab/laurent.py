@@ -520,12 +520,14 @@ class _Parser:
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos]!r}",
-                                     pos)
+            if m is None:
+                rest = text[pos:].lstrip()
+                if rest:
+                    raise ParseError(f"unexpected character {rest[0]!r}",
+                                     len(text) - len(rest))
                 break
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup),
+                                m.start(m.lastgroup)))
             pos = m.end()
         self.i = 0
 
@@ -640,6 +642,8 @@ class _Parser:
             poly = self.expr()
             self.expect_op(")")
             return poly
+        if kind is None:
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
 

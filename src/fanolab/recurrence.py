@@ -118,13 +118,18 @@ def fit_recurrence(terms, r_max=6, d_max=8):
     The search is graded by order + degree (ties to the smaller order).
     The last r_max + 5 terms never enter the linear system; a candidate is
     accepted only when it checks against every supplied term.  Raises
-    ValueError unless r_max >= 1 and d_max >= 0.
+    ValueError unless r_max >= 1 and d_max >= 0, and when there are fewer
+    than r_max + 8 terms: the smallest system, order 1 and degree 0, needs
+    its two equations, at k = 1 and 2, before the held-back terms.
     """
     if r_max < 1 or d_max < 0:
         raise ValueError("the order bound must be positive and the degree "
                          "bound nonnegative")
     terms = list(terms)
     n = len(terms)
+    if n < r_max + 8:
+        raise ValueError(f"fitting a recurrence of order up to {r_max} needs "
+                         f"at least {r_max + 8} terms, got {n}")
     holdout = r_max + 5
     for total in range(1, r_max + d_max + 1):
         for r in range(1, min(r_max, total) + 1):

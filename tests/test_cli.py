@@ -255,10 +255,39 @@ def test_directory_input_is_usage_error(tmp_path, capsys, monkeypatch,
                                         command):
     (tmp_path / "xdir").mkdir()
     monkeypatch.chdir(tmp_path)
-    for argv in ([command, "xdir"], ["--json", command, "xdir"]):
+    for argv in ([command, "@xdir"], ["--json", command, "@xdir"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: cannot read xdir: Is a directory\n"
+
+
+def test_only_an_at_sign_reads_a_file(tmp_path, capsys, monkeypatch):
+    (tmp_path / "x").write_text("y + 1\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "period", "x", "--terms", "3")
+    assert code == 0 and out.splitlines() == ["c[0] = 1", "c[1] = 0",
+                                              "c[2] = 0"]
+    code, out, _ = run(capsys, "period", "@x", "--terms", "3")
+    assert code == 0 and out.splitlines() == ["c[0] = 1", "c[1] = 1",
+                                              "c[2] = 1"]
+
+
+def test_missing_at_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "period", "@missing")
+    assert code == 1 and out == ""
+    assert err == "error: cannot read missing: No such file or directory\n"
+
+
+def test_json_polytope_is_read_through_an_at_sign(tmp_path, capsys):
+    path = tmp_path / "square.json"
+    path.write_text('{"n": 2, "vertices": [[1, 1], [-1, 1], [-1, -1], '
+                    '[1, -1]]}')
+    assert run(capsys, "points", f"@{path}") == run(
+        capsys, "points", path.read_text())
+    code, out, _ = run(capsys, "points", f"@{path}")
+    assert code == 0 and out.startswith("lattice points: 9 (8 boundary, "
+                                        "1 interior)")
 
 
 @pytest.mark.parametrize("command", ["period", "pf"])

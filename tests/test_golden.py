@@ -277,9 +277,23 @@ def _branch_cases():
         argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _position_cases():
+    """Parse errors at the first character past the whitespace, or at the
+    end of the input, and ``pf`` with one term too few for any linear
+    system (refused) and with just enough (inconclusive)."""
+    cases = [
+        ["period", "x y"],
+        ["period", "x + $"],
+        ["period", "x +"],
+        ["pf", "x + y + 1/(x*y)", "--terms", "13"],
+        ["pf", "x + y + 1/(x*y)", "--terms", "14"],
+    ]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
-         + _refusal_cases() + _branch_cases())
+         + _refusal_cases() + _branch_cases() + _position_cases())
 
 
 def _command(argv):

@@ -30,6 +30,16 @@ def test_fit_refuses_bounds_that_allow_no_candidate():
     assert rec.order == 1 and rec.degree == 0
 
 
+def test_fit_refuses_too_few_terms_for_any_system():
+    # r_max + 8 terms leave the order-1, degree-0 system its two equations
+    with pytest.raises(ValueError, match="at least 9 terms, got 8"):
+        fit_recurrence([1] * 8, r_max=1)
+    assert fit_recurrence([1] * 9, r_max=1).coefficients == ((1,), (-1,))
+    with pytest.raises(ValueError, match="at least 14 terms, got 13"):
+        fit_recurrence(p2_terms(13))
+    assert fit_recurrence(p2_terms(14)) is None
+
+
 def _old_poly_shift(p, s):
     """p(k + s) as a sum of c_i (k + s)^i, one power of k + s at a time."""
     def add(p, q):
