@@ -28,9 +28,6 @@ def test_fit_refuses_bounds_that_allow_no_candidate():
         fit_recurrence([1] * 30, d_max=-1)
     rec = fit_recurrence([1] * 30, d_max=0)
     assert rec.order == 1 and rec.degree == 0
-
-
-def test_fit_refuses_too_few_terms_for_any_system():
     # r_max + 8 terms leave the order-1, degree-0 system its two equations
     with pytest.raises(ValueError, match="at least 9 terms, got 8"):
         fit_recurrence([1] * 8, r_max=1)
