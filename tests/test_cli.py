@@ -283,9 +283,8 @@ def test_json_polytope_is_read_through_an_at_sign(tmp_path, capsys):
     path = tmp_path / "square.json"
     path.write_text('{"n": 2, "vertices": [[1, 1], [-1, 1], [-1, -1], '
                     '[1, -1]]}')
-    assert run(capsys, "points", f"@{path}") == run(
-        capsys, "points", path.read_text())
-    code, out, _ = run(capsys, "points", f"@{path}")
+    code, out, err = run(capsys, "points", f"@{path}")
+    assert (code, out, err) == run(capsys, "points", path.read_text())
     assert code == 0 and out.startswith("lattice points: 9 (8 boundary, "
                                         "1 interior)")
 
