@@ -291,9 +291,28 @@ def _position_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _relation_sum_cases():
+    """``period`` and ``pf`` on supports whose relation lattice has rank at
+    most their dimension: a constant term, rational and negative
+    coefficients, the rank-4 simplex, and a support on a hyperplane that
+    misses the origin."""
+    rank4_simplex = "x + y + z + w + x^-1*y^-1*z^-1*w^-1"
+    cases = [
+        ["period", "x + y + x^-1*y^-1 + 1", "--terms", "12"],
+        ["pf", "x + y + x^-1*y^-1 + 1", "--terms", "40"],
+        ["period", "1/2*x - 3*y + 2/3*x^-1*y^-1", "--terms", "10"],
+        ["pf", "1/2*x - 3*y + 2/3*x^-1*y^-1", "--terms", "40"],
+        ["period", rank4_simplex, "--terms", "16"],
+        ["pf", rank4_simplex, "--terms", "60"],
+        ["period", "x + y + x^2*y^-1", "--terms", "6"],
+    ]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
-         + _refusal_cases() + _branch_cases() + _position_cases())
+         + _refusal_cases() + _branch_cases() + _position_cases()
+         + _relation_sum_cases())
 
 
 def _command(argv):
