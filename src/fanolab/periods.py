@@ -1,28 +1,45 @@
 """Classical period sequences of Laurent polynomials.
 
 The classical period of f is the power series whose k-th coefficient is the
-constant term of f^k.  No full power f^k is ever built: since
-f^(a+b) = f^a * f^b, its constant term is the pairing
+constant term of f^k.  No full power f^k is ever built.  There are two
+exact ways to read it, and ``PeriodCalculator`` takes the cheaper one for f.
 
-    ct(f^(a+b)) = sum over m of f^a[m] * f^b[-m],
+* Sums over the relation lattice.  Write f = sum over j of c_j x^(e_j)
+  with t terms, and let E be the n x t matrix of the exponents.  Then
 
-which ``LaurentPolynomial.pair`` reads with one lookup per term of the
-smaller half power.
-``PeriodCalculator`` keeps lo = f^a, multiplies once to get hi = f^(a+1),
-and pairs hi with lo and hi with itself for the constant terms of f^(2a+1)
-and f^(2a+2).  So n terms cost powers only up to about f^(n/2), with two
-powers alive at a time.  The pairing is exact for any rank, support and
-rational coefficients, needs no bound on n up front, and the calculator
-still streams: asking for more terms of the same polynomial reuses earlier
-work.
+      ct(f^k) = sum over m of k! / prod_j m_j! * prod_j c_j^(m_j),
+
+  over the fibre {m in Z^t : m >= 0, E m = 0, sum of m = k} (Givental's
+  formula; Coates-Corti-Galkin-Kasprzyk, arXiv:1303.3288).  The relations
+  E m = 0 form a lattice of rank rho = t - r, with r the rank of E.  One
+  ``rref`` of E beside the row of ones leaves rho - 1 free coordinates, so
+  the fibre is walked over the free values with sum at most k, solving for
+  the pivots and keeping the non-negative integral solutions: about
+  k^(rho - 1) points for the k-th term.
+* Pairing half powers.  Since f^(a+b) = f^a * f^b, the constant term is
+  the pairing sum over m of f^a[m] * f^b[-m], which
+  ``LaurentPolynomial.pair`` reads with one lookup per term of the smaller
+  half power.  One multiplication takes lo = f^a to hi = f^(a+1), and hi
+  paired with lo and with itself gives the constant terms of f^(2a+1) and
+  f^(2a+2).  The half power near f^(k/2) has about k^r terms.
+
+So the sums win when rho <= r, as for the toric mirrors of Fano manifolds
+of small Picard rank, and pairing wins when f has many terms for its
+dimension.  Both are exact for any support and rational coefficients, need
+no bound on n up front, and stream: asking for more terms of the same
+polynomial reuses earlier work.  The sums hold no power of f, and pairing
+holds two half powers at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb, factorial, prod
+from operator import mul
 
-from .laurent import LaurentPolynomial, ZeroPolynomialError
+from .laurent import LaurentPolynomial, ZeroPolynomialError, _norm_coeff
+from .linalg import rref
 
 
 @dataclass(frozen=True)
@@ -50,16 +67,15 @@ class PeriodCalculator:
         if f.is_zero():
             raise ZeroPolynomialError("classical period of 0 is undefined")
         self.f = f
-        # invariant: _half = f^a and _coeffs holds ct(f^0) .. ct(f^(2a))
-        self._half = LaurentPolynomial.one(f.rank)
+        system = _fibre_system(f)
+        # yields ct(f^1), ct(f^2), ...; _coeffs holds those already read
+        self._terms = (_paired_constant_terms(f) if system is None
+                       else _fibre_sums(f, *system))
         self._coeffs = [1]
 
     def coefficient(self, k):
         while len(self._coeffs) <= k:
-            lo = self._half
-            self._half = hi = lo * self.f
-            self._coeffs.append(hi.pair(lo))
-            self._coeffs.append(hi.pair(hi))
+            self._coeffs.append(next(self._terms))
         return self._coeffs[k]
 
     def prefix(self, n_terms):
@@ -68,6 +84,75 @@ class PeriodCalculator:
         if n_terms:
             self.coefficient(n_terms - 1)
         return PeriodSequence(tuple(self._coeffs[:n_terms]))
+
+
+def _fibre_system(f):
+    """The reduced rows and pivots of [E | 0] over [1 ... 1 | 1], with E
+    the exponent matrix of f, when its relation lattice has rank rho at
+    most r = rank E; else None.  The row of ones has a 1 in the last
+    column, where E has none, so the rank of the system is r + 1."""
+    exponents = list(f.terms)
+    rows, pivots = rref([[e[i] for e in exponents] + [0]
+                         for i in range(f.rank)]
+                        + [[1] * (len(exponents) + 1)])
+    r = len(rows) - 1
+    return (rows, pivots) if len(exponents) - r <= r else None
+
+
+def _fibre_sums(f, rows, pivots):
+    """Yield ct(f^1), ct(f^2), ... as sums over the fibres of the relation
+    lattice, given the reduced system of ``_fibre_system``."""
+    coeffs = list(f.terms.values())
+    t = len(coeffs)
+    if t in pivots:
+        # the row (0 ... 0 | 1): the support lies on a hyperplane that
+        # misses the origin, so no fibre past k = 0 has a point
+        while True:
+            yield 0
+    free = [j for j in range(t) if j not in pivots]
+    # row . (m, -k) = 0 solves m_p = (row[t] * k - sum of row[j] * m_j
+    # over the free j) / row[p], for the pivot p > 0 of each row
+    solve = [(p, row[p], row[t], [row[j] for j in free])
+             for row, p in zip(rows, pivots)]
+    weighted = [(j, c) for j, c in enumerate(coeffs) if c != 1]
+    fact = [1]
+    for k in count(1):
+        fact.append(fact[-1] * k)
+        total = 0
+        for u in _bounded_points(len(free), k):
+            m = [0] * t
+            for j, x in zip(free, u):
+                m[j] = x
+            for p, d, b, a in solve:
+                q, rem = divmod(b * k - sum(map(mul, a, u)), d)
+                if rem or q < 0:
+                    break
+                m[p] = q
+            else:
+                total += (fact[k] // prod(fact[x] for x in m)
+                          * prod(c ** m[j] for j, c in weighted))
+        yield _norm_coeff(total)
+
+
+def _bounded_points(dim, bound):
+    """The points of N^dim with coordinate sum at most ``bound``."""
+    if not dim:
+        yield ()
+        return
+    for x in range(bound + 1):
+        for rest in _bounded_points(dim - 1, bound - x):
+            yield (x, *rest)
+
+
+def _paired_constant_terms(f):
+    """Yield ct(f^1), ct(f^2), ... by pairing hi = f^(a+1) with lo = f^a
+    and with itself."""
+    hi = LaurentPolynomial.one(f.rank)
+    while True:
+        lo = hi  # drops the older half power before the product is built
+        hi = lo * f
+        yield hi.pair(lo)
+        yield hi.pair(hi)
 
 
 def classical_period(f, n_terms):

@@ -3,11 +3,13 @@ from itertools import product
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from fanolab.laurent import LaurentPolynomial, parse_polynomial
+from fanolab import periods
 from fanolab.periods import (KNOWN_SERIES, PeriodCalculator, PeriodSequence,
-                             _complete_intersection_period, classical_period,
+                             _complete_intersection_period, _fibre_system,
+                             _paired_constant_terms, classical_period,
                              known_series, periods_agree)
 
 
@@ -76,12 +78,13 @@ coeffs = st.one_of(
 
 @st.composite
 def period_polys(draw):
-    """Nonzero polynomials of rank 1-3: full, or on a line or plane through
-    a shifted base point, so the Newton polytope may miss the origin."""
-    rank = draw(st.integers(1, 3))
+    """Nonzero polynomials of rank 1-4: full, or on a line or plane through
+    a shifted base point, so the Newton polytope may miss the origin.  Up
+    to 2 * rank + 1 terms, so both sides of the rule rho <= r are drawn."""
+    rank = draw(st.integers(1, 4))
     vec = st.tuples(*[st.integers(-2, 2)] * rank)
     if draw(st.booleans()):
-        support = draw(st.lists(vec, min_size=1, max_size=5))
+        support = draw(st.lists(vec, min_size=1, max_size=2 * rank + 1))
     else:
         base = draw(vec)
         dirs = draw(st.lists(vec, min_size=1, max_size=2))
@@ -94,6 +97,20 @@ def period_polys(draw):
     if f.is_zero():  # every term cancelled
         f = LaurentPolynomial.monomial(rank, support[0], draw(coeffs))
     return f
+
+
+def sums_over_relations(f):
+    """Whether ``PeriodCalculator`` reads f's period as sums over its
+    relation lattice rather than by pairing half powers."""
+    return _fibre_system(f) is not None
+
+
+@pytest.mark.parametrize("sums", [True, False])
+def test_period_polys_draw_both_paths_in_rank_4(sums):
+    find(period_polys(),
+         lambda f: f.rank == 4 and sums_over_relations(f) == sums,
+         settings=settings(max_examples=2000, database=None,
+                           phases=[Phase.generate]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -127,19 +144,50 @@ def test_period_small_cases(text, expect):
 
 
 def test_periods_agree_stops_at_first_mismatch(monkeypatch):
-    f = parse_polynomial("x + x^-1")
-    g = parse_polynomial("x + 2*x^-1")
-    calls = []
-    mul = LaurentPolynomial.__mul__
+    made = []
 
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
+    class Counted(PeriodCalculator):
+        def __init__(self, h):
+            super().__init__(h)
+            made.append(self)
 
-    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
-    # ct(f^2) = 2 and ct(g^2) = 4: one multiplication per polynomial
-    assert periods_agree(f, g, 10 ** 6) == (False, 2)
-    assert len(calls) == 2
+    monkeypatch.setattr(periods, "PeriodCalculator", Counted)
+    # once on each path; ct(f^2) = 2 and ct(g^2) = 4, or 3 and 5 with the
+    # constant term
+    for f_text, g_text, sums in (("x + x^-1", "x + 2*x^-1", True),
+                                 ("x + x^-1 + 1", "x + 2*x^-1 + 1", False)):
+        f, g = parse_polynomial(f_text), parse_polynomial(g_text)
+        assert sums_over_relations(f) == sums_over_relations(g) == sums
+        made.clear()
+        assert periods_agree(f, g, 10 ** 6) == (False, 2)
+        # each side computed ct(h^0), ct(h^1) and ct(h^2), and no more
+        assert [len(calc._coeffs) for calc in made] == [3, 3]
+
+
+@pytest.mark.parametrize("text, sums", [
+    ("x + y + x^-1*y^-1", True),  # bench pf-p2: rho 1, r 2
+    ("x + x^-1 + y + y^-1", True),  # pf-p1p1: rho 2, r 2
+    ("x + y + z + x^-1*y^-1*z^-1", True),  # pf-p3: rho 1, r 3
+    ("x + x^-1 + y + y^-1 + z + z^-1", True),  # pf-p1cubed: rho 3, r 3
+    ("(x + y + 1)^3/(x*y*z) + z", False),  # period-cubic: rho 8, r 3
+    ("(1 + x + y + z)^2/(x*y*z) + x + y + z", False),  # rho 10, r 3
+])
+def test_path_of_the_bench_mirrors(text, sums):
+    assert sums_over_relations(parse_polynomial(text)) == sums
+
+
+def test_long_projective_plane_series():
+    f = parse_polynomial("x + y + 1/(x*y)")
+    assert sums_over_relations(f)
+    assert classical_period(f, 300) == known_series("projective-plane", 300)
+
+
+def test_long_octahedron_series_matches_pairing():
+    f = parse_polynomial("x + 1/x + y + 1/y + z + 1/z")
+    assert sums_over_relations(f)
+    paired = _paired_constant_terms(f)
+    expect = [1] + [next(paired) for _ in range(79)]
+    assert typed(classical_period(f, 80)) == typed(expect)
 
 
 def test_periods_agree_mixed_arguments():
