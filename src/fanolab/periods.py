@@ -111,37 +111,37 @@ def _fibre_sums(f, rows, pivots):
             yield 0
     free = [j for j in range(t) if j not in pivots]
     # row . (m, -k) = 0 solves m_p = (row[t] * k - sum of row[j] * m_j
-    # over the free j) / row[p], for the pivot p > 0 of each row
-    solve = [(p, row[p], row[t], [row[j] for j in free])
+    # over the free j) / row[p], for the pivot p > 0 of each row; m is
+    # kept with the pivots first and the free coordinates after them
+    solve = [(row[p], row[t], [row[j] for j in free])
              for row, p in zip(rows, pivots)]
-    weighted = [(j, c) for j, c in enumerate(coeffs) if c != 1]
+    weighted = [(i, c) for i, c in enumerate(coeffs[j] for j in pivots + free)
+                if c != 1]
     fact = [1]
     for k in count(1):
         fact.append(fact[-1] * k)
         total = 0
         for u in _bounded_points(len(free), k):
-            m = [0] * t
-            for j, x in zip(free, u):
-                m[j] = x
-            for p, d, b, a in solve:
+            m = []
+            for d, b, a in solve:
                 q, rem = divmod(b * k - sum(map(mul, a, u)), d)
                 if rem or q < 0:
                     break
-                m[p] = q
+                m.append(q)
             else:
+                m += u
                 total += (fact[k] // prod(fact[x] for x in m)
-                          * prod(c ** m[j] for j, c in weighted))
+                          * prod(c ** m[i] for i, c in weighted))
         yield _norm_coeff(total)
 
 
 def _bounded_points(dim, bound):
-    """The points of N^dim with coordinate sum at most ``bound``."""
-    if not dim:
-        yield ()
-        return
-    for x in range(bound + 1):
-        for rest in _bounded_points(dim - 1, bound - x):
-            yield (x, *rest)
+    """An iterator over the points of N^dim with coordinate sum at most
+    ``bound``."""
+    if dim <= 1:
+        return zip(range(bound + 1)) if dim else iter([()])
+    return ((x, *rest) for x in range(bound + 1)
+            for rest in _bounded_points(dim - 1, bound - x))
 
 
 def _paired_constant_terms(f):
