@@ -5,8 +5,8 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from fanolab.laurent import LaurentPolynomial, parse_polynomial
 from fanolab import periods
+from fanolab.laurent import LaurentPolynomial, parse_polynomial
 from fanolab.periods import (KNOWN_SERIES, PeriodCalculator, PeriodSequence,
                              _complete_intersection_period, _fibre_system,
                              _paired_constant_terms, classical_period,
@@ -66,7 +66,7 @@ def test_streaming_reuses_prefix():
     assert list(second.coefficients) == iterated_power_period(f, 10)
 
 
-# -- the half-power pairing against the iterated-power reference ------------
+# -- both paths against the iterated-power reference ------------------------
 
 coeffs = st.one_of(
     st.integers(-3, 3).filter(bool),
