@@ -429,10 +429,11 @@ def _cmd_pf(args):
 
 
 def _add_bounds(sub):
-    sub.add_argument("--wmax", type=int, default=12,
-                     help="largest slice depth to mutate across (default 12)")
-    sub.add_argument("--degmax", type=int, default=6,
-                     help="largest factor degree to try (default 6)")
+    sub.add_argument("--wmax", type=int, default=MutationBounds.w_max,
+                     help="largest slice depth to mutate across "
+                          "(default %(default)s)")
+    sub.add_argument("--degmax", type=int, default=MutationBounds.deg_max,
+                     help="largest factor degree to try (default %(default)s)")
 
 
 @functools.cache

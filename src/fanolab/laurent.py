@@ -140,7 +140,7 @@ class LaurentPolynomial:
     least _HALF when the polynomial cannot be packed).
     """
 
-    __slots__ = ("rank", "_terms", "_packed", "_span", "_hash")
+    __slots__ = ("rank", "_terms", "_packed", "_span")
 
     def __init__(self, rank, terms):
         if rank < 1:
@@ -171,7 +171,6 @@ class LaurentPolynomial:
         setattr_(self, "_terms", terms)
         setattr_(self, "_packed", packed)
         setattr_(self, "_span", span)
-        setattr_(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -333,12 +332,10 @@ class LaurentPolynomial:
 
     def apply_matrix(self, matrix):
         """Replace each exponent e by matrix @ e (rows of ints)."""
-        acc = {}
-        for e, c in self.terms.items():
-            new = tuple(sum(row[i] * e[i] for i in range(self.rank))
-                        for row in matrix)
-            acc[new] = acc.get(new, 0) + c
-        return LaurentPolynomial(self.rank, acc)
+        return LaurentPolynomial.from_terms(self.rank, (
+            (tuple(sum(row[i] * e[i] for i in range(self.rank))
+                   for row in matrix), c)
+            for e, c in self.terms.items()))
 
     # -- comparisons -------------------------------------------------------
 
@@ -348,11 +345,7 @@ class LaurentPolynomial:
         return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.rank, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.rank, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"LaurentPolynomial({self.rank}, {format_polynomial(self)!r})"
@@ -451,7 +444,7 @@ def exponent_lattice_index(f):
     """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no exponent lattice")
-    rows = [list(e) for e in f.support()]
+    rows = [list(e) for e in f.terms]
     h, rk = hnf_rows(rows)
     if rk < f.rank:
         return rk, None

@@ -56,7 +56,6 @@ def _minkowski_difference_points(a_points, b_points):
 class SeedSet:
     seeds: tuple
     complete: bool
-    bounds: MutationBounds
 
 
 def seed_set(p, bounds=None):
@@ -97,7 +96,7 @@ def seed_set(p, bounds=None):
             factors = _higher_rank_factors(face_pts, c, bounds)
         seeds += [MutationData(u, factor) for factor in factors]
     unique = {s.key: s for s in seeds}
-    return SeedSet(tuple(unique[k] for k in sorted(unique)), complete, bounds)
+    return SeedSet(tuple(unique[k] for k in sorted(unique)), complete)
 
 
 def _higher_rank_factors(face_pts, height, bounds):
@@ -206,7 +205,7 @@ def coefficient_space(p, seeds):
         for level in sorted(by_level):
             if level >= 0:
                 continue
-            a_pts = sorted(by_level[level])
+            a_pts = by_level[level]  # sorted, as pts is
             at = {q: i for i, q in enumerate(a_pts)}
             fpow = powers[-level]
             # columns of the span matrix, in the a_pts coordinate order
@@ -247,7 +246,6 @@ class RigidityReport:
     space: CoefficientSpace
     seed_count: int
     complete: bool
-    bounds: MutationBounds
 
 
 def is_rigid(f, bounds=None):
@@ -259,8 +257,6 @@ def is_rigid(f, bounds=None):
     "not-rigid".  Higher-rank seed searches are partial, so a positive
     dimension or a mismatch is only ever "inconclusive" there.
     """
-    if bounds is None:
-        bounds = MutationBounds()
     p = newton_polytope(f)
     seeds = seed_set(p, bounds)
     space = coefficient_space(p, seeds.seeds)
@@ -269,5 +265,4 @@ def is_rigid(f, bounds=None):
         verdict = "rigid-within-bounds" if pinned else "not-rigid"
     else:
         verdict = "rigid-within-bounds" if pinned else "inconclusive"
-    return RigidityReport(verdict, space, len(seeds.seeds), seeds.complete,
-                          bounds)
+    return RigidityReport(verdict, space, len(seeds.seeds), seeds.complete)

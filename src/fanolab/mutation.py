@@ -21,8 +21,8 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from .laurent import (LaurentPolynomial, RankMismatchError, ZeroPolynomialError,
-                      _clean, factor_powers)
+from .laurent import (LaurentPolynomial, ZeroPolynomialError, _clean,
+                      factor_powers)
 from .linalg import (_integer_row, complete_to_basis_last_row, is_primitive,
                      primitive_part)
 from .polytopes import newton_polytope
@@ -134,10 +134,9 @@ def exact_divide(g, d):
         return LaurentPolynomial.zero(g.rank)
     n = g.rank
     gs, ds = g.terms, d.terms
+    # an empty box (lo_i > hi_i) fails the box test at the first term
     lo = tuple(min(e[i] for e in gs) - min(e[i] for e in ds) for i in range(n))
     hi = tuple(max(e[i] for e in gs) - max(e[i] for e in ds) for i in range(n))
-    if any(a > b for a, b in zip(lo, hi)):
-        return None
     lead = max(d.terms)
     lead_c = d.terms[lead]
     lead_int = type(lead_c) is int
@@ -228,22 +227,6 @@ def mutate(f, data, witness=None):
 # shears
 
 
-def apply_shear(f, w, s):
-    """The shear of f by s in w^perp: each exponent e moves by w(e) * s."""
-    w = check_weight(w, f.rank)
-    s = tuple(int(x) for x in s)
-    if len(s) != f.rank:
-        raise RankMismatchError(
-            f"shear {s} has length {len(s)}, expected {f.rank}")
-    if weight_value(w, s) != 0:
-        raise InvalidFactorError(f"shear vector {s} is not on the wall w = 0")
-    acc = {}
-    for e, c in f.terms.items():
-        lev = weight_value(w, e)
-        acc[tuple(a + lev * b for a, b in zip(e, s))] = c
-    return LaurentPolynomial._from_clean(f.rank, acc)
-
-
 def canonicalize_shear(f, w):
     """Deterministic representative of f modulo shears along w.
 
@@ -254,8 +237,7 @@ def canonicalize_shear(f, w):
     [0, |l|)^(n-1).  That shear is (s', 0) in T-coordinates, so f is
     sheared by T^-1 (s', 0); no other exponent is moved into T-coordinates.
     Each term's level is computed once.  T^-1 (s', 0) lies on the wall by
-    construction, so the shear is applied here without ``apply_shear``'s
-    checks.
+    construction, so the shear needs no check.
     """
     if f.is_zero():
         return f
@@ -309,7 +291,6 @@ class EnumerationResult:
 
     witnesses: tuple
     complete: bool
-    bounds: MutationBounds
 
     @property
     def seeds(self):
@@ -364,7 +345,7 @@ def enumerate_mutations(f, bounds=None, memo=None):
                     break
     witnesses = [tried[k] for k in sorted(tried)
                  if isinstance(tried[k], MutationWitness)]
-    return EnumerationResult(tuple(witnesses), f.rank == 2, bounds)
+    return EnumerationResult(tuple(witnesses), f.rank == 2)
 
 
 def _edge_factors(edge, mult, deg_max, memo):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import format_polynomial, parse_polynomial
-from .mutation import MutationBounds, enumerate_mutations, mutate
+from .mutation import enumerate_mutations, mutate
 from .polytopes import newton_polytope, simplex_weights
 
 
@@ -35,7 +35,6 @@ class MutationGraph:
     nodes: tuple
     edges: tuple
     depth: int
-    bounds: MutationBounds
     complete: bool
 
     def nodes_at_depth(self, d):
@@ -72,8 +71,6 @@ def build_graph(f, depth, bounds=None):
     a coefficient row met again is not factored again.  A depth above
     ``GRAPH_DEPTH_CAP`` raises ValueError before the first enumeration.
     """
-    if bounds is None:
-        bounds = MutationBounds()
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth > GRAPH_DEPTH_CAP:
@@ -102,7 +99,7 @@ def build_graph(f, depth, bounds=None):
                                        seed.factor))
                 next_frontier.append(new.index)
         frontier = next_frontier
-    return MutationGraph(tuple(nodes), tuple(edges), depth, bounds, complete)
+    return MutationGraph(tuple(nodes), tuple(edges), depth, complete)
 
 
 def export_dot(graph):

@@ -54,9 +54,6 @@ class PeriodSequence:
     def __len__(self):
         return len(self.coefficients)
 
-    def to_json_dict(self):
-        return {"terms": [str(c) for c in self.coefficients]}
-
 
 class PeriodCalculator:
     """Streams constant terms of successive powers of a fixed polynomial."""

@@ -185,13 +185,11 @@ class LatticePolytope:
         self.require_full_dim()
         return all(c > 0 for (_, c) in self.facets)
 
-    def to_json_dict(self):
-        return {"n": self.rank, "vertices": [list(v) for v in self.vertices]}
-
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of ``to_json_dict``.  The rank and the coordinates must
-        be JSON integers; input of another shape raises TypeError."""
+        """The hull of ``data["vertices"]`` in rank ``data["n"]``.  The rank
+        and the coordinates must be JSON integers; input of another shape
+        raises TypeError."""
         vertices = [[json_value(x, int, "a vertex coordinate")
                      for x in json_value(v, list, "a vertex")]
                     for v in json_value(data["vertices"], list, "vertices")]

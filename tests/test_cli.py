@@ -8,6 +8,7 @@ import pytest
 from fanolab import cli
 from fanolab.cli import main
 from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
+from fanolab.mutation import MutationBounds
 from fanolab.mutation_graph import (CORRESPONDENCE_DEPTH_CAP,
                                     GRAPH_DEPTH_CAP, MARKOV_DEPTH_CAP)
 from fanolab.polytopes import LATTICE_BOX_CAP, NORMAL_FORM_STATE_CAP
@@ -293,17 +294,19 @@ def test_json_polytope_is_read_through_an_at_sign(tmp_path, capsys):
 @pytest.mark.parametrize("entry", [[], {"terms": "1 0 0 6"},
                                    {"terms": ["1", "0", 0, "6"]},
                                    {"terms": ["1", "0", "0.5", "6"]},
-                                   {"coeffs": ["1", "0", "0", "6"]}])
+                                   {"coeffs": ["1", "0", "0", "6"]},
+                                   {"terms": ["1/0"]}, {"terms": ["abc"]}])
 def test_cache_malformed_entry_is_refused(tmp_path, capsys, command, entry):
     cache = tmp_path / "cache.json"
     argv = ("--cache", str(cache), command, P2, "--terms", "20")
     run(capsys, *argv)
     (key,) = json.loads(cache.read_text())
     cache.write_text(json.dumps({key: entry}))
+    written = cache.read_bytes()
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert f"cache file {cache} has a malformed entry" in err
-    assert json.loads(cache.read_text()) == {key: entry}
+    assert cache.read_bytes() == written
 
 
 def test_pf_cache_reads_rational_terms_back(tmp_path, capsys):
@@ -496,6 +499,13 @@ def test_inexact_or_zero_denominator_coefficient_is_usage_error(
     code, out, err = run(capsys, "period", text, "--terms", "3")
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: cannot read polynomial: {message}"]
+
+
+@pytest.mark.parametrize("argv", [["mutations", P2], ["graph", P2],
+                                  ["markov"], ["rigid", P2]])
+def test_bound_defaults_are_the_library_defaults(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert cli._bounds(args) == MutationBounds()
 
 
 def test_threads_flag_accepted(capsys):

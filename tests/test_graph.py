@@ -117,7 +117,7 @@ def _build_graph_by_incident_labels(f, depth, bounds=MutationBounds()):
                                        seed.factor))
                 next_frontier.append(new.index)
         frontier = next_frontier
-    return MutationGraph(tuple(nodes), tuple(edges), depth, bounds, complete)
+    return MutationGraph(tuple(nodes), tuple(edges), depth, complete)
 
 
 @pytest.mark.parametrize("text, depth", [(p, 2) for p in POLYGON_POLYS]

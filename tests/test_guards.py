@@ -1,0 +1,73 @@
+"""Refusals that no other test reaches: each guard raises its own exception
+type, not merely some ValueError."""
+
+import pytest
+
+from fanolab.laurent import (LaurentPolynomial, RankMismatchError,
+                             ZeroPolynomialError, exponent_lattice_index,
+                             parse_polynomial)
+from fanolab.linalg import complete_to_basis_last_row, nullspace
+from fanolab.mmlp import CoefficientSpace, coefficient_space
+from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
+                              MutationData, enumerate_mutations, exact_divide,
+                              is_mutable, weight_decomposition)
+from fanolab.periods import PeriodCalculator
+from fanolab.polytopes import (LatticePolytope, OriginNotInteriorError,
+                               dual_polytope, newton_polytope)
+
+F = parse_polynomial("x + y + 1/(x*y)")
+ZERO = LaurentPolynomial.zero(2)
+SEED = MutationData((2, -1), parse_polynomial("1 + x*y^2"))
+# the origin is a vertex of this triangle
+CORNER = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
+# its dual has the vertex (1/2, 0)
+LONG = newton_polytope(parse_polynomial("x^2 + y + 1/(x*y)"))
+
+
+def set_rank():
+    F.rank = 3
+
+
+GUARDS = {
+    "coefficient-of-a-short-exponent":
+        (RankMismatchError, lambda: F.coefficient((1,))),
+    "negative-power": (ValueError, lambda: F ** -1),
+    "setting-an-attribute": (AttributeError, set_rank),
+    "exponent-lattice-of-zero":
+        (ZeroPolynomialError, lambda: exponent_lattice_index(ZERO)),
+    "nullspace-of-no-rows-without-ncols": (ValueError, lambda: nullspace([])),
+    "basis-completion-of-a-non-primitive-weight":
+        (ValueError, lambda: complete_to_basis_last_row((2, 4))),
+    "member-of-an-empty-space":
+        (ValueError, CoefficientSpace(CORNER, (), (), (), True).member),
+    "coefficient-space-with-the-origin-on-the-boundary":
+        (OriginNotInteriorError, lambda: coefficient_space(CORNER, ())),
+    "weight-decomposition-of-zero":
+        (ZeroPolynomialError, lambda: weight_decomposition(ZERO, (1, 0))),
+    "is-mutable-on-zero":
+        (ZeroPolynomialError, lambda: is_mutable(ZERO, SEED)),
+    "enumerate-mutations-of-zero":
+        (ZeroPolynomialError, lambda: enumerate_mutations(ZERO)),
+    "enumerate-mutations-in-rank-1":
+        (InvalidWeightError,
+         lambda: enumerate_mutations(parse_polynomial("x + 1/x"))),
+    "mutation-data-with-a-zero-factor":
+        (InvalidFactorError, lambda: MutationData((1, 0), ZERO)),
+    "exact-divide-by-zero": (ZeroDivisionError, lambda: exact_divide(F, ZERO)),
+    "period-of-a-string": (TypeError, lambda: PeriodCalculator("x")),
+    "polytope-of-no-points":
+        (ValueError, lambda: LatticePolytope.from_points([])),
+    "polytope-of-mixed-dimensions":
+        (ValueError, lambda: LatticePolytope.from_points([(0, 0), (1, 0, 0)])),
+    "newton-polytope-of-zero":
+        (ZeroPolynomialError, lambda: newton_polytope(ZERO)),
+    "lattice-polytope-of-a-non-integral-dual":
+        (ValueError, dual_polytope(LONG).to_lattice_polytope),
+}
+
+
+@pytest.mark.parametrize("kind, call", GUARDS.values(), ids=GUARDS.keys())
+def test_guard_raises_its_exception_type(kind, call):
+    with pytest.raises(kind) as raised:
+        call()
+    assert type(raised.value) is kind

@@ -1,9 +1,9 @@
 """No module of the package imports a name it never uses or imports inside
 a function (bar the lazy sympy import), reads sympy for anything but
 factoring, enumerates orders or subsets with itertools, keeps a private
-helper nothing calls or a parameter its function never reads, or caches a
-function for the whole process (bar the CLI parser), and importing the CLI
-loads no module it does not need."""
+helper nothing calls, a dataclass field nothing reads or a parameter its
+function never reads, or caches a function for the whole process (bar the
+CLI parser), and importing the CLI loads no module it does not need."""
 
 import ast
 import os
@@ -211,6 +211,53 @@ def test_package_has_no_unreferenced_private_definitions():
     sources = {path.stem: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def unread_dataclass_fields(sources, readers):
+    """Fields of the dataclasses in ``sources`` that no attribute read names.
+
+    ``sources`` maps module names to source text.  A dataclass is a class
+    decorated with ``dataclass``, called or not, by name or as an
+    attribute; its fields are the names annotated in its body.  A field is
+    read when some text of ``readers`` loads an attribute of that name from
+    anything.  Returns sorted ``"module.Class.field"`` strings.
+    """
+    read = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef) or not any(
+                    ast.unparse(getattr(d, "func", d)).split(".")[-1]
+                    == "dataclass" for d in node.decorator_list):
+                continue
+            found += [f"{module}.{node.name}.{stmt.target.id}"
+                      for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and stmt.target.id not in read]
+    return sorted(found)
+
+
+def test_unread_dataclass_fields_are_found():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass P:\n"
+              "    x: int\n    y: int\n    z: int = 0\n"
+              "    def total(self):\n        return self.z\n"
+              "@dataclasses.dataclass\nclass Q:\n    w: int\n"
+              "class R:\n    v: int\n")
+    reader = "print(p.x, 'p.y', y)\nq.w = 1\n"
+    assert unread_dataclass_fields({"a": source}, [source, reader]) == [
+        "a.P.y", "a.Q.w"]
+
+
+def test_package_dataclasses_have_no_unread_fields():
+    root = PACKAGE.parent.parent
+    readers = [path.read_text() for folder in ("src", "tests", "bench")
+               for path in sorted((root / folder).rglob("*.py"))]
+    sources = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_dataclass_fields(sources, readers) == []
 
 
 # a memo lives as long as the search that owns it: a process-wide cache

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from fanolab.laurent import (PACK_BITS, LaurentPolynomial, RankMismatchError,
                              _pack, _unpack, parse_polynomial,
                              substitute_unimodular)
-from fanolab.mutation import (MutationBounds, apply_shear,
-                              enumerate_mutations, exact_divide, is_mutable,
-                              mutate, weight_decomposition)
+from fanolab.mutation import (MutationBounds, enumerate_mutations,
+                              exact_divide, is_mutable, mutate,
+                              weight_decomposition)
 from fanolab.periods import PeriodCalculator, known_series
 
 EDGE = 2 ** (PACK_BITS - 1) - 1  # the largest |e_i| that packs
@@ -203,9 +203,6 @@ def test_trusted_results_along_mutation_chains():
             witness = is_mutable(f, data)
             for _, piece in witness.quotients:
                 assert_clean(piece)
-            w = data.weight
-            s = tuple(w[1:2]) + (-w[0],) + (0,) * (f.rank - 2)
-            assert_clean(apply_shear(f, w, s))
             f = mutate(f, data)
             assert_clean(f)
 
@@ -221,8 +218,6 @@ def test_public_constructor_keeps_its_checks():
         parse_polynomial("x + y").shift((1,))
     with pytest.raises(RankMismatchError):
         parse_polynomial("x + y").pair(parse_polynomial("x + y + z"))
-    with pytest.raises(RankMismatchError):
-        apply_shear(parse_polynomial("x + y + z"), (0, 0, 1), (1, 0))
     assert LaurentPolynomial(1, {(1,): Fraction(4, 2), (2,): 0}).terms == \
         {(1,): 2}
 

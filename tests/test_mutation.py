@@ -10,7 +10,7 @@ from fanolab.laurent import (LaurentPolynomial, format_polynomial,
                              parse_polynomial)
 from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
                               MutationBounds, MutationData, MutationWitness,
-                              NotMutable, apply_shear, canonicalize_shear,
+                              NotMutable, canonicalize_shear,
                               enumerate_mutations, exact_divide, is_mutable,
                               mutate, shear_equivalent, weight_decomposition)
 from fanolab.linalg import (_integer_row, complete_to_basis_last_row,
@@ -18,6 +18,7 @@ from fanolab.linalg import (_integer_row, complete_to_basis_last_row,
 from fanolab.periods import periods_agree
 from fanolab.polytopes import newton_polytope
 import linalg_oracle
+from shear_oracle import shear
 
 
 def test_weight_decomposition_levels():
@@ -99,13 +100,7 @@ def test_shear_canonicalization_invariant():
     canon = canonicalize_shear(f, w)
     assert canonicalize_shear(canon, w) == canon  # idempotent
     for s in [(1, 2), (-1, -2), (2, 4)]:
-        assert canonicalize_shear(apply_shear(f, w, s), w) == canon
-
-
-def test_apply_shear_validates_direction():
-    f = parse_polynomial("x + y")
-    with pytest.raises(InvalidFactorError):
-        apply_shear(f, (2, -1), (1, 0))
+        assert canonicalize_shear(shear(f, w, s), w) == canon
 
 
 def test_mutation_round_trip():

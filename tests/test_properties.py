@@ -12,7 +12,7 @@ from fanolab.laurent import (LaurentPolynomial, format_polynomial,
                              parse_polynomial, substitute_unimodular)
 from fanolab.linalg import is_primitive, nullspace, unimodular_inverse
 from fanolab.mmlp import _minkowski_difference_points
-from fanolab.mutation import (MutationData, apply_shear, canonicalize_shear,
+from fanolab.mutation import (MutationData, canonicalize_shear,
                               enumerate_mutations, exact_divide, mutate,
                               shear_equivalent, weight_decomposition)
 from fanolab.periods import classical_period, periods_agree
@@ -23,6 +23,7 @@ from fanolab.polytopes import (LatticePolytope, _hull, _polygon,
                                simplex_weights)
 from hull_oracle import _facets_full_dim, _vertices_full_dim
 from nf_oracle import normal_form_by_permutations
+from shear_oracle import shear
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -101,8 +102,8 @@ def test_shear_canonicalization(f, a, b):
     s = (a, 2 * a)  # on the wall of w
     canon = canonicalize_shear(f, w)
     assert canonicalize_shear(canon, w) == canon
-    assert canonicalize_shear(apply_shear(f, w, s), w) == canon
-    assert shear_equivalent(f, apply_shear(f, w, s), w)
+    assert canonicalize_shear(shear(f, w, s), w) == canon
+    assert shear_equivalent(f, shear(f, w, s), w)
 
 
 @SETTINGS
