@@ -309,10 +309,25 @@ def _relation_sum_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _fibre_walk_cases():
+    """``period`` and ``pf`` on relation lattices of rank 2 and 3: the
+    octahedron, whose odd fibres are empty, a rank-3 support whose last
+    free coordinate solves with pivot entries of both signs, and a
+    reflexive polygon's mirror with rho = 2."""
+    octahedron = "x + 1/x + y + 1/y + z + 1/z"
+    cases = [
+        ["period", octahedron, "--terms", "30"],
+        ["period", "x + y + 1/x + 1/y + z + 1/(x*y*z)", "--terms", "30"],
+        ["pf", octahedron, "--terms", "40"],
+        ["pf", "x + 1/x + x*y + 1/(x*y)", "--terms", "40"],
+    ]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
-         + _relation_sum_cases())
+         + _relation_sum_cases() + _fibre_walk_cases())
 
 
 def _command(argv):
