@@ -1,8 +1,9 @@
 """Exact integer linear algebra helpers.
 
 Everything here works over Python ints: one Hermite normal form, which
-also yields unimodular transforms, inverses and basis completions, and one
-Gauss-Jordan elimination on primitive integer rows.
+also yields unimodular transforms, inverses and basis completions, one
+Gauss-Jordan elimination on primitive integer rows, and a rank test modulo
+a prime that screens systems before the exact elimination.
 Fractions appear only in clearing rational input rows of denominators and
 in the particular solution of ``solve_affine``.  Matrices are row lists.
 """
@@ -157,6 +158,36 @@ def rref(matrix):
         if r == m:
             break
     return a[:r], pivots
+
+
+def full_column_rank_mod(rows, ncols, prime):
+    """Whether the integer rows reach rank ``ncols`` modulo the prime.
+
+    The rows are read one at a time, reduced modulo the prime and inserted
+    into an echelon basis over GF(prime); reading stops at the ``ncols``-th
+    pivot, so ``rows`` may be a lazy iterable.  Reduction modulo a prime
+    cannot raise the rank, so True implies full column rank over Q and an
+    empty nullspace, while False decides nothing over Q.
+    """
+    basis = [None] * ncols  # pivot column -> tail of its row, 1 at the pivot
+    rank = 0
+    for row in rows:
+        v = [x % prime for x in row]
+        for c in range(ncols):
+            x = v[c]
+            if not x:
+                continue
+            tail = basis[c]
+            if tail is None:
+                inv = pow(x, -1, prime)
+                basis[c] = [y * inv % prime for y in v[c:]]
+                rank += 1
+                if rank == ncols:
+                    return True
+                break
+            # entries before c are zero in v and in the tail alike
+            v[c:] = [(y - x * z) % prime for y, z in zip(v[c:], tail)]
+    return False
 
 
 def nullspace(matrix, ncols=None):

@@ -12,10 +12,12 @@ exact ways to read it, and ``PeriodCalculator`` takes the cheaper one for f.
   over the fibre {m in Z^t : m >= 0, E m = 0, sum of m = k} (Givental's
   formula; Coates-Corti-Galkin-Kasprzyk, arXiv:1303.3288).  The relations
   E m = 0 form a lattice of rank rho = t - r, with r the rank of E.  One
-  ``rref`` of E beside the row of ones leaves rho - 1 free coordinates, so
-  the fibre is walked over the free values with sum at most k, solving for
-  the pivots and keeping the non-negative integral solutions: about
-  k^(rho - 1) points for the k-th term.
+  ``rref`` of E beside the row of ones leaves rho - 1 free coordinates.
+  All but the last are walked over their values with sum at most k; each
+  pivot row then bounds the last one and fixes its residue class, so it
+  runs over one arithmetic progression, and the pivots follow exactly.
+  The multinomial is evaluated at fibre points only, about k^(rho - 1)
+  of them for the k-th term.
 * Pairing half powers.  Since f^(a+b) = f^a * f^b, the constant term is
   the pairing sum over m of f^a[m] * f^b[-m], which
   ``LaurentPolynomial.pair`` reads with one lookup per term of the smaller
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 from .laurent import LaurentPolynomial, ZeroPolynomialError, _norm_coeff
@@ -98,38 +100,75 @@ def _fibre_system(f):
 
 def _fibre_sums(f, rows, pivots):
     """Yield ct(f^1), ct(f^2), ... as sums over the fibres of the relation
-    lattice, given the reduced system of ``_fibre_system``."""
+    lattice, given the reduced system of ``_fibre_system``.
+
+    The free coordinates but the last, u, are walked over their points
+    with sum at most k; the last one, v, is solved from the pivot rows,
+    which fix its range and its residue class, so the multinomial is
+    evaluated at fibre points only."""
     coeffs = list(f.terms.values())
     t = len(coeffs)
-    if t in pivots:
-        # the row (0 ... 0 | 1): the support lies on a hyperplane that
-        # misses the origin, so no fibre past k = 0 has a point
-        while True:
-            yield 0
     free = [j for j in range(t) if j not in pivots]
-    # row . (m, -k) = 0 solves m_p = (row[t] * k - sum of row[j] * m_j
-    # over the free j) / row[p], for the pivot p > 0 of each row; m is
-    # kept with the pivots first and the free coordinates after them
-    solve = [(row[p], row[t], [row[j] for j in free])
+    walked = free[:-1]
+    # row . (m, -k) = 0 solves d * m_p = b * k - a . u - e * v for the
+    # pivot p of each row, with d = row[p] > 0 and b = row[t]; e = 0 when
+    # there is no free coordinate, and v is then pinned to 0.  A pivot in
+    # the last column is the row (0 ... 0 | 1), which says k = 0, as the
+    # support lies on a hyperplane that misses the origin: it enters as
+    # m_p = -k, which empties every fibre past k = 0.  m is kept with the
+    # pivots first and the free coordinates after them.
+    solve = [(row[p], row[t] if p < t else -1, [row[j] for j in walked],
+              row[free[-1]] if free else 0)
              for row, p in zip(rows, pivots)]
-    weighted = [(i, c) for i, c in enumerate(coeffs[j] for j in pivots + free)
-                if c != 1]
+    # d divides b * k - a . u - e * v for v in one class modulo
+    # d / gcd(e, d), or for none, so the fibre's values of v step by the
+    # lcm of those moduli
+    step = lcm(*(d // gcd(e, d) for d, _, _, e in solve))
+    # a row without free coordinates decides k alone
+    fixed = [(d, b) for d, b, a, e in solve if not (e or any(a))]
+    weighted = [(i, coeffs[j]) for i, j in enumerate(pivots + free)
+                if j < t and coeffs[j] != 1]
     fact = [1]
     for k in count(1):
         fact.append(fact[-1] * k)
         total = 0
-        for u in _bounded_points(len(free), k):
-            m = []
-            for d, b, a in solve:
-                q, rem = divmod(b * k - sum(map(mul, a, u)), d)
-                if rem or q < 0:
-                    break
-                m.append(q)
-            else:
+        walk = (_bounded_points(len(walked), k)
+                if all(b * k >= 0 and b * k % d == 0 for d, b in fixed)
+                else ())
+        for u in walk:
+            # v >= 0, the coordinate sum is at most k, and m_p >= 0 bounds
+            # v above where e > 0 and below where e < 0
+            lo, hi = 0, k - sum(u) if free else 0
+            rest = []
+            for d, b, a, e in solve:
+                c = b * k - sum(map(mul, a, u))
+                if e > 0:
+                    hi = min(hi, c // e)
+                elif e < 0:
+                    lo = max(lo, -(c // -e))
+                elif c < 0:
+                    hi = -1
+                rest.append(c)
+            first = next((v for v in range(lo, min(hi + 1, lo + step))
+                          if all((c - e * v) % d == 0
+                                 for c, (d, _, _, e) in zip(rest, solve))),
+                         None)
+            if first is None:
+                continue
+            for v in range(first, hi + 1, step):
+                m = [(c - e * v) // d for c, (d, _, _, e) in zip(rest, solve)]
                 m += u
-                total += (fact[k] // prod(fact[x] for x in m)
-                          * prod(c ** m[i] for i, c in weighted))
+                if free:
+                    m.append(v)
+                total += _multinomial_term(fact, m, weighted)
         yield _norm_coeff(total)
+
+
+def _multinomial_term(fact, m, weighted):
+    """k! / prod_j m_j! * prod_j c_j^(m_j) at the fibre point m of sum k,
+    given fact = [0!, ..., k!] and the pairs (j, c_j) with c_j != 1."""
+    return (fact[-1] // prod(fact[x] for x in m)
+            * prod(c ** m[i] for i, c in weighted))
 
 
 def _bounded_points(dim, bound):

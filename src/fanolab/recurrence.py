@@ -6,16 +6,23 @@ A recurrence of order r and coefficient degree d is a relation
 
 with each q_j an integer polynomial.  Fitting is a graded exact nullspace
 search over (r, d); the tail of the input is held back from the fit and
-used to screen spurious solutions.  A fitted recurrence converts to a
-differential operator in D = t d/dt annihilating the generating series.
+used to screen spurious solutions.  Almost every system of the search has
+full column rank, so each is first reduced modulo one fixed prime: rank
+modulo a prime is at most the rank over Q, so full rank there proves the
+nullspace over Q empty, and only the other systems are eliminated exactly.
+A fitted recurrence converts to a differential operator in D = t d/dt
+annihilating the generating series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
-from .linalg import nullspace, primitive_part
+from .linalg import full_column_rank_mod, nullspace, primitive_part
+
+# the prime of fit_recurrence's rank screen
+_SCREEN_PRIME = 2 ** 31 - 1
 
 # -- dense univariate polynomials in k, ascending coefficients ---------------
 
@@ -121,6 +128,14 @@ def fit_recurrence(terms, r_max=6, d_max=8):
     ValueError unless r_max >= 1 and d_max >= 0, and when there are fewer
     than r_max + 8 terms: the smallest system, order 1 and degree 0, needs
     its two equations, at k = 1 and 2, before the held-back terms.
+
+    Each system is screened before its exact elimination.  The terms,
+    times the lcm of their denominators (which leaves every nullspace as
+    it is), are reduced once modulo ``_SCREEN_PRIME``; a system whose rows
+    reach full column rank modulo that prime has full rank over Q, as
+    reduction cannot raise the rank, so it has no recurrence and is
+    skipped.  Only the other systems are built over the integers, so the
+    screen never drops a recurrence that the exact fit accepts.
     """
     if r_max < 1 or d_max < 0:
         raise ValueError("the order bound must be positive and the degree "
@@ -130,20 +145,24 @@ def fit_recurrence(terms, r_max=6, d_max=8):
     if n < r_max + 8:
         raise ValueError(f"fitting a recurrence of order up to {r_max} needs "
                          f"at least {r_max + 8} terms, got {n}")
-    holdout = r_max + 5
+    fit_top = n - r_max - 5  # the rest is held back
+    p = _SCREEN_PRIME
+    scale = lcm(*(c.denominator for c in terms))
+    residues = [c.numerator * (scale // c.denominator) % p for c in terms]
+    powers = [[pow(k, e, p) for e in range(d_max + 1)] for k in range(n)]
     for total in range(1, r_max + d_max + 1):
         for r in range(1, min(r_max, total) + 1):
             d = total - r
-            if d > d_max:
+            if d > d_max or fit_top - r < (r + 1) * (d + 1):
                 continue
-            fit_top = n - holdout
-            if fit_top <= r:
+            if full_column_rank_mod(
+                    ([residues[k - j] * powers[k][e]
+                      for j in range(r + 1) for e in range(d + 1)]
+                     for k in range(r, fit_top)), (r + 1) * (d + 1), p):
                 continue
             rows = [[terms[k - j] * k ** e
                      for j in range(r + 1) for e in range(d + 1)]
                     for k in range(r, fit_top)]
-            if len(rows) < (r + 1) * (d + 1):
-                continue
             for vec in nullspace(rows):
                 qs = [tuple(vec[j * (d + 1):(j + 1) * (d + 1)])
                       for j in range(r + 1)]

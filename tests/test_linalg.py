@@ -3,14 +3,16 @@ replaced, and the Hermite normal form with its transform, checked against
 the Euclid loop and the elimination it replaced."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fanolab.linalg import (complete_to_basis_last_row, hnf_rows, identity,
-                            is_primitive, nullspace, primitive_part, rref,
-                            solve_affine, unimodular_inverse)
+from fanolab.linalg import (complete_to_basis_last_row, full_column_rank_mod,
+                            hnf_rows, identity, is_primitive, nullspace,
+                            primitive_part, rref, solve_affine,
+                            unimodular_inverse)
 import linalg_oracle
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -113,6 +115,47 @@ def test_nullspace_is_the_primitive_oracle_basis(case):
     assert all(type(x) is int for v in basis for x in v)
     for v in basis:
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in matrix)
+
+
+# -- the rank screen modulo a prime ------------------------------------------
+
+
+def determinant(m):
+    """Exact determinant by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * determinant([row[:j] + row[j + 1:]
+                                            for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+             max_size=6), st.just(n))),
+       st.sampled_from((2, 3, 5, 7, 2 ** 31 - 1)))
+def test_full_column_rank_mod_matches_the_minors(case, prime):
+    rows, ncols = case
+    # full column rank modulo p exactly when some maximal minor is not
+    # divisible by p
+    expect = any(determinant([list(r) for r in sub]) % prime
+                 for sub in combinations(rows, ncols))
+    assert full_column_rank_mod(rows, ncols, prime) == expect
+    assert not full_column_rank_mod([[prime * x for x in row]
+                                     for row in rows], ncols, prime)
+    if expect:  # rank modulo p is at most the rank over Q
+        assert len(rref(rows)[0]) == ncols
+
+
+def test_full_column_rank_mod_stops_at_the_last_pivot():
+    def rows():
+        yield [0, 3]
+        yield [0, 6]  # dependent modulo every prime
+        yield [5, 1]
+        raise AssertionError("read past the second pivot")
+
+    assert full_column_rank_mod(rows(), 2, 7)
+    assert not full_column_rank_mod(iter([[0, 3], [5, 1]]), 2, 5)
 
 
 @SETTINGS

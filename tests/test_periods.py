@@ -5,8 +5,10 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
+import period_oracle
 from fanolab import periods
-from fanolab.laurent import LaurentPolynomial, parse_polynomial
+from fanolab.laurent import (LaurentPolynomial, parse_polynomial,
+                             substitute_unimodular)
 from fanolab.periods import (KNOWN_SERIES, PeriodCalculator, PeriodSequence,
                              _complete_intersection_period, _fibre_system,
                              _paired_constant_terms, classical_period,
@@ -129,6 +131,111 @@ def test_coefficients_out_of_order(f, ks):
         assert typed([calc.coefficient(k)]) == [expect[k]]
     assert typed(calc.prefix(5)) == expect[:5]
     assert typed(calc.prefix(10)) == expect[:10]
+
+
+# -- the fibre walk against the trial of every candidate point --------------
+
+def _elementary_product(rank, ops, flip):
+    m = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for i, j, s in ops:
+        if i != j:
+            m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+    if flip:
+        m[0] = [-x for x in m[0]]
+    return m
+
+
+def gl(rank):
+    """Products of up to 6 elementary matrices in GL(rank, Z)."""
+    index = st.integers(0, rank - 1)
+    return st.builds(lambda ops, flip: _elementary_product(rank, ops, flip),
+                     st.lists(st.tuples(index, index, st.integers(-2, 2)),
+                              max_size=6),
+                     st.booleans())
+
+
+def walked_fibres(f, n_terms, monkeypatch):
+    """ct(f^1), ..., ct(f^(n_terms - 1)) by ``periods._fibre_sums``, and
+    the points at which it evaluated a multinomial, per k."""
+    seen = []
+    term = periods._multinomial_term
+
+    def counted(fact, m, weighted):
+        seen[-1].append(list(m))
+        return term(fact, m, weighted)
+
+    monkeypatch.setattr(periods, "_multinomial_term", counted)
+    sums = periods._fibre_sums(f, *_fibre_system(f))
+    out = []
+    for _ in range(1, n_terms):
+        seen.append([])
+        out.append(next(sums))
+    monkeypatch.undo()
+    return out, seen
+
+
+def assert_walk_matches_the_oracle(f, n_terms, monkeypatch):
+    system = _fibre_system(f)
+    got, seen = walked_fibres(f, n_terms, monkeypatch)
+    oracle = period_oracle.fibre_sums(f, *system)
+    assert typed(got) == typed([next(oracle) for _ in range(1, n_terms)])
+    # the multinomial is evaluated at the fibre points and nowhere else
+    assert seen == [list(period_oracle.fibre_points(f, *system, k))
+                    for k in range(1, n_terms)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fibre_walk_matches_the_trial_oracle(data):
+    f = data.draw(period_polys().filter(sums_over_relations))
+    g = substitute_unimodular(f, data.draw(gl(f.rank)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for h in (f, g):
+            assert_walk_matches_the_oracle(h, 14, monkeypatch)
+
+
+@pytest.mark.parametrize("text", [
+    # rho = 1, no free coordinate: zeros at every k not divisible by 3
+    "x + y + x^-1*y^-1",
+    "x + 2*y + 1/(x^2*y)",
+    # supports that miss the origin, without and with free coordinates
+    "x + y + x^2*y^-1",
+    "z*(x + 1/x + y + 1/y + 1)",
+    "w*(x + 1/x + y + 1/y + z + 1/z)",
+    # rational coefficients
+    "1/2*x - 3*y + 2/3*x^-1*y^-1",
+    "1/2*x + 1/x + y + 2/3*y^-1 + z - 3/4*z^-1",
+    # the last free column has entries of both signs against pivots of 2
+    "x + y + 1/x + 1/y + z + 1/(x*y*z)",
+    # the last free coordinate steps by 2, 2 and 3
+    "x^2*y^-1 + y + 1/x + 1/y",
+    "x^3 + 1/x + y + 1/y",
+    "x^2 + 1/x + y + 1/y + z + 1/z",
+])
+def test_fibre_walk_matches_the_trial_oracle_on_named_supports(text,
+                                                               monkeypatch):
+    f = parse_polynomial(text)
+    assert sums_over_relations(f)
+    assert_walk_matches_the_oracle(f, 30, monkeypatch)
+
+
+def test_fibre_walk_zeros_of_the_projective_plane(monkeypatch):
+    got, seen = walked_fibres(parse_polynomial("x + y + x^-1*y^-1"), 30,
+                              monkeypatch)
+    assert [k for k, c in enumerate(got, 1) if c] == list(range(3, 30, 3))
+    assert [len(points) for points in seen] == [int(k % 3 == 0)
+                                                for k in range(1, 30)]
+
+
+def test_fibre_walk_evaluates_only_fibre_points(monkeypatch):
+    # 80 octahedron terms have 11,479 fibre points among the 88,559
+    # candidates of the full walk over the two free coordinates
+    f = parse_polynomial("x + 1/x + y + 1/y + z + 1/z")
+    got, seen = walked_fibres(f, 80, monkeypatch)
+    assert sum(map(len, seen)) == 11479
+    assert sum(len(list(period_oracle.bounded_points(2, k)))
+               for k in range(1, 80)) == 88559
+    assert got == list(classical_period(f, 80).coefficients[1:])
 
 
 @pytest.mark.parametrize("text, expect", [

@@ -1,12 +1,18 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import recurrence_oracle
+from fanolab import recurrence
 from fanolab.laurent import parse_polynomial
+from fanolab.linalg import nullspace
 from fanolab.periods import classical_period
-from fanolab.recurrence import (DifferentialOperator, PolynomialRecurrence,
-                                _poly_mul, _poly_shift, _poly_trim,
-                                fit_recurrence, to_differential_operator,
-                                verify_recurrence)
+from fanolab.recurrence import (_SCREEN_PRIME, DifferentialOperator,
+                                PolynomialRecurrence, _poly_eval, _poly_mul,
+                                _poly_shift, _poly_trim, fit_recurrence,
+                                to_differential_operator, verify_recurrence)
+from test_periods import period_polys
 
 P2 = "x + y + x^-1*y^-1"
 
@@ -159,3 +165,108 @@ def test_recurrence_needs_initial_terms_for_operator():
     rec = PolynomialRecurrence(2, 0, ((1,), (), (-1,)), ())
     with pytest.raises(ValueError):
         to_differential_operator(rec)
+
+
+# -- the screened fit against the exact fit of every system -----------------
+
+
+def exact_systems(monkeypatch, module):
+    """A list that records the size of every exact nullspace the module's
+    fit asks for."""
+    calls = []
+
+    def counted(rows):
+        calls.append((len(rows), len(rows[0])))
+        return nullspace(rows)
+
+    monkeypatch.setattr(module, "nullspace", counted)
+    return calls
+
+
+def assert_screen_matches_the_exact_fit(terms, r_max, d_max):
+    assert fit_recurrence(terms, r_max, d_max) == \
+        recurrence_oracle.fit_recurrence(terms, r_max, d_max)
+
+
+bounds = st.tuples(st.integers(1, 6), st.integers(0, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(period_polys(), st.integers(14, 20), bounds)
+def test_screen_matches_the_exact_fit_on_period_series(f, n, rd):
+    r_max, d_max = rd
+    assume(n >= r_max + 8)
+    terms = list(classical_period(f, n).coefficients)
+    assert_screen_matches_the_exact_fit(terms, r_max, d_max)
+
+
+@st.composite
+def recurrence_series(draw, fractions):
+    """Terms of a random relation sum_j q_j(k) c_{k-j} = 0 of order 1-3 and
+    degree 0-2: with q_0 = 1 and int initial terms, or with q_0 = k + s,
+    s >= 1, and Fraction initial terms, so every term is a Fraction."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2))
+    poly = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    qs = [draw(poly) for _ in range(r)]
+    if fractions:
+        q0 = (draw(st.integers(1, 3)), 1)
+        init = draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                          max_denominator=4),
+                             min_size=r, max_size=r))
+    else:
+        q0 = (1,)
+        init = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    terms = list(init)
+    for k in range(r, draw(st.integers(14, 30))):
+        acc = -sum(_poly_eval(q, k) * terms[k - j]
+                   for j, q in enumerate(qs, 1))
+        terms.append(Fraction(acc, _poly_eval(q0, k)) if fractions else acc)
+    return terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(recurrence_series(fractions=False), bounds)
+def test_screen_matches_the_exact_fit_on_integer_recurrences(terms, rd):
+    r_max, d_max = rd
+    assume(len(terms) >= r_max + 8)
+    assert_screen_matches_the_exact_fit(terms, r_max, d_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(recurrence_series(fractions=True), bounds)
+def test_screen_matches_the_exact_fit_on_fraction_sequences(terms, rd):
+    r_max, d_max = rd
+    assume(len(terms) >= r_max + 8)
+    assert all(type(c) is Fraction for c in terms)
+    assert_screen_matches_the_exact_fit(terms, r_max, d_max)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(recurrence_series(fractions=False),
+                 recurrence_series(fractions=True),
+                 st.integers(14, 20).flatmap(
+                     lambda n: period_polys().map(
+                         lambda f: list(classical_period(f, n).coefficients)))),
+       bounds)
+def test_screen_skips_nothing_on_multiples_of_its_prime(terms, rd):
+    r_max, d_max = rd
+    assume(len(terms) >= r_max + 8)
+    # every residue is 0, so no system reaches full rank modulo the prime
+    # and the exact elimination decides every system alone
+    terms = [_SCREEN_PRIME * c for c in terms]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        screened = exact_systems(monkeypatch, recurrence)
+        exact = exact_systems(monkeypatch, recurrence_oracle)
+        assert_screen_matches_the_exact_fit(terms, r_max, d_max)
+    assert screened == exact
+
+
+def test_screen_leaves_one_exact_system_for_the_projective_plane(
+        monkeypatch):
+    calls = exact_systems(monkeypatch, recurrence)
+    rec = fit_recurrence(p2_terms(40))
+    assert (rec.order, rec.degree) == (3, 2)
+    # the exact fit eliminates the 12 systems before this one in the
+    # grading as well; each has full rank modulo the prime
+    assert calls == [(26, 12)]
