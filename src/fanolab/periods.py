@@ -139,7 +139,7 @@ def _fibre_sums(f, rows, pivots):
             # v >= 0, the coordinate sum is at most k, and m_p >= 0 bounds
             # v above where e > 0 and below where e < 0
             lo, hi = 0, k - sum(u) if free else 0
-            rest = []
+            rhs = []
             for d, b, a, e in solve:
                 c = b * k - sum(map(mul, a, u))
                 if e > 0:
@@ -148,15 +148,15 @@ def _fibre_sums(f, rows, pivots):
                     lo = max(lo, -(c // -e))
                 elif c < 0:
                     hi = -1
-                rest.append(c)
+                rhs.append(c)
             first = next((v for v in range(lo, min(hi + 1, lo + step))
                           if all((c - e * v) % d == 0
-                                 for c, (d, _, _, e) in zip(rest, solve))),
+                                 for c, (d, _, _, e) in zip(rhs, solve))),
                          None)
             if first is None:
                 continue
             for v in range(first, hi + 1, step):
-                m = [(c - e * v) // d for c, (d, _, _, e) in zip(rest, solve)]
+                m = [(c - e * v) // d for c, (d, _, _, e) in zip(rhs, solve)]
                 m += u
                 if free:
                     m.append(v)
