@@ -180,7 +180,8 @@ def test_fibre_walk_matches_the_trial_oracle(data):
     # rho = 1, no free coordinate: each fibre is one point or none
     "x + y + x^-1*y^-1",
     "x + 2*y + 1/(x^2*y)",
-    # supports that miss the origin, without and with free coordinates
+    # supports that miss the origin, with 0, 1, 2 and 2 free coordinates
+    "x + x^2*y",
     "x + y + x^2*y^-1",
     "z*(x + 1/x + y + 1/y + 1)",
     "w*(x + 1/x + y + 1/y + z + 1/z)",
