@@ -324,10 +324,17 @@ def _fibre_walk_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _operator_cases():
+    """``pf`` whose operator has a p_0 of more than one term, which the
+    printer puts in parentheses."""
+    case = ["pf", "x + y + x^-1 + x^-1*y^-1", "--terms", "40"]
+    return [case, ["--json"] + case]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
-         + _relation_sum_cases() + _fibre_walk_cases())
+         + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases())
 
 
 def _command(argv):
