@@ -24,7 +24,7 @@ from .mutation import (MutationBounds, MutationData, enumerate_mutations,
                        mutate)
 from .mutation_graph import (build_graph, export_dot, markov_tree,
                              p2_correspondence_check)
-from .periods import classical_period, known_series, periods_agree, KNOWN_SERIES
+from .periods import classical_period, known_series, periods_agree
 from .polytopes import (LatticePolytope, dual_polytope, is_fano,
                         is_reflexive, lattice_points, newton_polytope,
                         normal_form, simplex_weights)
@@ -79,6 +79,8 @@ def _read(arg, what, rank_hint=None):
         return newton_polytope(f) if what == "polytope" else f
     except KeyError as exc:
         raise _CliError(f"cannot read {what}: missing key {exc}") from exc
+    except RecursionError:
+        raise _CliError(f"cannot read {what}: nested too deeply") from None
     except (ParseError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise _CliError(f"cannot read {what}: {exc}") from exc
 
@@ -128,6 +130,9 @@ def _cache_load(path):
             cache = json.load(fh)
     except (OSError, ValueError) as exc:
         raise _CliError(f"cannot read cache file {path}: {exc}") from exc
+    except RecursionError:
+        raise _CliError(f"cannot read cache file {path}: "
+                        f"nested too deeply") from None
     if not isinstance(cache, dict):
         raise _CliError(f"cache file {path} does not hold a JSON object")
     return cache
@@ -206,9 +211,6 @@ def _cmd_period(args):
 
 def _cmd_compare(args):
     if args.known:
-        if args.known not in KNOWN_SERIES:
-            raise _CliError(f"unknown series tag {args.known!r}; "
-                            f"available: {sorted(KNOWN_SERIES)}")
         ref = known_series(args.known, args.terms)
     else:
         if args.other is None:
@@ -345,11 +347,11 @@ def _cmd_graph(args):
     if args.dot:
         print(export_dot(graph), end="")
     else:
-        payload = {"depth": graph.depth, "complete": graph.complete,
+        payload = {"depth": args.depth, "complete": graph.complete,
                    "bounds": _bounds_echo(bounds),
-                   "nodes": [{"id": n.index, "depth": n.depth,
+                   "nodes": [{"id": i, "depth": n.depth,
                               "polynomial": format_polynomial(n.polynomial)}
-                             for n in graph.nodes],
+                             for i, n in enumerate(graph.nodes)],
                    "edges": [{"source": e.source, "target": e.target,
                               "weight": list(e.weight),
                               "factor": format_polynomial(e.factor)}
@@ -446,10 +448,6 @@ def build_parser():
                         help="machine-readable output")
     parser.add_argument("--cache", metavar="FILE",
                         help="JSON cache for period/recurrence computations")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; all "
-                             "computations run single-threaded for "
-                             "determinism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("period", help="classical period coefficients")
@@ -533,7 +531,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_CliError, ValueError, KeyError) as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

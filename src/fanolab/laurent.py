@@ -20,7 +20,8 @@ normalised coefficients, int tuples of length ``rank``) skip those checks
 through ``_from_clean``.  Polynomials are immutable after construction.
 
 The parser expands ``(...)^k`` only up to ``PARSE_TERM_CAP`` terms, and a
-base of two or more terms only up to the exponent ``PARSE_POWER_CAP``.
+base of two or more terms only up to the exponent ``PARSE_POWER_CAP``; it
+refuses parentheses nested more than ``PARSE_NESTING_CAP`` deep.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ _MASK = (1 << PACK_BITS) - 1
 PARSE_TERM_CAP = 10_000
 # the largest exponent the parser expands a base of two or more terms to
 PARSE_POWER_CAP = 1_000
+# the deepest nesting of parentheses the parser reads: each level takes four
+# Python frames, and from a shallow stack about 250 levels exhaust the
+# default recursion limit of 1,000, so the cap leaves the caller room
+PARSE_NESTING_CAP = 100
 
 
 class RankMismatchError(ValueError):
@@ -369,13 +374,12 @@ class LaurentPolynomial:
         ``Fraction`` reads; input of another shape raises TypeError, and a
         zero denominator ValueError."""
         rank = json_value(data["n"], int, "n")
-        terms = {}
-        for t in json_value(data["terms"], list, "terms"):
-            t = json_value(t, dict, "a term")
-            e = tuple(json_value(x, int, "an exponent")
-                      for x in json_value(t["e"], list, "an exponent vector"))
-            terms[e] = terms.get(e, 0) + _json_coefficient(t["c"])
-        return cls(rank, terms)
+        dicts = (json_value(t, dict, "a term")
+                 for t in json_value(data["terms"], list, "terms"))
+        return cls.from_terms(rank, (
+            (tuple(json_value(x, int, "an exponent")
+                   for x in json_value(t["e"], list, "an exponent vector")),
+             _json_coefficient(t["c"])) for t in dicts))
 
 
 def factor_powers(factor, exponents):
@@ -523,6 +527,7 @@ class _Parser:
                                 m.start(m.lastgroup)))
             pos = m.end()
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -632,8 +637,13 @@ class _Parser:
             e[self.var_index[val]] = 1
             return LaurentPolynomial(self.rank, {tuple(e): 1})
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > PARSE_NESTING_CAP:
+                raise ParseError(f"parentheses nested more than "
+                                 f"{PARSE_NESTING_CAP} deep", pos)
             poly = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return poly
         if kind is None:
             raise ParseError("unexpected end of input", pos)
@@ -667,12 +677,17 @@ def _default_names(rank):
 
 def format_polynomial(f):
     """Canonical text form; round-trips bit-exactly through the parser."""
-    if f.is_zero():
+    return _format_terms(f.terms, _default_names(f.rank))
+
+
+def _format_terms(terms, names):
+    """The text of the sum of the terms, a map from exponent tuples to
+    nonzero coefficients, highest exponent first, in the variables names."""
+    if not terms:
         return "0"
-    names = _default_names(f.rank)
     parts = []
-    for e in sorted(f.terms, reverse=True):
-        c = f.terms[e]
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
         mono = []
         for i, k in enumerate(e):
             if k == 0:

@@ -17,7 +17,6 @@ from .polytopes import newton_polytope, simplex_weights
 
 @dataclass(frozen=True)
 class GraphNode:
-    index: int
     polynomial: object
     depth: int
 
@@ -34,7 +33,6 @@ class GraphEdge:
 class MutationGraph:
     nodes: tuple
     edges: tuple
-    depth: int
     complete: bool
 
     def nodes_at_depth(self, d):
@@ -75,7 +73,7 @@ def build_graph(f, depth, bounds=None):
         raise ValueError("depth must be >= 0")
     if depth > GRAPH_DEPTH_CAP:
         raise ValueError(f"depth {depth} is above {GRAPH_DEPTH_CAP}")
-    nodes = [GraphNode(0, f, 0)]
+    nodes = [GraphNode(f, 0)]
     edges = []
     complete = True
     back = [None]  # node index -> key of the inverse of its arriving seed
@@ -91,27 +89,26 @@ def build_graph(f, depth, bounds=None):
                 seed = witness.data
                 if seed.key == back[idx]:
                     continue
-                new = GraphNode(len(nodes), mutate(poly, seed, witness),
-                                level + 1)
-                nodes.append(new)
+                new = len(nodes)
+                nodes.append(GraphNode(mutate(poly, seed, witness),
+                                       level + 1))
                 back.append(seed.inverse().key)
-                edges.append(GraphEdge(idx, new.index, seed.weight,
-                                       seed.factor))
-                next_frontier.append(new.index)
+                edges.append(GraphEdge(idx, new, seed.weight, seed.factor))
+                next_frontier.append(new)
         frontier = next_frontier
-    return MutationGraph(tuple(nodes), tuple(edges), depth, complete)
+    return MutationGraph(tuple(nodes), tuple(edges), complete)
 
 
 def export_dot(graph):
     """Deterministic Graphviz rendering of a mutation graph."""
     lines = ["digraph mutations {"]
-    for n in graph.nodes:
+    for i, n in enumerate(graph.nodes):
         try:
             extra = " | " + str(simplex_weights(newton_polytope(n.polynomial)))
         except ValueError:
             extra = ""
         label = format_polynomial(n.polynomial) + extra
-        lines.append(f'  n{n.index} [label="{label}"];')
+        lines.append(f'  n{i} [label="{label}"];')
     for e in graph.edges:
         lines.append(
             f'  n{e.source} -> n{e.target} '

@@ -261,10 +261,11 @@ def _complete_intersection_period(ambient, degrees, n_terms):
 
 
 def known_series(tag, n_terms):
-    """Reference period sequence for a named Fano variety."""
+    """Reference period sequence for a named Fano variety.  An unknown tag
+    or a negative n_terms raises ValueError."""
     if tag not in KNOWN_SERIES:
-        raise KeyError(f"unknown series tag {tag!r}; "
-                       f"available: {sorted(KNOWN_SERIES)}")
+        raise ValueError(f"unknown series tag {tag!r}; "
+                         f"available: {sorted(KNOWN_SERIES)}")
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     return PeriodSequence(

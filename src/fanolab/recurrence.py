@@ -17,9 +17,11 @@ annihilating the generating series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
-from .linalg import full_column_rank_mod, nullspace, primitive_part
+from .laurent import _format_terms
+from .linalg import (_integer_row, full_column_rank_mod, nullspace,
+                     primitive_part)
 
 # the prime of fit_recurrence's rank screen
 _SCREEN_PRIME = 2 ** 31 - 1
@@ -58,25 +60,9 @@ def _poly_shift(p, s):
                        for j in range(len(p))])
 
 
-def _poly_str(p, var):
-    if not p:
-        return "0"
-    parts = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            v = var if i == 1 else f"{var}^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+def _poly_terms(p):
+    """p as the term map that ``_format_terms`` prints, in one variable."""
+    return {(i,): c for i, c in enumerate(p) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +89,8 @@ class PolynomialRecurrence:
                    for j, q in enumerate(self.coefficients) if k - j >= 0)
 
     def to_string(self):
-        parts = [f"({_poly_str(q, 'k')})*c[k-{j}]" if j else
-                 f"({_poly_str(q, 'k')})*c[k]"
+        parts = [f"({_format_terms(_poly_terms(q), 'k')})*"
+                 + (f"c[k-{j}]" if j else "c[k]")
                  for j, q in enumerate(self.coefficients) if q]
         return " + ".join(parts) + " = 0"
 
@@ -147,8 +133,7 @@ def fit_recurrence(terms, r_max=6, d_max=8):
                          f"at least {r_max + 8} terms, got {n}")
     fit_top = n - r_max - 5  # the rest is held back
     p = _SCREEN_PRIME
-    scale = lcm(*(c.denominator for c in terms))
-    residues = [c.numerator * (scale // c.denominator) % p for c in terms]
+    residues = [c % p for c in _integer_row(terms)]
     powers = [[pow(k, e, p) for e in range(d_max + 1)] for k in range(n)]
     for total in range(1, r_max + d_max + 1):
         for r in range(1, min(r_max, total) + 1):
@@ -214,10 +199,10 @@ class DifferentialOperator:
         for j, p in enumerate(self.coefficients):
             if not p:
                 continue
-            body = _poly_str(p, "D")
+            terms = _poly_terms(p)
+            body = _format_terms(terms, "D")
             if j == 0:
-                parts.append(body if len(p) == 1 or "+" not in body and
-                             not body.count("- ") else f"({body})")
+                parts.append(f"({body})" if len(terms) > 1 else body)
             else:
                 t = "t" if j == 1 else f"t^{j}"
                 parts.append(f"{t}*({body})")

@@ -508,9 +508,29 @@ def test_bound_defaults_are_the_library_defaults(argv):
     assert cli._bounds(args) == MutationBounds()
 
 
-def test_threads_flag_accepted(capsys):
-    code, _, _ = run(capsys, "--threads", "4", "period", P2, "--terms", "3")
-    assert code == 0
+@pytest.mark.parametrize("arg, message", [
+    ("(" * 300 + "x" + ")" * 300,
+     "parentheses nested more than 100 deep (at position 100)"),
+    ('{"n": ' + "[" * 1000 + "]" * 1000 + "}", "nested too deeply"),
+    ("@nested.json", "nested too deeply"),
+], ids=["text", "json", "json-file"])
+def test_deeply_nested_input_is_usage_error(tmp_path, monkeypatch, capsys,
+                                            arg, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nested.json").write_text(
+        '{"n": ' + "[" * 1000 + "]" * 1000 + "}")
+    code, out, err = run(capsys, "period", arg)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [f"error: cannot read polynomial: {message}"]
+
+
+def test_deeply_nested_cache_is_refused(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    cache.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "--cache", str(cache), "period", P2)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        f"error: cannot read cache file {cache}: nested too deeply"]
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

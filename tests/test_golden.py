@@ -331,10 +331,18 @@ def _operator_cases():
     return [case, ["--json"] + case]
 
 
+def _nesting_cases():
+    """Text nested past the parser's cap on parentheses, refused with the
+    position of the first parenthesis past it."""
+    case = ["period", "(" * 300 + "x" + ")" * 300]
+    return [case, ["--json"] + case]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
-         + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases())
+         + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases()
+         + _nesting_cases())
 
 
 def _command(argv):

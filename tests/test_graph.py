@@ -91,7 +91,7 @@ def _build_graph_by_incident_labels(f, depth, bounds=MutationBounds()):
     """The reference search: a seed is skipped when the node has an incident
     edge of the same weight line and factor whose other end is
     shear-equivalent to the seed's result."""
-    nodes, edges = [GraphNode(0, f, 0)], []
+    nodes, edges = [GraphNode(f, 0)], []
     complete = True
     incident = {0: []}  # node index -> list of (label, neighbour index)
     frontier = [0]
@@ -109,15 +109,14 @@ def _build_graph_by_incident_labels(f, depth, bounds=MutationBounds()):
                         nodes[nbr].polynomial, seed.weight)
                        for lab, nbr in incident[idx]):
                     continue
-                new = GraphNode(len(nodes), g, level + 1)
-                nodes.append(new)
-                incident[new.index] = [(label, idx)]
-                incident[idx].append((label, new.index))
-                edges.append(GraphEdge(idx, new.index, seed.weight,
-                                       seed.factor))
-                next_frontier.append(new.index)
+                new = len(nodes)
+                nodes.append(GraphNode(g, level + 1))
+                incident[new] = [(label, idx)]
+                incident[idx].append((label, new))
+                edges.append(GraphEdge(idx, new, seed.weight, seed.factor))
+                next_frontier.append(new)
         frontier = next_frontier
-    return MutationGraph(tuple(nodes), tuple(edges), depth, complete)
+    return MutationGraph(tuple(nodes), tuple(edges), complete)
 
 
 @pytest.mark.parametrize("text, depth", [(p, 2) for p in POLYGON_POLYS]

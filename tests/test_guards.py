@@ -1,11 +1,17 @@
 """Refusals that no other test reaches: each guard raises its own exception
-type, not merely some ValueError."""
+type, not merely some ValueError, and input nested past what Python's
+stack holds ends the CLI process with one error line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fanolab.laurent import (LaurentPolynomial, RankMismatchError,
-                             ZeroPolynomialError, exponent_lattice_index,
-                             parse_polynomial)
+from fanolab.laurent import (PARSE_NESTING_CAP, LaurentPolynomial, ParseError,
+                             RankMismatchError, ZeroPolynomialError,
+                             exponent_lattice_index, parse_polynomial)
 from fanolab.linalg import complete_to_basis_last_row, nullspace
 from fanolab.mmlp import CoefficientSpace, coefficient_space
 from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
@@ -26,6 +32,10 @@ LONG = newton_polytope(parse_polynomial("x^2 + y + 1/(x*y)"))
 
 def set_rank():
     F.rank = 3
+
+
+def nested(depth):
+    return "(" * depth + "x" + ")" * depth
 
 
 GUARDS = {
@@ -63,6 +73,8 @@ GUARDS = {
         (ZeroPolynomialError, lambda: newton_polytope(ZERO)),
     "lattice-polytope-of-a-non-integral-dual":
         (ValueError, dual_polytope(LONG).to_lattice_polytope),
+    "parentheses-nested-past-the-cap":
+        (ParseError, lambda: parse_polynomial(nested(PARSE_NESTING_CAP + 1))),
 }
 
 
@@ -71,3 +83,29 @@ def test_guard_raises_its_exception_type(kind, call):
     with pytest.raises(kind) as raised:
         call()
     assert type(raised.value) is kind
+
+
+def test_parentheses_nested_to_the_cap_parse():
+    assert parse_polynomial(nested(PARSE_NESTING_CAP)) == parse_polynomial("x")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv, cache_text", [
+    (["period", nested(300)], None),
+    (["period", '{"n": ' + "[" * 1000 + "]" * 1000 + "}"], None),
+    (["period", "x"], "[" * 5000 + "]" * 5000),
+], ids=["text", "json", "cache"])
+def test_deep_nesting_ends_the_process_with_one_error_line(
+        tmp_path, argv, cache_text):
+    if cache_text is not None:
+        cache = tmp_path / "cache.json"
+        cache.write_text(cache_text)
+        argv = ["--cache", str(cache)] + argv
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-m", "fanolab.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1 and out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr

@@ -3,7 +3,8 @@ a function (bar the lazy sympy import), reads sympy for anything but
 factoring, enumerates orders or subsets with itertools, keeps a private
 helper nothing calls, a dataclass field nothing reads or a parameter its
 function never reads, or caches a function for the whole process (bar the
-CLI parser), and importing the CLI loads no module it does not need."""
+CLI parser), the CLI reads every option it parses, and importing the CLI
+loads no module it does not need."""
 
 import ast
 import os
@@ -350,6 +351,50 @@ def test_unread_parameters_are_found():
                          ids=lambda path: path.name)
 def test_package_reads_every_parameter(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def unread_options(source):
+    """Destinations of the ``add_argument`` calls in source that no
+    ``args.<dest>`` load reads, as sorted strings.  A destination is the
+    ``dest`` keyword, else the first long option, else the first name,
+    without leading dashes and with inner dashes read as underscores."""
+    tree = ast.parse(source)
+    dests = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            continue
+        names = [arg.value for arg in node.args
+                 if isinstance(arg, ast.Constant)]
+        dest = next((kw.value.value for kw in node.keywords
+                     if kw.arg == "dest"), None)
+        if dest is None:
+            name = next((n for n in names if n.startswith("--")), names[0])
+            dest = name.lstrip("-").replace("-", "_")
+        dests.add(dest)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    return sorted(dests - read)
+
+
+def test_unread_options_are_found():
+    source = ("p.add_argument('input')\n"
+              "p.add_argument('-v', '--verbose-mode', action='store_true')\n"
+              "p.add_argument('--out', dest='target')\n"
+              "p.add_argument('--seen')\n"
+              "p.add_argument('-q')\n"
+              "s.add_argument('--count')\n"
+              "def f(args):\n"
+              "    return args.input, args.seen, other.count, args.q\n"
+              "args.target = 1\n")
+    assert unread_options(source) == ["count", "target", "verbose_mode"]
+
+
+def test_cli_reads_every_option():
+    assert unread_options((PACKAGE / "cli.py").read_text()) == []
 
 
 def test_cli_import_leaves_sympy_unloaded():

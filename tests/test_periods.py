@@ -412,7 +412,7 @@ def test_known_series_match_model_polynomials():
 
 
 def test_unknown_tag():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         known_series("no-such-variety", 5)
 
 
