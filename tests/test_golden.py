@@ -338,11 +338,35 @@ def _nesting_cases():
     return [case, ["--json"] + case]
 
 
+def _direct_sum_cases():
+    """``period``, ``pf`` and ``compare`` on sums of polynomials in
+    independent variables: the P^1 x dP6 mirror and a GL(3, Z) image of it,
+    the octahedron beside a GL(2, Z) image of the quadric's mirror plus
+    z + 1/z, a support whose two circuits share x, and rational
+    coefficients beside a constant term."""
+    p1_dp6 = "x + y + 1/x + 1/y + x*y + 1/(x*y) + z + 1/z"
+    image = ("x^2*y*z^2 + x*y*z + x*z + y*z + y^-1*z^-1 + x^-1*z^-1"
+             " + x^-1*y^-1*z^-1 + x^-2*y^-1*z^-2")
+    octahedron = "x + 1/x + y + 1/y + z + 1/z"
+    cases = [
+        ["period", p1_dp6, "--terms", "30"],
+        ["pf", p1_dp6, "--terms", "30"],
+        ["period", image, "--terms", "30"],
+        ["pf", image, "--terms", "30"],
+        ["period", "x + 1/x + y + 1/(x*y)", "--terms", "30"],
+        ["period", "1/2*x + 3/x + y^2 + 1/y + 2", "--terms", "20"],
+        ["compare", octahedron, "x + 1/x + x*y + 1/(x*y) + z + 1/z",
+         "--terms", "30"],
+        ["compare", p1_dp6, octahedron, "--terms", "30"],
+    ]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
          + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases()
-         + _nesting_cases())
+         + _nesting_cases() + _direct_sum_cases())
 
 
 def _command(argv):
