@@ -401,11 +401,12 @@ def _json_coefficient(c):
     """An exact coefficient from a JSON integer or string, never a float."""
     if type(c) not in (int, str):
         raise TypeError(
-            f"a coefficient must be an integer or a string, got {c!r}")
+            f"a coefficient must be an integer or a string, got {_quote(c)}")
     try:
         return Fraction(c)
     except ZeroDivisionError:
-        raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+        raise ValueError(
+            f"coefficient {_quote(c)} has a zero denominator") from None
 
 
 _JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
@@ -415,8 +416,19 @@ def json_value(value, kind, what):
     """``value`` when its type is exactly ``kind`` (so a bool is not an int
     and a float never is); otherwise TypeError naming ``what``."""
     if type(value) is not kind:
-        raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+        raise TypeError(
+            f"{what} must be {_JSON_KINDS[kind]}, got {_quote(value)}")
     return value
+
+
+# the most characters of an offending JSON value that an error quotes
+_QUOTE_CAP = 60
+
+
+def _quote(value):
+    """repr(value), cut after ``_QUOTE_CAP`` characters and marked so."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_CAP else text[:_QUOTE_CAP] + "..."
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,27 @@ def test_deeply_nested_input_is_usage_error(tmp_path, monkeypatch, capsys,
     assert err.splitlines() == [f"error: cannot read polynomial: {message}"]
 
 
+LONG_LIST = "[" + ", ".join(["1"] * 50000) + "]"
+
+
+@pytest.mark.parametrize("document, message", [
+    ('{"n": ' + LONG_LIST + ', "terms": []}', "n must be an integer"),
+    ('{"n": ' + "[" * 900 + "]" * 900 + ', "terms": []}',
+     "n must be an integer"),
+    ('{"n": 1, "terms": [{"e": [1], "c": ' + LONG_LIST + '}]}',
+     "a coefficient must be an integer or a string"),
+    ('{"n": 1, "terms": [{"e": [1], "c": "' + "1" * 500 + '/0"}]}',
+     "coefficient '" + "1" * 59 + "... has a zero denominator"),
+], ids=["long-n", "nested-n", "long-coefficient", "long-zero-denominator"])
+def test_long_offending_value_gives_one_short_error_line(capsys, document,
+                                                         message):
+    code, out, err = run(capsys, "period", document)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cannot read polynomial: {message}")
+    assert "..." in line and len(line) < 200
+
+
 def test_deeply_nested_cache_is_refused(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     cache.write_text("[" * 5000 + "]" * 5000)
