@@ -1,8 +1,24 @@
 """Classical period sequences of Laurent polynomials.
 
 The classical period of f is the power series whose k-th coefficient is the
-constant term of f^k.  No full power f^k is ever built.  There are two
-exact ways to read it, and ``PeriodCalculator`` takes the cheaper one for f.
+constant term of f^k.  No full power f^k is ever built.
+
+``PeriodCalculator`` first splits f = f_1 + ... + f_m by the connected
+components of the linear matroid of its exponent vectors: two terms share
+a part when they lie in a common circuit, a minimal set of linearly
+dependent exponents.  One ``rref`` of the exponent matrix shows those
+circuits, as each free column forms one with the pivots where its reduced
+entries are nonzero; a zero exponent, the constant term, is a loop and
+forms a part of its own.  The spans of the parts are independent, so a
+monomial of f_1^(k_1) ... f_m^(k_m) is constant only when each factor's
+is, and
+
+    ct(f^k) = sum over k_1 + ... + k_m = k of
+              k! / (k_1! ... k_m!) * prod_i ct(f_i^(k_i)),
+
+a binomial convolution of the parts' periods, as for the mirror of a
+product of Fano varieties.  Each part then takes the cheaper of two exact
+ways to read its own period.
 
 * Sums over the relation lattice.  Write f = sum over j of c_j x^(e_j)
   with t terms, and let E be the n x t matrix of the exponents.  Then
@@ -26,11 +42,14 @@ exact ways to read it, and ``PeriodCalculator`` takes the cheaper one for f.
   f^(2a+2).  The half power near f^(k/2) has about k^r terms.
 
 So the sums win when rho <= r, as for the toric mirrors of Fano manifolds
-of small Picard rank, and pairing wins when f has many terms for its
-dimension.  Both are exact for any support and rational coefficients, need
-no bound on n up front, and stream: asking for more terms of the same
-polynomial reuses earlier work.  The sums hold no power of f, and pairing
-holds two half powers at a time.
+of small Picard rank, and pairing wins when a part has many terms for its
+dimension.  The split lowers both costs, as each part has its own rho and
+r: the octahedron (rho = r = 3) is three parts of rho = r = 1, each with
+at most one fibre point per term.  Every way is exact for any support and
+rational coefficients, needs no bound on n up front, and streams: asking
+for more terms of the same polynomial reuses earlier work, and each part
+computes only as far as the terms asked for.  The sums hold no power of
+f, and pairing holds two half powers of its part at a time.
 """
 
 from __future__ import annotations
@@ -66,10 +85,15 @@ class PeriodCalculator:
         if f.is_zero():
             raise ZeroPolynomialError("classical period of 0 is undefined")
         self.f = f
-        system = _fibre_system(f)
+        parts = _parts(f)
+        if len(parts) > 1:
+            terms = _convolved_terms(parts)
+        else:
+            system = _fibre_system(f)
+            terms = (_paired_constant_terms(f) if system is None
+                     else _fibre_sums(f, *system))
         # yields ct(f^1), ct(f^2), ...; _coeffs holds those already read
-        self._terms = (_paired_constant_terms(f) if system is None
-                       else _fibre_sums(f, *system))
+        self._terms = terms
         self._coeffs = [1]
 
     def coefficient(self, k):
@@ -83,6 +107,49 @@ class PeriodCalculator:
         if n_terms:
             self.coefficient(n_terms - 1)
         return PeriodSequence(tuple(self._coeffs[:n_terms]))
+
+
+def _parts(f):
+    """f split by the connected components of the linear matroid of its
+    exponent vectors, as polynomials in order of their first terms."""
+    items = list(f.terms.items())
+    rows, pivots = rref([[e[i] for e, _ in items] for i in range(f.rank)])
+    blocks = [{p} for p in pivots]
+    for j in range(len(items)):
+        if j in pivots:
+            continue
+        # the circuit of a free column, or the loop {j} of a zero column
+        joined = {j, *(p for row, p in zip(rows, pivots) if row[j])}
+        for block in [b for b in blocks if not b.isdisjoint(joined)]:
+            joined |= block
+            blocks.remove(block)
+        blocks.append(joined)
+    if len(blocks) == 1:
+        return [f]
+    return [LaurentPolynomial._from_clean(
+                f.rank, dict(items[j] for j in sorted(block)))
+            for block in sorted(blocks, key=min)]
+
+
+def _convolved_terms(parts):
+    """Yield ct(f^1), ct(f^2), ... for f the sum of the parts, whose
+    exponent spans are independent, by folding the parts' periods in one
+    binomial convolution at a time."""
+    calcs = [PeriodCalculator(part) for part in parts]
+    # sums[i] holds ct((f_1 + ... + f_(i+2))^j) for j <= k
+    sums = [[1] for _ in calcs[1:]]
+    for k in count(1):
+        total = calcs[0].coefficient(k)
+        prev = calcs[0]._coeffs
+        for calc, row in zip(calcs[1:], sums):
+            calc.coefficient(k)
+            b = calc._coeffs
+            total = _norm_coeff(sum(comb(k, j) * a * b[k - j]
+                                    for j, a in enumerate(prev)
+                                    if a and b[k - j]))
+            row.append(total)
+            prev = row
+        yield total
 
 
 def _fibre_system(f):

@@ -1,5 +1,11 @@
-"""The relation-lattice sums by trial of every candidate point: the
-reference walk.
+"""Two references for ``fanolab.periods``: the calculator without the
+split into parts, and the relation-lattice sums by trial of every
+candidate point.
+
+``unsplit_period`` reads the period of the whole of f by the sums or by
+pairing, chosen by the rho and r of f itself, as the calculator did before
+it split f by the components of its exponent matroid; it serves as the
+oracle of that split.
 
 ``fibre_points`` walks every point of the free coordinates with sum at
 most k, solves each pivot coordinate by one ``divmod`` and keeps the points
@@ -9,11 +15,21 @@ last free coordinate and solves that one from its range and residue class,
 so it meets only fibre points; this serves only as its oracle.
 """
 
-from itertools import count
+from itertools import count, islice
 from math import prod
 from operator import mul
 
+from fanolab import periods
 from fanolab.laurent import _norm_coeff
+
+
+def unsplit_period(f, n_terms):
+    """The first ``n_terms`` period coefficients of f, read from the whole
+    of f without splitting it into parts."""
+    system = periods._fibre_system(f)
+    terms = (periods._paired_constant_terms(f) if system is None
+             else periods._fibre_sums(f, *system))
+    return [1, *islice(terms, n_terms - 1)] if n_terms else []
 
 
 def fibre_sums(f, rows, pivots):

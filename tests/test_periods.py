@@ -3,16 +3,17 @@ from itertools import product
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 import period_oracle
 from fanolab import periods
 from fanolab.laurent import (LaurentPolynomial, parse_polynomial,
                              substitute_unimodular)
 from fanolab.periods import (KNOWN_SERIES, PeriodCalculator, PeriodSequence,
-                             _complete_intersection_period, _fibre_system,
-                             _paired_constant_terms, classical_period,
-                             known_series, periods_agree)
+                             _complete_intersection_period,
+                             _convolved_terms, _fibre_system,
+                             _paired_constant_terms, _parts,
+                             classical_period, known_series, periods_agree)
 from test_properties import gl
 
 
@@ -232,6 +233,9 @@ def test_period_small_cases(text, expect):
     assert typed(seq) == typed(expect)
 
 
+DP6 = "x + y + 1/x + 1/y + x*y + 1/(x*y)"
+
+
 def test_periods_agree_stops_at_first_mismatch(monkeypatch):
     made = []
 
@@ -241,16 +245,24 @@ def test_periods_agree_stops_at_first_mismatch(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(periods, "PeriodCalculator", Counted)
-    # once on each path; ct(f^2) = 2 and ct(g^2) = 4, or 3 and 5 with the
-    # constant term
+    # once on each path and once split into parts: ct(f^2) = 2 and
+    # ct(g^2) = 4, or 6 and 8 on the hexagon, or 3 and 5 with the constant
+    # term, which makes a part of its own
     for f_text, g_text, sums in (("x + x^-1", "x + 2*x^-1", True),
-                                 ("x + x^-1 + 1", "x + 2*x^-1 + 1", False)):
+                                 (DP6, "2*" + DP6, False),
+                                 ("x + x^-1 + 1", "x + 2*x^-1 + 1", None)):
         f, g = parse_polynomial(f_text), parse_polynomial(g_text)
-        assert sums_over_relations(f) == sums_over_relations(g) == sums
+        if sums is None:
+            assert len(_parts(f)) == len(_parts(g)) == 2
+        else:
+            assert len(_parts(f)) == len(_parts(g)) == 1
+            assert sums_over_relations(f) == sums_over_relations(g) == sums
         made.clear()
         assert periods_agree(f, g, 10 ** 6) == (False, 2)
-        # each side computed ct(h^0), ct(h^1) and ct(h^2), and no more
-        assert [len(calc._coeffs) for calc in made] == [3, 3]
+        # each side, and each part of a split side, computed ct(h^0),
+        # ct(h^1) and ct(h^2), and no more
+        assert [len(calc._coeffs) for calc in made] == \
+            [3] * (2 if sums is not None else 6)
 
 
 @pytest.mark.parametrize("text, sums", [
@@ -263,6 +275,96 @@ def test_periods_agree_stops_at_first_mismatch(monkeypatch):
 ])
 def test_path_of_the_bench_mirrors(text, sums):
     assert sums_over_relations(parse_polynomial(text)) == sums
+
+
+@pytest.mark.parametrize("text, sums", [
+    ("x + y + x^-1*y^-1", [True]),  # one part
+    ("x + x^-1 + y + y^-1", [True] * 2),  # two parts of rho 1, r 1
+    ("x + y + z + x^-1*y^-1*z^-1", [True]),
+    ("x + x^-1 + y + y^-1 + z + z^-1", [True] * 3),
+    ("(x + y + 1)^3/(x*y*z) + z", [False]),
+    ("(1 + x + y + z)^2/(x*y*z) + x + y + z", [False]),
+    (DP6 + " + z + 1/z", [False, True]),  # rho 4, r 2 beside rho 1, r 1
+])
+def test_path_of_each_part_of_the_bench_mirrors(text, sums):
+    assert [sums_over_relations(part)
+            for part in _parts(parse_polynomial(text))] == sums
+
+
+# -- the split into parts against the calculator without it ----------------
+
+@st.composite
+def direct_sums(draw):
+    """A sum of 2 or 3 random polynomials in disjoint blocks of variables,
+    of rank at most 4 in all, maybe with a constant term, mapped by a
+    random GL(n, Z) matrix; and the number of its blocks with a nonzero
+    exponent."""
+    ranks = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)
+                 .filter(lambda ranks: sum(ranks) <= 4))
+    n = sum(ranks)
+    pairs, blocks, start = [], 0, 0
+    for rank in ranks:
+        vec = st.tuples(*[st.integers(-2, 2)] * rank)
+        support = draw(st.lists(vec, min_size=1, max_size=rank + 2,
+                                unique=True))
+        blocks += any(map(any, support))
+        pairs += [((0,) * start + e + (0,) * (n - start - rank),
+                   draw(coeffs)) for e in support]
+        start += rank
+    if draw(st.booleans()):
+        pairs.append(((0,) * n, draw(coeffs)))
+    f = LaurentPolynomial.from_terms(n, pairs)
+    assume(not f.is_zero())
+    return substitute_unimodular(f, draw(gl(n))), blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(direct_sums())
+def test_split_matches_the_unsplit_oracle(sample):
+    f, blocks = sample
+    assert len(_parts(f)) >= blocks
+    assert typed(classical_period(f, 14)) == \
+        typed(period_oracle.unsplit_period(f, 14))
+
+
+@pytest.mark.parametrize("text, parts", [
+    ("x + 1/x + x*y + 1/(x*y)", ["x + x^-1", "x*y + x^-1*y^-1"]),
+    # the circuits {x, 1/x} and {x, y, 1/(x*y)} share x
+    ("x + 1/x + y + 1/(x*y)", ["x + y + x^-1 + x^-1*y^-1"]),
+    ("x + 1/x + y", ["x + x^-1", "y"]),  # y is a coloop
+    ("x + 1/x + 3", ["x + x^-1", "3"]),  # the constant term is a loop
+    ("1/2*x + 3/x + y^2 + 1/y + 2", ["1/2*x + 3*x^-1", "y^2 + y^-1", "2"]),
+    ("x + 1/x + y + 1/y + z + 1/z", ["x + x^-1", "y + y^-1", "z + z^-1"]),
+    (DP6 + " + z + 1/z",
+     ["x*y + x + y + y^-1 + x^-1 + x^-1*y^-1", "z + z^-1"]),
+])
+def test_parts_and_their_period(text, parts):
+    f = parse_polynomial(text)
+    assert sorted(map(str, _parts(f))) == sorted(parts)
+    expect = typed(period_oracle.unsplit_period(f, 20))
+    assert typed(classical_period(f, 20)) == expect
+    assert expect == typed(iterated_power_period(f, 20))
+
+
+def test_convolving_a_connected_support_gives_wrong_terms():
+    # the parts' periods are 1, 0, 2, 0, 6, ... and 1, 0, 0, ..., so
+    # their convolution misses ct(f^3) = 6
+    f = parse_polynomial("x + 1/x + y + 1/(x*y)")
+    wrong = _convolved_terms([
+        LaurentPolynomial.from_terms(2, [((1, 0), 1), ((-1, 0), 1)]),
+        LaurentPolynomial.from_terms(2, [((0, 1), 1), ((-1, -1), 1)])])
+    assert [1] + [next(wrong) for _ in range(4)] == [1, 0, 2, 0, 6]
+    assert list(classical_period(f, 5)) == [1, 0, 2, 6, 6]
+
+
+def test_split_of_two_hexagons_in_rank_4():
+    f = parse_polynomial(DP6 + " + z + 1/z + w + 1/w + z*w + 1/(z*w)")
+    assert [sums_over_relations(part) for part in _parts(f)] == [False] * 2
+    hexagon = PeriodCalculator(parse_polynomial(DP6))
+    # two equal parts: ct(f^k) = sum of C(k, j) * c_j * c_(k - j)
+    assert list(classical_period(f, 30)) == [
+        sum(comb(k, j) * hexagon.coefficient(j) * hexagon.coefficient(k - j)
+            for j in range(k + 1)) for k in range(30)]
 
 
 def test_long_projective_plane_series():
