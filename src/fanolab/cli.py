@@ -16,9 +16,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .laurent import (LaurentPolynomial, ParseError, _norm_coeff,
-                      exponent_lattice_index, format_polynomial,
-                      parse_polynomial)
+from .laurent import (LaurentPolynomial, _norm_coeff, exponent_lattice_index,
+                      format_polynomial, parse_polynomial)
 from .mmlp import is_rigid
 from .mutation import (MutationBounds, MutationData, enumerate_mutations,
                        mutate)
@@ -81,7 +80,7 @@ def _read(arg, what, rank_hint=None):
         raise _CliError(f"cannot read {what}: missing key {exc}") from exc
     except RecursionError:
         raise _CliError(f"cannot read {what}: nested too deeply") from None
-    except (ParseError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise _CliError(f"cannot read {what}: {exc}") from exc
 
 

@@ -291,8 +291,6 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if c == 0:
-            return LaurentPolynomial.zero(self.rank)
         return LaurentPolynomial._from_clean(
             self.rank, _clean({e: v * c for e, v in self.terms.items()}))
 

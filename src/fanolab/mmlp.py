@@ -70,7 +70,6 @@ def seed_set(p, bounds=None):
     """
     if bounds is None:
         bounds = MutationBounds()
-    p.require_full_dim()
     if not p.origin_strictly_interior():
         raise OriginNotInteriorError(
             "mutability analysis needs the origin strictly interior")
@@ -183,7 +182,6 @@ def coefficient_space(p, seeds):
     the factor; each demand is the membership of the slice in the span of
     monomial multiples of that power, which is linear in the unknowns.
     """
-    p.require_full_dim()
     if not p.origin_strictly_interior():
         raise OriginNotInteriorError(
             "mutability analysis needs the origin strictly interior")

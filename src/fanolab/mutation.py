@@ -186,8 +186,6 @@ def is_mutable(f, data):
     """Check divisibility of every negative w-slice of f by the matching
     power of the factor; returns a MutationWitness or a NotMutable with the
     first failing level."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot mutate the zero polynomial")
     slices = weight_decomposition(f, data.weight)
     needed = [-i for i, _ in reversed(slices) if i < 0]
     fpow = dict(zip(needed, factor_powers(data.factor, needed)))
@@ -239,8 +237,6 @@ def canonicalize_shear(f, w):
     Each term's level is computed once.  T^-1 (s', 0) lies on the wall by
     construction, so the shear needs no check.
     """
-    if f.is_zero():
-        return f
     w = check_weight(w, f.rank)
     terms = f.terms
     level = {e: weight_value(w, e) for e in terms}
@@ -317,8 +313,6 @@ def enumerate_mutations(f, bounds=None, memo=None):
         bounds = MutationBounds()
     if memo is None:
         memo = {}
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot mutate the zero polynomial")
     if f.rank == 1:
         raise InvalidWeightError("mutations need at least two variables")
     p = newton_polytope(f)

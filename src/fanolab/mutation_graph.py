@@ -126,10 +126,6 @@ def export_dot(graph):
 # 54 MB in 2.5 s
 MARKOV_DEPTH_CAP = 15
 
-# the deepest correspondence check: it builds the mutation graph of
-# x + y + 1/(x*y) to the same depth
-CORRESPONDENCE_DEPTH_CAP = GRAPH_DEPTH_CAP
-
 
 def markov_tree(depth):
     """Levels of the Markov-triple tree.
@@ -173,12 +169,10 @@ def p2_correspondence_check(depth, bounds=None):
     At each depth the set of weighted-projective weight triples read off the
     graph nodes must equal the set of componentwise squares of the Markov
     triples first appearing at that depth.  A depth above
-    ``CORRESPONDENCE_DEPTH_CAP`` raises ValueError before the graph is built.
+    ``GRAPH_DEPTH_CAP`` raises ValueError in ``build_graph`` before the first
+    enumeration.
     """
     markov = markov_tree(depth)  # first, so that a refused depth costs nothing
-    if depth > CORRESPONDENCE_DEPTH_CAP:
-        raise ValueError(f"depth {depth} is above {CORRESPONDENCE_DEPTH_CAP}"
-                         f" for the correspondence check")
     graph = build_graph(parse_polynomial("x + y + x^-1*y^-1"), depth, bounds)
     per_depth = []
     ok = True

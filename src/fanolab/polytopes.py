@@ -64,11 +64,9 @@ def _hull(points, rank):
     point is a vertex when the masks through it meet in it alone.
     """
     lifted = [p + (1,) for p in points]
-    start = []
-    for i, q in enumerate(lifted):
-        if len(start) <= rank and len(
-                rref([lifted[j] for j in start] + [q])[1]) > len(start):
-            start.append(i)
+    # the pivot columns of the lifted points as columns: the first rank + 1
+    # of them that are affinely independent
+    start = rref(list(zip(*lifted)))[1]
     rays = []
     for i in start:
         others = [j for j in start if j != i]
@@ -218,7 +216,6 @@ class FanoReport:
 
 
 def is_fano(p):
-    p.require_full_dim()
     return FanoReport(
         origin_interior=p.origin_strictly_interior(),
         vertices_primitive=all(is_primitive(v) for v in p.vertices),
@@ -241,7 +238,6 @@ class DualPolytope:
 
 
 def dual_polytope(p):
-    p.require_full_dim()
     if not p.origin_strictly_interior():
         raise OriginNotInteriorError(
             "polar dual is unbounded: origin not strictly interior")
@@ -254,7 +250,6 @@ def dual_polytope(p):
 
 def is_reflexive(p):
     """True iff the polar dual is integral; equivalently every offset is 1."""
-    p.require_full_dim()
     if not p.origin_strictly_interior():
         raise OriginNotInteriorError("reflexivity needs the origin interior")
     return all(c == 1 for (_, c) in p.facets)

@@ -43,8 +43,6 @@ def _poly_eval(p, x):
 
 
 def _poly_mul(p, q):
-    if not p or not q:
-        return ()
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):

@@ -9,8 +9,7 @@ from fanolab import cli
 from fanolab.cli import main
 from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
 from fanolab.mutation import MutationBounds
-from fanolab.mutation_graph import (CORRESPONDENCE_DEPTH_CAP,
-                                    GRAPH_DEPTH_CAP, MARKOV_DEPTH_CAP)
+from fanolab.mutation_graph import GRAPH_DEPTH_CAP, MARKOV_DEPTH_CAP
 from fanolab.polytopes import LATTICE_BOX_CAP, NORMAL_FORM_STATE_CAP
 
 P2 = "x + y + x^-1*y^-1"
@@ -155,15 +154,14 @@ def test_markov_depth_past_the_cap_is_refused_quickly(capsys, extra):
 
 
 def test_correspondence_past_its_cap_is_refused_quickly(capsys):
-    depth = CORRESPONDENCE_DEPTH_CAP + 1
+    depth = GRAPH_DEPTH_CAP + 1
     start = time.perf_counter()
     code, out, err = run(capsys, "markov", "--correspondence", "--depth",
                          str(depth))
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err.splitlines() == [
-        f"error: depth {depth} is above {CORRESPONDENCE_DEPTH_CAP} for the "
-        "correspondence check"]
+        f"error: depth {depth} is above {GRAPH_DEPTH_CAP}"]
 
 
 def test_markov_depth_at_the_cap(capsys):
