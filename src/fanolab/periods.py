@@ -97,6 +97,8 @@ class PeriodCalculator:
         self._coeffs = [1]
 
     def coefficient(self, k):
+        if k < 0:
+            raise ValueError("k must be >= 0")
         while len(self._coeffs) <= k:
             self._coeffs.append(next(self._terms))
         return self._coeffs[k]

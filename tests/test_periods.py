@@ -70,6 +70,17 @@ def test_streaming_reuses_prefix():
     assert list(second.coefficients) == iterated_power_period(f, 10)
 
 
+def test_negative_index_is_refused_before_and_after_reads():
+    calc = PeriodCalculator(parse_polynomial("x + y + x^-1*y^-1"))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        calc.coefficient(-1)
+    assert calc.coefficient(3) == 6
+    for k in (-1, -4):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            calc.coefficient(k)
+    assert calc.prefix(4).coefficients == (1, 0, 0, 6)
+
+
 # -- both paths against the iterated-power reference ------------------------
 
 coeffs = st.one_of(
