@@ -71,7 +71,8 @@ class PolynomialRecurrence:
     """Normalized relation sum_j q_j(k) c_{k-j} = 0 valid for k >= order.
 
     Coefficients are integer tuples (ascending powers of k) with overall
-    content 1 and the leading coefficient of q_0 positive.  The first
+    content 1 and the leading coefficient of the first nonzero q_j (q_0
+    whenever it is nonzero) positive.  The first
     ``order`` series terms are kept so the boundary behaviour of the
     matching differential operator can be decided later.
     """
@@ -94,13 +95,13 @@ class PolynomialRecurrence:
 
 
 def _normalize(qs):
+    """The q_j over their common content, trimmed, and signed so that the
+    first nonzero q_j has a positive leading coefficient."""
     flat = iter(primitive_part([c for q in qs for c in q]))
-    ints = [[next(flat) for _ in q] for q in qs]
-    lead = next((q[-1] for q in [_poly_trim(ints[0])] if q), 0)
-    if lead < 0 or (lead == 0 and any(
-            _poly_trim(q) and _poly_trim(q)[-1] < 0 for q in ints)):
-        ints = [[-c for c in q] for q in ints]
-    return tuple(_poly_trim(q) for q in ints)
+    ints = [_poly_trim([next(flat) for _ in q]) for q in qs]
+    if next((q[-1] for q in ints if q), 0) < 0:
+        ints = [tuple(-c for c in q) for q in ints]
+    return tuple(ints)
 
 
 def fit_recurrence(terms, r_max=6, d_max=8):

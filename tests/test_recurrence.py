@@ -167,6 +167,40 @@ def test_recurrence_needs_initial_terms_for_operator():
         to_differential_operator(rec)
 
 
+def test_operator_of_a_recurrence_with_a_zero_last_coefficient():
+    # c_k - c_{k-1} = 0 with an empty q_2: the boundary factor k applies
+    # at k = 0, and the empty p_2 is dropped
+    rec = PolynomialRecurrence(2, 0, ((1,), (-1,), ()), (1, 1))
+    op = to_differential_operator(rec)
+    assert op == DifferentialOperator(((0, 1), (-1, -1)))
+    assert op.annihilates([1] * 20)
+
+
+small_polys = st.lists(st.integers(-6, 6), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_polys, st.sampled_from(([], [0], [0, 0]))),
+       st.lists(small_polys, max_size=3),
+       st.integers(-5, 5).filter(bool))
+def test_normalize_is_idempotent_and_ignores_scale(q0, rest, scale):
+    qs = [q0] + rest
+    once = recurrence._normalize(qs)
+    assert recurrence._normalize(once) == once
+    assert recurrence._normalize(
+        [[scale * c for c in q] for q in qs]) == once
+    assert next((q[-1] for q in once if q), 1) > 0
+
+
+def test_opposite_operators_give_one_recurrence():
+    # q_0 = 0 here, so the sign is read off q_1
+    op = DifferentialOperator(((), (1, 1), (-2,)))
+    neg = DifferentialOperator(((), (-1, -1), (2,)))
+    rec = op.to_recurrence((1, 2))
+    assert rec.coefficients == ((), (0, 1), (-2,))
+    assert neg.to_recurrence((1, 2)) == rec
+
+
 # -- the screened fit against the exact fit of every system -----------------
 
 
