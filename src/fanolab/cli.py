@@ -210,6 +210,9 @@ def _cmd_period(args):
 
 def _cmd_compare(args):
     if args.known:
+        if args.other is not None:
+            raise _CliError("compare takes a second polynomial or --known, "
+                            "not both")
         ref = known_series(args.known, args.terms)
     else:
         if args.other is None:

@@ -50,6 +50,25 @@ def test_compare_two_polynomials(capsys):
     assert data["agree"] is False and data["first-mismatch"] == 2
 
 
+def test_period_of_text_with_trailing_whitespace(capsys):
+    code, out, _ = run(capsys, "--json", "period", "x + 1/x ", "--terms", "5")
+    assert code == 0
+    assert json.loads(out)["terms"] == ["1", "0", "2", "0", "6"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_compare_with_a_second_polynomial_and_known_is_refused(capsys,
+                                                               mode):
+    # a polynomial whose period differs from the tag's is refused as well,
+    # rather than compared against one of the two
+    for other in (P2, "x + x^-1 + y + y^-1"):
+        code, out, err = run(capsys, *mode, "compare", P2, other,
+                             "--known", "projective-plane")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: compare takes a second polynomial or --known, not both"]
+
+
 @pytest.mark.parametrize("other", [("x+y",), ("--known", "projective-plane")])
 def test_compare_negative_terms_is_usage_error(capsys, other):
     code, out, err = run(capsys, "compare", "x + y + x^-1*y^-1", *other,

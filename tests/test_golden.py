@@ -362,11 +362,19 @@ def _direct_sum_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _compare_both_cases():
+    """``compare`` given both a second polynomial and ``--known``,
+    refused."""
+    case = ["compare", "x + y + 1/(x*y)", "x + y + 1/(x*y)", "--known",
+            "projective-plane"]
+    return [case, ["--json"] + case]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
          + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases()
-         + _nesting_cases() + _direct_sum_cases())
+         + _nesting_cases() + _direct_sum_cases() + _compare_both_cases())
 
 
 def _command(argv):
