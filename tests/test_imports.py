@@ -406,3 +406,19 @@ def test_cli_import_leaves_sympy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_reading_mutation_sympy_imports_it():
+    code = ("import sys, fanolab.mutation as m; "
+            "print('sympy' in sys.modules); m.sympy.factor_list; "
+            "print('sympy' in sys.modules, m.sympy is sys.modules['sympy'])")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True", "True"]
+
+
+def test_mutation_module_refuses_other_missing_names():
+    from fanolab import mutation
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        mutation.nope

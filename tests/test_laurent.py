@@ -111,3 +111,24 @@ def test_zero_polynomial_guards():
     from fanolab.periods import classical_period
     with pytest.raises(ZeroPolynomialError):
         classical_period(LaurentPolynomial.zero(2), 5)
+
+
+def test_products_with_zero_are_zero():
+    f = parse_polynomial("x + y + x^-1*y^-1")
+    zero = LaurentPolynomial.zero(2)
+    assert f * zero == zero and zero * f == zero
+    assert f.scale(0) == zero and f.scale(Fraction(0)) == zero
+    # the parser multiplies by an empty term map
+    assert parse_polynomial("0*x") == LaurentPolynomial.zero(1)
+    assert parse_polynomial("0*x + y") == parse_polynomial("y")
+
+
+def test_comparison_with_a_number_is_false():
+    f = parse_polynomial("x")
+    assert (f == 3) is False and (f != 3) is True
+    assert (LaurentPolynomial.one(1) == 1) is False
+
+
+def test_trailing_whitespace_is_skipped():
+    assert parse_polynomial("x + y  ") == parse_polynomial("x + y")
+    assert parse_polynomial("x + 1/x \t\n") == parse_polynomial("x + x^-1")
