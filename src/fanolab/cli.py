@@ -209,7 +209,7 @@ def _cmd_period(args):
 
 
 def _cmd_compare(args):
-    if args.known:
+    if args.known is not None:
         if args.other is not None:
             raise _CliError("compare takes a second polynomial or --known, "
                             "not both")

@@ -60,13 +60,21 @@ def test_period_of_text_with_trailing_whitespace(capsys):
 def test_compare_with_a_second_polynomial_and_known_is_refused(capsys,
                                                                mode):
     # a polynomial whose period differs from the tag's is refused as well,
-    # rather than compared against one of the two
-    for other in (P2, "x + x^-1 + y + y^-1"):
+    # rather than compared against one of the two, and so is an empty tag
+    for other, tag in ((P2, "projective-plane"),
+                       ("x + x^-1 + y + y^-1", "projective-plane"),
+                       ("x + x^-1 + y + y^-1", "")):
         code, out, err = run(capsys, *mode, "compare", P2, other,
-                             "--known", "projective-plane")
+                             "--known", tag)
         assert code == 1 and out == ""
         assert err.splitlines() == [
             "error: compare takes a second polynomial or --known, not both"]
+
+
+def test_compare_with_an_empty_tag_is_an_unknown_tag(capsys):
+    code, out, err = run(capsys, "compare", P2, "--known", "")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown series tag ''; available: [")
 
 
 @pytest.mark.parametrize("other", [("x+y",), ("--known", "projective-plane")])
