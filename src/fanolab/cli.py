@@ -36,10 +36,6 @@ EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -59,7 +55,7 @@ def _load_text(arg):
         with open(arg[1:]) as fh:
             return fh.read().strip()
     except OSError as exc:
-        raise _CliError(f"cannot read {arg[1:]}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {arg[1:]}: {exc.strerror}") from exc
 
 
 def _read(arg, what, rank_hint=None):
@@ -77,18 +73,18 @@ def _read(arg, what, rank_hint=None):
             f = LaurentPolynomial.from_json_dict(data)
         return newton_polytope(f) if what == "polytope" else f
     except KeyError as exc:
-        raise _CliError(f"cannot read {what}: missing key {exc}") from exc
+        raise ValueError(f"cannot read {what}: missing key {exc}") from exc
     except RecursionError:
-        raise _CliError(f"cannot read {what}: nested too deeply") from None
+        raise ValueError(f"cannot read {what}: nested too deeply") from None
     except (TypeError, ValueError) as exc:
-        raise _CliError(f"cannot read {what}: {exc}") from exc
+        raise ValueError(f"cannot read {what}: {exc}") from exc
 
 
 def _weight_arg(text):
     try:
         return tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
-        raise _CliError(f"bad weight {text!r}; expected e.g. '2,-1'")
+        raise ValueError(f"bad weight {text!r}; expected e.g. '2,-1'")
 
 
 def _bounds(args):
@@ -128,12 +124,12 @@ def _cache_load(path):
         with open(path) as fh:
             cache = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise _CliError(f"cannot read cache file {path}: {exc}") from exc
+        raise ValueError(f"cannot read cache file {path}: {exc}") from exc
     except RecursionError:
-        raise _CliError(f"cannot read cache file {path}: "
+        raise ValueError(f"cannot read cache file {path}: "
                         f"nested too deeply") from None
     if not isinstance(cache, dict):
-        raise _CliError(f"cache file {path} does not hold a JSON object")
+        raise ValueError(f"cache file {path} does not hold a JSON object")
     return cache
 
 
@@ -148,7 +144,7 @@ def _cached_terms(path, cache, key):
     entry = cache[key]
     terms = entry.get("terms") if isinstance(entry, dict) else None
     if not (isinstance(terms, list) and all(map(_is_exact_number, terms))):
-        raise _CliError(f"cache file {path} has a malformed entry {key}")
+        raise ValueError(f"cache file {path} has a malformed entry {key}")
     return terms
 
 
@@ -171,7 +167,7 @@ def _cache_store(path, cache):
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except OSError as exc:
-            raise _CliError(f"cannot write cache file {path}: "
+            raise ValueError(f"cannot write cache file {path}: "
                             f"{exc.strerror}") from exc
         finally:
             if os.path.exists(tmp):
@@ -211,12 +207,12 @@ def _cmd_period(args):
 def _cmd_compare(args):
     if args.known is not None:
         if args.other is not None:
-            raise _CliError("compare takes a second polynomial or --known, "
+            raise ValueError("compare takes a second polynomial or --known, "
                             "not both")
         ref = known_series(args.known, args.terms)
     else:
         if args.other is None:
-            raise _CliError("compare needs a second polynomial or --known")
+            raise ValueError("compare needs a second polynomial or --known")
         ref = _read(args.other, "polynomial")
     f = _read(args.input, "polynomial")
     agree, where = periods_agree(f, ref, args.terms)
@@ -533,7 +529,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

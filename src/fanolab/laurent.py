@@ -60,7 +60,6 @@ class ParseError(ValueError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
-        self.position = position
 
 
 def _norm_coeff(c):
@@ -475,7 +474,6 @@ def exponent_lattice_index(f):
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>[a-z]\d*)|(?P<op>[-+*/^()]))")
-_VAR_RE = re.compile(r"[a-z]\d*")
 
 
 def _variable_order(names):
@@ -516,13 +514,13 @@ class _Parser:
     Accepts a superset of the printed grammar: parenthesised subexpressions
     with integer powers and division by monomials, so inputs like
     ``(x+y+1)^3/(x*y*z) + z`` work.  ``format_polynomial`` only ever emits
-    the flat grammar, and parse(format(f)) == f exactly.
+    the flat grammar, and parse(format(f)) == f exactly.  The variable set,
+    and so the rank, is read off the tokens, so a character that does not
+    tokenize is refused before any fault of the variable set or the rank.
     """
 
-    def __init__(self, text, rank, var_index):
+    def __init__(self, text, rank_hint):
         self.text = text
-        self.rank = rank
-        self.var_index = var_index
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -536,6 +534,15 @@ class _Parser:
             self.tokens.append((m.lastgroup, m.group(m.lastgroup),
                                 m.start(m.lastgroup)))
             pos = m.end()
+        self.var_index, self.rank = _variable_order(
+            sorted({val for kind, val, _ in self.tokens if kind == "var"}))
+        if rank_hint is not None:
+            if rank_hint < self.rank:
+                raise ParseError(f"rank hint {rank_hint} smaller than "
+                                 f"required rank {self.rank}")
+            self.rank = rank_hint
+        if self.rank == 0 and rank_hint is None:
+            raise ParseError("constant polynomial needs a rank hint")
         self.i = 0
         self.depth = 0  # parentheses open at the current token
 
@@ -666,17 +673,7 @@ def parse_polynomial(text, rank_hint=None):
     The variable set determines the ambient rank unless ``rank_hint`` pads it
     (exponent vectors are extended with zeros).
     """
-    names = sorted(set(_VAR_RE.findall(text)))
-    var_index, rank = _variable_order(names)
-    if rank_hint is not None:
-        if rank_hint < rank:
-            raise ParseError(
-                f"rank hint {rank_hint} smaller than required rank {rank}")
-        rank = rank_hint
-    if rank == 0 and rank_hint is None:
-        raise ParseError("constant polynomial needs a rank hint")
-    parser = _Parser(text, rank, var_index)
-    return parser.parse()
+    return _Parser(text, rank_hint).parse()
 
 
 def _default_names(rank):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product, repeat
 from operator import mul
 
 from .laurent import (LaurentPolynomial, ZeroPolynomialError, _clean,
@@ -26,6 +26,7 @@ from .laurent import (LaurentPolynomial, ZeroPolynomialError, _clean,
 from .linalg import (_integer_row, complete_to_basis_last_row, is_primitive,
                      primitive_part)
 from .polytopes import newton_polytope
+from .recurrence import _poly_mul
 
 
 class InvalidWeightError(ValueError):
@@ -383,21 +384,18 @@ def _edge_divisors(row, mult, deg_max):
     """
     sympy = _sympy()
     _, factors = sympy.factor_list(sympy.Poly(row[::-1], sympy.Symbol("t")))
-    powers = []  # per factor, (degree, p^k in t) for each k allowed
+    powers = []  # per factor, p^k in t for each k allowed
     for p, m in factors:
-        along = LaurentPolynomial._from_clean(1, {
-            (k,): int(c) for k, c in enumerate(reversed(p.all_coeffs())) if c})
-        ks = range(min(m // mult, deg_max // p.degree()) + 1)
-        powers.append(list(zip([k * p.degree() for k in ks],
-                               factor_powers(along, ks))))
+        along = tuple(int(c) for c in reversed(p.all_coeffs()))
+        top = min(m // mult, deg_max // p.degree())
+        powers.append(accumulate(repeat(along, top), _poly_mul,
+                                 initial=(1,)))
     divisors = []
     for choice in product(*powers):
-        degree = sum(deg for deg, _ in choice)
-        if 1 <= degree <= deg_max:
-            cs = reduce(mul, [power for deg, power in choice if deg]).terms
-            if min(cs.values()) > 0 and 1 in (cs[(0,)], cs[(degree,)]):
-                divisors.append(tuple(cs.get((k,), 0)
-                                      for k in range(degree + 1)))
+        cs = reduce(_poly_mul, choice)
+        if (1 <= len(cs) - 1 <= deg_max and min(cs) >= 0
+                and 1 in (cs[0], cs[-1])):
+            divisors.append(cs)
     return divisors
 
 

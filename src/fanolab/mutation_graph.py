@@ -76,7 +76,10 @@ def build_graph(f, depth, bounds=None):
     nodes = [GraphNode(f, 0)]
     edges = []
     complete = True
-    back = [None]  # node index -> key of the inverse of its arriving seed
+    # node index -> key of the inverse (-w, F) of its arriving seed (w, F);
+    # F is already translated and lies on the wall of -w, so the key is
+    # read off the seed without validating (-w, F) again
+    back = [None]
     frontier = [0]
     memo = {}
     for level in range(depth):
@@ -92,7 +95,7 @@ def build_graph(f, depth, bounds=None):
                 new = len(nodes)
                 nodes.append(GraphNode(mutate(poly, seed, witness),
                                        level + 1))
-                back.append(seed.inverse().key)
+                back.append((tuple(-x for x in seed.weight), seed.key[1]))
                 edges.append(GraphEdge(idx, new, seed.weight, seed.factor))
                 next_frontier.append(new)
         frontier = next_frontier

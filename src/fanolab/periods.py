@@ -17,8 +17,10 @@ is, and
               k! / (k_1! ... k_m!) * prod_i ct(f_i^(k_i)),
 
 a binomial convolution of the parts' periods, as for the mirror of a
-product of Fano varieties.  Each part then takes the cheaper of two exact
-ways to read its own period.
+product of Fano varieties.  Each part streams its own period, and the
+calculator folds the streams left to right with one binary convolution,
+of two streams at a time.  Each part takes the cheaper of two exact ways
+to read its period.
 
 * Sums over the relation lattice.  Write f = sum over j of c_j x^(e_j)
   with t terms, and let E be the n x t matrix of the exponents.  Then
@@ -55,6 +57,7 @@ f, and pairing holds two half powers of its part at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
@@ -84,16 +87,8 @@ class PeriodCalculator:
             raise TypeError("expected a LaurentPolynomial")
         if f.is_zero():
             raise ZeroPolynomialError("classical period of 0 is undefined")
-        self.f = f
-        parts = _parts(f)
-        if len(parts) > 1:
-            terms = _convolved_terms(parts)
-        else:
-            system = _fibre_system(f)
-            terms = (_paired_constant_terms(f) if system is None
-                     else _fibre_sums(f, *system))
         # yields ct(f^1), ct(f^2), ...; _coeffs holds those already read
-        self._terms = terms
+        self._terms = reduce(_convolved_terms, map(_part_terms, _parts(f)))
         self._coeffs = [1]
 
     def coefficient(self, k):
@@ -133,25 +128,25 @@ def _parts(f):
             for block in sorted(blocks, key=min)]
 
 
-def _convolved_terms(parts):
-    """Yield ct(f^1), ct(f^2), ... for f the sum of the parts, whose
-    exponent spans are independent, by folding the parts' periods in one
-    binomial convolution at a time."""
-    calcs = [PeriodCalculator(part) for part in parts]
-    # sums[i] holds ct((f_1 + ... + f_(i+2))^j) for j <= k
-    sums = [[1] for _ in calcs[1:]]
+def _part_terms(f):
+    """The stream ct(f^1), ct(f^2), ... of one part f, read as sums over
+    its relation lattice or by pairing half powers."""
+    system = _fibre_system(f)
+    return (_paired_constant_terms(f) if system is None
+            else _fibre_sums(f, *system))
+
+
+def _convolved_terms(g, h):
+    """Yield ct(f^1), ct(f^2), ... for f = f_1 + f_2, given the streams g
+    and h of f_1 and f_2, whose exponent spans are independent: the
+    binomial convolution of their periods.  Each stream is read one term
+    per term yielded."""
+    a, b = [1], [1]  # ct(f_1^j) and ct(f_2^j) for j <= k
     for k in count(1):
-        total = calcs[0].coefficient(k)
-        prev = calcs[0]._coeffs
-        for calc, row in zip(calcs[1:], sums):
-            calc.coefficient(k)
-            b = calc._coeffs
-            total = _norm_coeff(sum(comb(k, j) * a * b[k - j]
-                                    for j, a in enumerate(prev)
-                                    if a and b[k - j]))
-            row.append(total)
-            prev = row
-        yield total
+        a.append(next(g))
+        b.append(next(h))
+        yield _norm_coeff(sum(comb(k, j) * x * b[k - j]
+                              for j, x in enumerate(a) if x and b[k - j]))
 
 
 def _fibre_system(f):

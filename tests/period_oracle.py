@@ -26,9 +26,7 @@ from fanolab.laurent import _norm_coeff
 def unsplit_period(f, n_terms):
     """The first ``n_terms`` period coefficients of f, read from the whole
     of f without splitting it into parts."""
-    system = periods._fibre_system(f)
-    terms = (periods._paired_constant_terms(f) if system is None
-             else periods._fibre_sums(f, *system))
+    terms = periods._part_terms(f)
     return [1, *islice(terms, n_terms - 1)] if n_terms else []
 
 
