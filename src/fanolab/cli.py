@@ -9,6 +9,7 @@ search came back empty or partial (the answer is "inconclusive", not "no").
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -34,6 +35,28 @@ FORMAT_VERSION = 1
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
+
+
+# Python caps int <-> str conversion at 4,300 digits by default (from
+# 3.10.7; older versions have no cap).  The CLI lifts the cap so that every
+# exact number it computes prints in full, and keeps it for input text,
+# where parsing a literal of a million digits would take seconds.
+_INPUT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 0)
+
+
+@contextlib.contextmanager
+def _int_digits(limit):
+    """Within the block, int <-> str conversion takes at most ``limit``
+    digits, or any number for 0, where Python caps it at all."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,13 +87,14 @@ def _read(arg, what, rank_hint=None):
     as the Newton polytope of a polynomial."""
     text = _load_text(arg)
     try:
-        if not text.lstrip().startswith("{"):
-            f = parse_polynomial(text, rank_hint=rank_hint)
-        else:
-            data = json.loads(text)
-            if what == "polytope" and "vertices" in data:
-                return LatticePolytope.from_json_dict(data)
-            f = LaurentPolynomial.from_json_dict(data)
+        with _int_digits(_INPUT_DIGITS):
+            if not text.lstrip().startswith("{"):
+                f = parse_polynomial(text, rank_hint=rank_hint)
+            else:
+                data = json.loads(text)
+                if what == "polytope" and "vertices" in data:
+                    return LatticePolytope.from_json_dict(data)
+                f = LaurentPolynomial.from_json_dict(data)
         return newton_polytope(f) if what == "polytope" else f
     except KeyError as exc:
         raise ValueError(f"cannot read {what}: missing key {exc}") from exc
@@ -82,7 +106,8 @@ def _read(arg, what, rank_hint=None):
 
 def _weight_arg(text):
     try:
-        return tuple(int(x) for x in text.replace(",", " ").split())
+        with _int_digits(_INPUT_DIGITS):
+            return tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise ValueError(f"bad weight {text!r}; expected e.g. '2,-1'")
 
@@ -528,7 +553,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _int_digits(0):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -296,10 +296,10 @@ class LaurentPolynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if len(self) == 1 and k:
-            (e, c), = self.terms.items()
+        if len(self) <= 1 and k:  # a monomial or zero, in one step
             return LaurentPolynomial._from_clean(
-                self.rank, {tuple(k * x for x in e): c ** k})
+                self.rank, {tuple(k * x for x in e): c ** k
+                            for e, c in self.terms.items()})
         return next(factor_powers(self, (k,)))
 
     def pair(self, other):

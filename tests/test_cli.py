@@ -1,5 +1,6 @@
 import errno
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -231,6 +232,43 @@ def test_cache_round_trip(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
+# c[2] of 10^2200*x + 10^2200/x is 2 * 10^4400, past the cap of 4,300
+# digits that Python puts on int <-> str conversion from 3.10.7
+WIDE = "10^2200*x + 10^2200*x^-1"
+DIGIT_CAP = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                               reason="no cap on int <-> str conversion")
+
+
+@DIGIT_CAP
+def test_numbers_past_the_digit_cap_print_in_full(tmp_path, capsys):
+    cap = sys.get_int_max_str_digits()
+    c2 = "2" + "0" * 4400
+    code, out, err = run(capsys, "period", WIDE, "--terms", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["c[0] = 1", "c[1] = 0", f"c[2] = {c2}"]
+    code, out, _ = run(capsys, "--json", "period", WIDE, "--terms", "3")
+    assert code == 0 and json.loads(out)["terms"] == ["1", "0", c2]
+    cache = str(tmp_path / "cache.json")
+    stored = run(capsys, "--json", "--cache", cache, "period", WIDE,
+                 "--terms", "3")
+    read_back = run(capsys, "--json", "--cache", cache, "period", WIDE,
+                    "--terms", "3")
+    assert stored == read_back == (0, out, "")
+    # the CLI lifts the cap only while it runs
+    assert sys.get_int_max_str_digits() == cap
+
+
+@DIGIT_CAP
+def test_input_literal_past_the_digit_cap_is_refused(capsys):
+    wide = "1" * 5000
+    for argv in (["period", f"{wide}*x + 1/x"],
+                 ["--json", "period", f"{wide}*x + 1/x"],
+                 ["mutate", P2, "--weight", f"{wide},1", "--factor", "1 + x"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_cache_truncated_file_is_refused(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     cache.write_text('{"abc": {"terms": ["1", "0"')
@@ -386,6 +424,14 @@ def test_monomial_power_is_read_at_once(capsys):
     code, out, _ = run(capsys, "newton", "x^100000000")
     assert time.perf_counter() - start < 1
     assert code == 0 and "vertices: [[100000000]]" in out
+
+
+def test_zero_to_a_large_power_is_read_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "period", "x + 0^100000000 + 1/x",
+                       "--terms", "5")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.splitlines()[4] == "c[4] = 6"
 
 
 def test_power_past_the_exponent_cap_is_refused_quickly(capsys):

@@ -370,11 +370,25 @@ def _compare_both_cases():
     return [case, ["--json"] + case]
 
 
+def _zero_power_cases():
+    """Zero to a large power, read at once as zero."""
+    case = ["period", "x + 0^100000000 + 1/x", "--terms", "5"]
+    return [case, ["--json"] + case]
+
+
+def _wide_number_cases():
+    """A term of 4,401 digits, past Python's default cap on int <-> str
+    conversion, printed in full."""
+    case = ["period", "10^2200*x + 10^2200*x^-1", "--terms", "3"]
+    return [case, ["--json"] + case]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
          + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases()
-         + _nesting_cases() + _direct_sum_cases() + _compare_both_cases())
+         + _nesting_cases() + _direct_sum_cases() + _compare_both_cases()
+         + _zero_power_cases() + _wide_number_cases())
 
 
 def _command(argv):

@@ -1,10 +1,10 @@
 """No module of the package imports a name it never uses or imports inside
 a function (bar the lazy sympy import), reads sympy for anything but
 factoring, enumerates orders or subsets with itertools, keeps a private
-helper nothing calls, a dataclass field nothing reads or a parameter its
-function never reads, or caches a function for the whole process (bar the
-CLI parser), the CLI reads every option it parses, and importing the CLI
-loads no module it does not need."""
+helper nothing calls, a dataclass field or instance attribute nothing
+reads or a parameter its function never reads, or caches a function for
+the whole process (bar the CLI parser), the CLI reads every option it
+parses, and importing the CLI loads no module it does not need."""
 
 import ast
 import os
@@ -214,6 +214,14 @@ def test_package_has_no_unreferenced_private_definitions():
     assert unreferenced_private_definitions(sources) == []
 
 
+def attribute_reads(readers):
+    """The names of the attributes that some text of ``readers`` loads from
+    anything."""
+    return {node.attr for text in readers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def unread_dataclass_fields(sources, readers):
     """Fields of the dataclasses in ``sources`` that no attribute read names.
 
@@ -223,9 +231,7 @@ def unread_dataclass_fields(sources, readers):
     read when some text of ``readers`` loads an attribute of that name from
     anything.  Returns sorted ``"module.Class.field"`` strings.
     """
-    read = {node.attr for text in readers for node in ast.walk(ast.parse(text))
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+    read = attribute_reads(readers)
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -252,13 +258,61 @@ def test_unread_dataclass_fields_are_found():
         "a.P.y", "a.Q.w"]
 
 
-def test_package_dataclasses_have_no_unread_fields():
+def unread_instance_attributes(sources, readers):
+    """Attributes that the methods of the classes in ``sources`` set as
+    ``self.name = ...``, alone or in a tuple target, and that no attribute
+    read of ``readers`` names.  Returns sorted ``"module.Class.name"``
+    strings."""
+    read = attribute_reads(readers)
+    found = set()
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                found |= {f"{module}.{cls.name}.{node.attr}"
+                          for stmt in ast.walk(method)
+                          if isinstance(stmt, ast.Assign)
+                          for target in stmt.targets
+                          for node in ast.walk(target)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.value, ast.Name)
+                          and node.value.id == "self"
+                          and node.attr not in read}
+    return sorted(found)
+
+
+def test_unread_instance_attributes_are_found():
+    source = ("class P:\n"
+              "    def __init__(self, a):\n"
+              "        self.a, self.b = a, 1\n"
+              "        self.c = self.d = 2\n"
+              "        other.e = 3\n"
+              "    def total(self):\n        return self.b\n"
+              "class Q(ValueError):\n"
+              "    def __init__(self, where):\n        self.where = where\n")
+    reader = "print(p.c, 'p.a')\n"
+    assert unread_instance_attributes({"a": source}, [source, reader]) == [
+        "a.P.a", "a.P.d", "a.Q.where"]
+
+
+def _package_sources_and_readers():
     root = PACKAGE.parent.parent
     readers = [path.read_text() for folder in ("src", "tests", "bench")
                for path in sorted((root / folder).rglob("*.py"))]
     sources = {path.stem: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert unread_dataclass_fields(sources, readers) == []
+    return sources, readers
+
+
+def test_package_dataclasses_have_no_unread_fields():
+    assert unread_dataclass_fields(*_package_sources_and_readers()) == []
+
+
+def test_package_classes_have_no_unread_instance_attributes():
+    assert unread_instance_attributes(*_package_sources_and_readers()) == []
 
 
 # a memo lives as long as the search that owns it: a process-wide cache

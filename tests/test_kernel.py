@@ -5,13 +5,14 @@ both sides of the packing bound, and every internal result is checked to be
 exactly what the public constructor would build from its terms.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanolab.laurent import (PACK_BITS, LaurentPolynomial, RankMismatchError,
-                             _pack, _unpack, parse_polynomial,
+from fanolab.laurent import (PACK_BITS, LaurentPolynomial, ParseError,
+                             RankMismatchError, _pack, _unpack, parse_polynomial,
                              substitute_unimodular)
 from fanolab.mutation import (MutationBounds, enumerate_mutations,
                               exact_divide, is_mutable, mutate,
@@ -233,6 +234,20 @@ def test_monomial_power_is_built_directly():
             assert_clean(f ** k)
             assert f ** k == power
     assert (parse_polynomial("x") ** 10 ** 8).terms == {(10 ** 8,): 1}
+
+
+def test_zero_power_is_built_directly():
+    start = time.perf_counter()
+    zero = LaurentPolynomial.zero(2)
+    assert zero ** 10 ** 9 == zero and zero ** 1 == zero
+    assert zero ** 0 == LaurentPolynomial.one(2)
+    p1 = parse_polynomial("x + 1/x")
+    assert parse_polynomial("x + 0^100000000 + 1/x") == p1
+    assert parse_polynomial("x + (x-x)^100000000 + 1/x") == p1
+    assert time.perf_counter() - start < 1
+    assert parse_polynomial("x + 0^0 + 1/x") == parse_polynomial("x + 1 + 1/x")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_polynomial("x + 0^-1 + 1/x")
 
 
 # -- the parse-time caps (their refusals are tested in test_cli.py) ---------

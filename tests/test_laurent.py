@@ -66,6 +66,20 @@ def test_parse_errors():
             parse_polynomial(bad)
 
 
+def test_bad_character_is_refused_before_the_variable_set():
+    # the variable set is read off the tokens, so a character that does
+    # not tokenize is found first
+    for text, position in (("x1 + y $", 7), ("3 $", 2)):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == \
+            f"unexpected character '$' (at position {position})"
+    with pytest.raises(ParseError, match="inconsistent variable set"):
+        parse_polynomial("x1 + y")
+    with pytest.raises(ParseError, match="constant polynomial"):
+        parse_polynomial("3")
+
+
 def test_arithmetic_exact():
     f = parse_polynomial("x + 1")
     g = f * f * f

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,9 @@ from fanolab.linalg import (_integer_row, complete_to_basis_last_row,
                             identity, is_primitive, primitive_part)
 from fanolab.periods import periods_agree
 from fanolab.polytopes import newton_polytope
+from fanolab.recurrence import _poly_mul
 import linalg_oracle
+from divisor_oracle import laurent_edge_divisors
 from shear_oracle import shear
 
 
@@ -430,6 +433,37 @@ def test_enumeration_factors_each_edge_once(f, monkeypatch):
     assert len(factored) == len(set(_edge_keys(f, bounds)))
     assert all(poly.domain.is_ZZ for poly in factored)
     assert list(result.seeds) == _old_enumerate_rank2(f, bounds)
+
+
+# cyclotomic polynomials Phi_1 to Phi_6 as ascending coefficient rows
+CYCLOTOMICS = [(-1, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, 1, 1, 1, 1),
+               (1, -1, 1)]
+SMALL_FACTORS = st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(
+    lambda p: p[0] and p[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(CYCLOTOMICS),
+                                    SMALL_FACTORS),
+                          st.integers(1, 3)),
+                min_size=1, max_size=3),
+       st.integers(1, 3), st.integers(1, 6))
+def test_edge_divisors_match_the_laurent_oracle(factors, mult, deg_max):
+    # a product of small factors, with repeats, cyclotomics and leading
+    # coefficients other than 1
+    row = reduce(_poly_mul, [p for p, m in factors for _ in range(m)])
+    assert mutation._edge_divisors(row, mult, deg_max) == \
+        laurent_edge_divisors(row, mult, deg_max)
+
+
+def test_edge_divisors_of_a_repeated_cyclotomic_with_a_non_unit_factor():
+    # (1 + t)^3 (2 + 3t): D = (1 + t)^k for k * mult <= 3, and (1 + t)^k
+    # (2 + 3t), which has 1 at neither end
+    row = reduce(_poly_mul, [(1, 1)] * 3 + [(2, 3)])
+    assert mutation._edge_divisors(row, 1, 6) == \
+        laurent_edge_divisors(row, 1, 6) == \
+        [(1, 1), (1, 2, 1), (1, 3, 3, 1)]
+    assert mutation._edge_divisors(row, 2, 6) == [(1, 1)]
 
 
 GRAPHS = [("x + y + x^-1*y^-1", 3), (H, 2)]
