@@ -152,7 +152,7 @@ def _cache_load(path):
         raise ValueError(f"cannot read cache file {path}: {exc}") from exc
     except RecursionError:
         raise ValueError(f"cannot read cache file {path}: "
-                        f"nested too deeply") from None
+                         f"nested too deeply") from None
     if not isinstance(cache, dict):
         raise ValueError(f"cache file {path} does not hold a JSON object")
     return cache
@@ -193,7 +193,7 @@ def _cache_store(path, cache):
             os.replace(tmp, path)
         except OSError as exc:
             raise ValueError(f"cannot write cache file {path}: "
-                            f"{exc.strerror}") from exc
+                             f"{exc.strerror}") from exc
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -233,7 +233,7 @@ def _cmd_compare(args):
     if args.known is not None:
         if args.other is not None:
             raise ValueError("compare takes a second polynomial or --known, "
-                            "not both")
+                             "not both")
         ref = known_series(args.known, args.terms)
     else:
         if args.other is None:

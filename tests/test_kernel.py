@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolab.laurent import (PACK_BITS, LaurentPolynomial, ParseError,
-                             RankMismatchError, _pack, _unpack, parse_polynomial,
-                             substitute_unimodular)
+                             RankMismatchError, _pack, _unpack,
+                             parse_polynomial, substitute_unimodular)
 from fanolab.mutation import (MutationBounds, enumerate_mutations,
                               exact_divide, is_mutable, mutate,
                               weight_decomposition)
