@@ -14,9 +14,9 @@ from .mutation import (EnumerationResult, InvalidFactorError,
                        shear_equivalent, weight_decomposition)
 from .mutation_graph import (CorrespondenceReport, MutationGraph, build_graph,
                              export_dot, markov_tree, p2_correspondence_check)
-from .periods import (PeriodCalculator, PeriodSequence, classical_period,
-                      known_series, periods_agree)
-from .polytopes import (DegeneratePolytopeError, DualPolytope, FanoReport,
+from .periods import (classical_period, known_series, period_stream,
+                      periods_agree)
+from .polytopes import (DegeneratePolytopeError, DualPolytope,
                         LatticePolytope, NormalForm, NotSimplexError,
                         OriginNotInteriorError, dual_polytope, is_fano,
                         is_reflexive, lattice_points, newton_polytope,

@@ -16,6 +16,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import count
+from math import lcm
 
 from .laurent import (LaurentPolynomial, _norm_coeff, exponent_lattice_index,
                       format_polynomial, parse_polynomial)
@@ -158,24 +160,44 @@ def _cache_load(path):
     return cache
 
 
-def _cached_terms(path, cache, key):
-    """The period terms cached under key, or None when there is no entry.
+def _cached_terms(path, cache, key, f, n_terms):
+    """The first ``n_terms`` period terms of f cached under key, or None
+    when there is no entry.
 
-    An entry must be an object whose "terms" is a list of exact numbers
-    written as ``str(Fraction)`` writes them; anything else is refused.
+    An entry must be an object whose "terms" is a list of ``n_terms`` exact
+    numbers written as ``str(Fraction)`` writes them, each no longer than
+    ``_term_lengths(f)`` allows; anything else is refused.
     """
     if key not in cache:
         return None
     entry = cache[key]
     terms = entry.get("terms") if isinstance(entry, dict) else None
-    if not (isinstance(terms, list) and all(map(_is_exact_number, terms))):
+    if not (isinstance(terms, list) and len(terms) == n_terms
+            and all(map(_is_exact_number, terms, _term_lengths(f)))):
         raise ValueError(f"cache file {path} has a malformed entry {key}")
     return terms
 
 
-def _is_exact_number(text):
+def _term_lengths(f):
+    """Yield for k = 0, 1, ... the most characters that the k-th period
+    coefficient c_k of f takes as ``str(Fraction)`` writes it.
+
+    With L the lcm of the denominators of f's coefficients c_j and
+    A = L * sum |c_j|, L^k c_k is an integer of absolute value at most A^k,
+    so c_k's numerator has at most k log10 A + 1 digits and its denominator
+    at most k log10 L + 1.  With a sign and a bar, and as log10 2 < 1/3,
+    that is at most k * (bits of A + bits of L) // 3 + 4 characters.
+    """
+    coeffs = [Fraction(c) for c in f.terms.values()]
+    common = lcm(*(c.denominator for c in coeffs))
+    bits = (int(common * sum(map(abs, coeffs))).bit_length()
+            + common.bit_length())
+    return (k * bits // 3 + 4 for k in count())
+
+
+def _is_exact_number(text, most):
     try:
-        return str(Fraction(text)) == text
+        return len(text) <= most and str(Fraction(text)) == text
     except (TypeError, ValueError, ZeroDivisionError):
         return False
 
@@ -210,10 +232,10 @@ def _period_terms(args):
     cache = _cache_load(args.cache)
     key = _cache_key("period", {"poly": f.to_json_dict(),
                                 "terms": args.terms})
-    terms = _cached_terms(args.cache, cache, key)
+    terms = _cached_terms(args.cache, cache, key, f, args.terms)
     if terms is not None:
         return [_norm_coeff(Fraction(c)) for c in terms]
-    terms = list(classical_period(f, args.terms).coefficients)
+    terms = classical_period(f, args.terms)
     cache[key] = {"terms": [str(c) for c in terms]}
     _cache_store(args.cache, cache)
     return terms
@@ -271,7 +293,7 @@ def _cmd_newton(args):
                "dimension": p.dim,
                "exponent-lattice": {"rank": rank, "index": index}}
     if p.is_full_dimensional:
-        payload["fano"] = is_fano(p).is_fano
+        payload["fano"] = is_fano(p)
     _emit(args, payload, _newton_lines)
     return EXIT_OK
 

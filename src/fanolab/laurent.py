@@ -217,8 +217,8 @@ class LaurentPolynomial:
         return cls(rank, {(0,) * rank: 1})
 
     @classmethod
-    def monomial(cls, rank, exponent, coeff=1):
-        return cls(rank, {tuple(exponent): coeff})
+    def monomial(cls, rank, exponent):
+        return cls(rank, {tuple(exponent): 1})
 
     @classmethod
     def from_terms(cls, rank, pairs):

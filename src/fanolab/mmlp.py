@@ -139,16 +139,14 @@ class CoefficientSpace:
     def dimension(self):
         return -1 if self.empty else len(self.directions)
 
-    def member(self, free_values=None):
-        """The polynomial for given unknown values (defaults to basepoint)."""
+    def member(self):
+        """The polynomial at the basepoint."""
         if self.empty:
             raise ValueError("the coefficient space is empty")
-        if free_values is None:
-            free_values = self.basepoint
         terms = {}
         for v in self.polytope.vertices:
             terms[v] = 1
-        for pt, val in zip(self.free_points, free_values):
+        for pt, val in zip(self.free_points, self.basepoint):
             if val:
                 terms[pt] = val
         return LaurentPolynomial.from_terms(self.polytope.rank, terms.items())

@@ -3,7 +3,7 @@
 The classical period of f is the power series whose k-th coefficient is the
 constant term of f^k.  No full power f^k is ever built.
 
-``PeriodCalculator`` first splits f = f_1 + ... + f_m by the connected
+``period_stream`` first splits f = f_1 + ... + f_m by the connected
 components of the linear matroid of its exponent vectors: two terms share
 a part when they lie in a common circuit, a minimal set of linearly
 dependent exponents.  One ``rref`` of the exponent matrix shows those
@@ -18,9 +18,9 @@ is, and
 
 a binomial convolution of the parts' periods, as for the mirror of a
 product of Fano varieties.  Each part streams its own period, and the
-calculator folds the streams left to right with one binary convolution,
-of two streams at a time.  Each part takes the cheaper of two exact ways
-to read its period.
+streams are folded left to right with one binary convolution, of two
+streams at a time.  Each part takes the cheaper of two exact ways to read
+its period.
 
 * Sums over the relation lattice.  Write f = sum over j of c_j x^(e_j)
   with t terms, and let E be the n x t matrix of the exponents.  Then
@@ -48,17 +48,16 @@ of small Picard rank, and pairing wins when a part has many terms for its
 dimension.  The split lowers both costs, as each part has its own rho and
 r: the octahedron (rho = r = 3) is three parts of rho = r = 1, each with
 at most one fibre point per term.  Every way is exact for any support and
-rational coefficients, needs no bound on n up front, and streams: asking
-for more terms of the same polynomial reuses earlier work, and each part
-computes only as far as the terms asked for.  The sums hold no power of
-f, and pairing holds two half powers of its part at a time.
+rational coefficients, needs no bound on n up front, and streams: reading
+on from a held stream reuses earlier work, and each part computes only as
+far as the terms read.  The sums hold no power of f, and pairing holds two
+half powers of its part at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from itertools import count
+from itertools import chain, count, islice
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
@@ -66,44 +65,15 @@ from .laurent import LaurentPolynomial, ZeroPolynomialError, _norm_coeff
 from .linalg import rref
 
 
-@dataclass(frozen=True)
-class PeriodSequence:
-    """The first ``len(coefficients)`` classical period coefficients."""
-
-    coefficients: tuple
-
-    def __getitem__(self, k):
-        return self.coefficients[k]
-
-    def __len__(self):
-        return len(self.coefficients)
-
-
-class PeriodCalculator:
-    """Streams constant terms of successive powers of a fixed polynomial."""
-
-    def __init__(self, f):
-        if not isinstance(f, LaurentPolynomial):
-            raise TypeError("expected a LaurentPolynomial")
-        if f.is_zero():
-            raise ZeroPolynomialError("classical period of 0 is undefined")
-        # yields ct(f^1), ct(f^2), ...; _coeffs holds those already read
-        self._terms = reduce(_convolved_terms, map(_part_terms, _parts(f)))
-        self._coeffs = [1]
-
-    def coefficient(self, k):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        while len(self._coeffs) <= k:
-            self._coeffs.append(next(self._terms))
-        return self._coeffs[k]
-
-    def prefix(self, n_terms):
-        if n_terms < 0:
-            raise ValueError("n_terms must be >= 0")
-        if n_terms:
-            self.coefficient(n_terms - 1)
-        return PeriodSequence(tuple(self._coeffs[:n_terms]))
+def period_stream(f):
+    """An iterator over the classical period ct(f^0), ct(f^1), ... of a
+    nonzero Laurent polynomial f.  Reading on from where a reader stopped
+    reuses the work done so far."""
+    if not isinstance(f, LaurentPolynomial):
+        raise TypeError("expected a LaurentPolynomial")
+    if f.is_zero():
+        raise ZeroPolynomialError("classical period of 0 is undefined")
+    return chain([1], reduce(_convolved_terms, map(_part_terms, _parts(f))))
 
 
 def _parts(f):
@@ -256,39 +226,39 @@ def _paired_constant_terms(f):
 
 
 def classical_period(f, n_terms):
-    """First ``n_terms`` coefficients of the classical period of f."""
-    return PeriodCalculator(f).prefix(n_terms)
+    """First ``n_terms`` coefficients of the classical period of f, as a
+    tuple."""
+    terms = period_stream(f)
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
+    return tuple(islice(terms, n_terms))
 
 
 def periods_agree(f, g, n_terms):
     """Compare two period sequences termwise.
 
-    Either argument may be a LaurentPolynomial or a PeriodSequence covering
-    at least ``n_terms`` terms.  Polynomials are expanded in lockstep, so a
+    Either argument may be a LaurentPolynomial or a tuple of at least
+    ``n_terms`` coefficients.  Polynomials are expanded in lockstep, so a
     mismatch stops the work at its index.  Returns (True, None) on
     agreement, else (False, first_mismatch_index).  Raises ValueError when
     ``n_terms`` is negative.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    a = _term_source(f, n_terms)
-    b = _term_source(g, n_terms)
-    for k in range(n_terms):
-        if a(k) != b(k):
-            return False, k
-    return True, None
-
-
-def _term_source(obj, n_terms):
-    """A function k -> k-th period coefficient of obj, for k < n_terms."""
-    if isinstance(obj, PeriodSequence):
-        if len(obj) < n_terms:
+    streams = []
+    for obj in (f, g):
+        if isinstance(obj, LaurentPolynomial):
+            obj = period_stream(obj)
+        elif not isinstance(obj, tuple):
+            raise TypeError("expected LaurentPolynomial or tuple")
+        elif len(obj) < n_terms:
             raise ValueError(f"sequence has only {len(obj)} terms, "
                              f"need {n_terms}")
-        return obj.coefficients.__getitem__
-    if isinstance(obj, LaurentPolynomial):
-        return PeriodCalculator(obj).coefficient
-    raise TypeError("expected LaurentPolynomial or PeriodSequence")
+        streams.append(islice(obj, n_terms))
+    for k, (a, b) in enumerate(zip(*streams)):
+        if a != b:
+            return False, k
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -332,5 +302,4 @@ def known_series(tag, n_terms):
                          f"available: {sorted(KNOWN_SERIES)}")
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    return PeriodSequence(
-        _complete_intersection_period(*KNOWN_SERIES[tag], n_terms))
+    return _complete_intersection_period(*KNOWN_SERIES[tag], n_terms)

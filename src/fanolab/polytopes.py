@@ -205,21 +205,10 @@ def newton_polytope(f):
     return LatticePolytope.from_points(f.terms, rank=f.rank)
 
 
-@dataclass(frozen=True)
-class FanoReport:
-    origin_interior: bool
-    vertices_primitive: bool
-
-    @property
-    def is_fano(self):
-        return self.origin_interior and self.vertices_primitive
-
-
 def is_fano(p):
-    return FanoReport(
-        origin_interior=p.origin_strictly_interior(),
-        vertices_primitive=all(is_primitive(v) for v in p.vertices),
-    )
+    """Whether the origin lies strictly inside p and every vertex is
+    primitive."""
+    return p.origin_strictly_interior() and all(map(is_primitive, p.vertices))
 
 
 @dataclass(frozen=True)

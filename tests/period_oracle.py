@@ -1,9 +1,12 @@
-"""Two references for ``fanolab.periods``: the calculator without the
-split into parts, and the relation-lattice sums by trial of every
-candidate point.
+"""Three references for ``fanolab.periods``: every power built in turn,
+the period without the split into parts, and the relation-lattice sums by
+trial of every candidate point.
+
+``iterated_power_period`` reads the constant terms of f^0, f^1, ..., each
+power one product from the last.
 
 ``unsplit_period`` reads the period of the whole of f by the sums or by
-pairing, chosen by the rho and r of f itself, as the calculator did before
+pairing, chosen by the rho and r of f itself, as the library did before
 it split f by the components of its exponent matroid; it serves as the
 oracle of that split.
 
@@ -20,7 +23,18 @@ from math import prod
 from operator import mul
 
 from fanolab import periods
-from fanolab.laurent import _norm_coeff
+from fanolab.laurent import LaurentPolynomial, _norm_coeff
+
+
+def iterated_power_period(f, n_terms):
+    """Constant terms of f^0, f^1, ..., f^(n_terms - 1), each power one
+    product from the last."""
+    power, out = LaurentPolynomial.one(f.rank), []
+    for k in range(n_terms):
+        if k:
+            power = power * f
+        out.append(power.constant_term())
+    return out
 
 
 def unsplit_period(f, n_terms):

@@ -11,6 +11,7 @@ from fanolab.cli import main
 from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
 from fanolab.mutation import MutationBounds
 from fanolab.mutation_graph import GRAPH_DEPTH_CAP, MARKOV_DEPTH_CAP
+from fanolab.periods import known_series
 from fanolab.polytopes import LATTICE_BOX_CAP, NORMAL_FORM_STATE_CAP
 
 P2 = "x + y + x^-1*y^-1"
@@ -353,12 +354,25 @@ def test_json_polytope_is_read_through_an_at_sign(tmp_path, capsys):
                                         "1 interior)")
 
 
+# the first 20 period terms of P2, as the cache writes them
+P2_TERMS = [str(c) for c in known_series("projective-plane", 20)]
+
+
+def p2_terms_with(k, term):
+    return P2_TERMS[:k] + [term] + P2_TERMS[k + 1:]
+
+
 @pytest.mark.parametrize("command", ["period", "pf"])
-@pytest.mark.parametrize("entry", [[], {"terms": "1 0 0 6"},
-                                   {"terms": ["1", "0", 0, "6"]},
-                                   {"terms": ["1", "0", "0.5", "6"]},
-                                   {"coeffs": ["1", "0", "0", "6"]},
-                                   {"terms": ["1/0"]}, {"terms": ["abc"]}])
+@pytest.mark.parametrize("entry", [[], {"terms": " ".join(P2_TERMS)},
+                                   {"terms": p2_terms_with(2, 0)},
+                                   {"terms": p2_terms_with(2, "0.5")},
+                                   {"coeffs": P2_TERMS},
+                                   {"terms": p2_terms_with(0, "1/0")},
+                                   {"terms": p2_terms_with(0, "abc")},
+                                   {"terms": P2_TERMS[:3]},
+                                   {"terms": P2_TERMS + ["0"]},
+                                   # |c_3| <= 3^3, far below 6 * 10^7
+                                   {"terms": p2_terms_with(3, "6" + "0" * 7)}])
 def test_cache_malformed_entry_is_refused(tmp_path, capsys, command, entry):
     cache = tmp_path / "cache.json"
     argv = ("--cache", str(cache), command, P2, "--terms", "20")
@@ -370,6 +384,21 @@ def test_cache_malformed_entry_is_refused(tmp_path, capsys, command, entry):
     assert code == 1 and out == ""
     assert f"cache file {cache} has a malformed entry" in err
     assert cache.read_bytes() == written
+
+
+def test_cache_term_longer_than_its_bound_is_refused_quickly(tmp_path,
+                                                            capsys):
+    cache = tmp_path / "cache.json"
+    argv = ("--cache", str(cache), "period", P2, "--terms", "4")
+    run(capsys, *argv)
+    (key,) = json.loads(cache.read_text())
+    cache.write_text(json.dumps(
+        {key: {"terms": ["1", "0", "0", "6" * 300000]}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert f"cache file {cache} has a malformed entry" in err
 
 
 def test_pf_cache_reads_rational_terms_back(tmp_path, capsys):

@@ -17,7 +17,7 @@ from fanolab.mmlp import CoefficientSpace, coefficient_space
 from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
                               MutationData, enumerate_mutations, exact_divide,
                               is_mutable, weight_decomposition)
-from fanolab.periods import PeriodCalculator
+from fanolab.periods import period_stream
 from fanolab.polytopes import (LatticePolytope, OriginNotInteriorError,
                                dual_polytope, newton_polytope)
 
@@ -64,7 +64,7 @@ GUARDS = {
     "mutation-data-with-a-zero-factor":
         (InvalidFactorError, lambda: MutationData((1, 0), ZERO)),
     "exact-divide-by-zero": (ZeroDivisionError, lambda: exact_divide(F, ZERO)),
-    "period-of-a-string": (TypeError, lambda: PeriodCalculator("x")),
+    "period-of-a-string": (TypeError, lambda: period_stream("x")),
     "polytope-of-no-points":
         (ValueError, lambda: LatticePolytope.from_points([])),
     "polytope-of-mixed-dimensions":

@@ -17,7 +17,8 @@ from fanolab.laurent import (PACK_BITS, LaurentPolynomial, ParseError,
 from fanolab.mutation import (MutationBounds, enumerate_mutations,
                               exact_divide, is_mutable, mutate,
                               weight_decomposition)
-from fanolab.periods import PeriodCalculator, known_series
+from fanolab.periods import classical_period, known_series
+from period_oracle import iterated_power_period
 
 EDGE = 2 ** (PACK_BITS - 1) - 1  # the largest |e_i| that packs
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -31,17 +32,6 @@ def tuple_product(f, g):
             e = tuple(x + y for x, y in zip(ea, eb))
             acc[e] = acc.get(e, 0) + ca * cb
     return LaurentPolynomial(f.rank, acc)
-
-
-def iterated_power_period(f, n_terms):
-    """Constant terms of f^0, f^1, ..., each power one product from the
-    last."""
-    power, out = LaurentPolynomial.one(f.rank), []
-    for k in range(n_terms):
-        if k:
-            power = power * f
-        out.append(power.constant_term())
-    return out
 
 
 def typed(seq):
@@ -154,14 +144,14 @@ def test_period_of_powers_crossing_the_packing_bound():
     # f^2 packs, f^3 does not; the lattice is scaled, not the period
     a = EDGE // 3 + 1
     f = LaurentPolynomial(2, {(a, 0): 1, (-a, 0): 1, (0, a): 1, (0, -a): 1})
-    got = PeriodCalculator(f).prefix(9)
+    got = classical_period(f, 9)
     assert typed(got) == typed(iterated_power_period(f, 9))
     assert typed(got) == typed(known_series("quadric-surface-product", 9))
     assert (f * f).packed() is not None and (f * f * f).packed() is None
     g = LaurentPolynomial(1, {(EDGE + 1,): 1, (-EDGE - 1,): Fraction(1, 2),
                               (0,): 1})
     assert g.packed() is None
-    assert typed(PeriodCalculator(g).prefix(7)) == \
+    assert typed(classical_period(g, 7)) == \
         typed(iterated_power_period(g, 7))
 
 

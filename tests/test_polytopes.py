@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from fanolab.laurent import parse_polynomial
+from fanolab.linalg import is_primitive
 from fanolab.mutation_graph import build_graph
 from fanolab.polytopes import (LATTICE_BOX_CAP, DegeneratePolytopeError,
                                LatticePolytope, NotSimplexError,
@@ -71,11 +72,13 @@ def test_lower_dimensional_newton_polytope():
 
 def test_fano_report():
     p = newton_polytope(parse_polynomial("x + y + x^-1*y^-1"))
-    assert is_fano(p).is_fano
+    assert is_fano(p) is True
     shifted = LatticePolytope.from_points([(1, 0), (2, 1), (1, 2)])
-    assert not is_fano(shifted).origin_interior
+    assert not is_fano(shifted) and not shifted.origin_strictly_interior()
     non_primitive = LatticePolytope.from_points([(2, 0), (0, 2), (-2, -2)])
-    assert not is_fano(non_primitive).vertices_primitive
+    assert not is_fano(non_primitive)
+    assert non_primitive.origin_strictly_interior()
+    assert not all(map(is_primitive, non_primitive.vertices))
 
 
 def test_dual_of_reflexive_triangle():

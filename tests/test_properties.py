@@ -372,7 +372,7 @@ def test_fano_simplex_vertices_have_one_positive_relation(rank, data):
                  for i in range(rank))
     assume(all(is_primitive(v) for v in basis + [apex]))
     p = LatticePolytope.from_points(basis + [apex])
-    assert is_fano(p).is_fano and len(p.vertices) == rank + 1
+    assert is_fano(p) and len(p.vertices) == rank + 1
     relations = nullspace([[v[i] for v in p.vertices] for i in range(rank)],
                           ncols=rank + 1)
     assert len(relations) == 1 and all(x > 0 for x in relations[0])
