@@ -17,10 +17,10 @@ import os
 import sys
 from fractions import Fraction
 from itertools import count
-from math import lcm
 
-from .laurent import (LaurentPolynomial, _norm_coeff, exponent_lattice_index,
-                      format_polynomial, parse_polynomial)
+from .laurent import (LaurentPolynomial, _norm_coeff, _power_bound,
+                      exponent_lattice_index, format_polynomial,
+                      parse_polynomial)
 from .mmlp import is_rigid
 from .mutation import (MutationBounds, MutationData, enumerate_mutations,
                        mutate)
@@ -182,16 +182,13 @@ def _term_lengths(f):
     """Yield for k = 0, 1, ... the most characters that the k-th period
     coefficient c_k of f takes as ``str(Fraction)`` writes it.
 
-    With L the lcm of the denominators of f's coefficients c_j and
-    A = L * sum |c_j|, L^k c_k is an integer of absolute value at most A^k,
-    so c_k's numerator has at most k log10 A + 1 digits and its denominator
-    at most k log10 L + 1.  With a sign and a bar, and as log10 2 < 1/3,
-    that is at most k * (bits of A + bits of L) // 3 + 4 characters.
+    c_k is the constant term of f^k, so with (L, A) of ``_power_bound``
+    its numerator has at most k log10 A + 1 digits and its denominator at
+    most k log10 L + 1.  With a sign and a bar, and as log10 2 < 1/3, that
+    is at most k * (bits of A + bits of L) // 3 + 4 characters.
     """
-    coeffs = [Fraction(c) for c in f.terms.values()]
-    common = lcm(*(c.denominator for c in coeffs))
-    bits = (int(common * sum(map(abs, coeffs))).bit_length()
-            + common.bit_length())
+    common, total = _power_bound(f.terms.values())
+    bits = total.bit_length() + common.bit_length()
     return (k * bits // 3 + 4 for k in count())
 
 

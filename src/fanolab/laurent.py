@@ -19,17 +19,19 @@ coefficient.  Internal results already known to be clean (nonzero,
 normalised coefficients, int tuples of length ``rank``) skip those checks
 through ``_from_clean``.  Polynomials are immutable after construction.
 
-The parser expands ``(...)^k`` only up to ``PARSE_TERM_CAP`` terms, and a
-base of two or more terms only up to the exponent ``PARSE_POWER_CAP``; it
+The parser expands ``(...)^k`` only up to ``PARSE_TERM_CAP`` terms, a base
+of two or more terms only up to the exponent ``PARSE_POWER_CAP``, and no
+power whose coefficients could pass ``PARSE_COEFFICIENT_BITS`` bits; it
 refuses parentheses nested more than ``PARSE_NESTING_CAP`` deep.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import neg
+from operator import add, neg
 
 from .linalg import hnf_rows, unimodular_inverse
 
@@ -41,6 +43,9 @@ _MASK = (1 << PACK_BITS) - 1
 PARSE_TERM_CAP = 10_000
 # the largest exponent the parser expands a base of two or more terms to
 PARSE_POWER_CAP = 1_000
+# the most bits, log2(|numerator| * denominator), that the parser lets a
+# coefficient of a power reach, by the bound of _power_bound
+PARSE_COEFFICIENT_BITS = 100_000
 # the deepest nesting of parentheses the parser reads: each level takes four
 # Python frames, and from a shallow stack about 250 levels exhaust the
 # default recursion limit of 1,000, so the cap leaves the caller room
@@ -473,7 +478,24 @@ def exponent_lattice_index(f):
 # text grammar
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>[a-z]\d*)|(?P<op>[-+*/^()]))")
+# every character but whitespace starts a token, and one that starts no
+# other kind is a "bad" token
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<var>[a-z]\d*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
+
+
+def _power_bound(coeffs):
+    """(L, A) for F with the coefficients ``coeffs``: L the lcm of their
+    denominators and A = L * sum |c|, an integer.
+
+    F = G / L for G with integer coefficients whose absolute values sum to
+    A, so every coefficient of F^k, the constant term included, has a
+    numerator of absolute value at most A^k and a denominator dividing
+    L^k.  For a monomial c = p/q, A = |p| and L = q, and the bound is
+    exact.
+    """
+    common = math.lcm(*(c.denominator for c in coeffs))
+    return common, int(common * sum(map(abs, coeffs)))
 
 
 def _variable_order(names):
@@ -517,23 +539,18 @@ class _Parser:
     the flat grammar, and parse(format(f)) == f exactly.  The variable set,
     and so the rank, is read off the tokens, so a character that does not
     tokenize is refused before any fault of the variable set or the rank.
+    Each rule returns a clean term map; only a product of two sums of two
+    or more terms and every power go through ``LaurentPolynomial``.
     """
 
     def __init__(self, text, rank_hint):
         self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                rest = text[pos:].lstrip()
-                if rest:
-                    raise ParseError(f"unexpected character {rest[0]!r}",
-                                     len(text) - len(rest))
-                break
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup),
-                                m.start(m.lastgroup)))
-            pos = m.end()
+        self.tokens = [(m.lastgroup, m.group(m.lastgroup),
+                        m.start(m.lastgroup))
+                       for m in _TOKEN_RE.finditer(text)]
+        for kind, val, pos in self.tokens:
+            if kind == "bad":
+                raise ParseError(f"unexpected character {val!r}", pos)
         self.var_index, self.rank = _variable_order(
             sorted({val for kind, val, _ in self.tokens if kind == "var"}))
         if rank_hint is not None:
@@ -560,11 +577,11 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse(self):
-        poly = self.expr()
+        terms = self.expr()
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected token {val!r}", pos)
-        return poly
+        return LaurentPolynomial._from_clean(self.rank, terms)
 
     def expr(self):
         kind, val, _ = self.peek()
@@ -572,68 +589,86 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             negate = val == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
+        acc = {}
+        get = acc.get
         while True:
+            for e, c in self.term().items():
+                acc[e] = get(e, 0) - c if negate else get(e, 0) + c
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                poly = poly - rhs if val == "-" else poly + rhs
-            else:
-                return poly
+            if kind != "op" or val not in "+-":
+                return _clean(acc)
+            self.next()
+            negate = val == "-"
 
     def term(self):
-        poly = self.factor()
+        terms = self.factor()
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                divisor_pos = self.peek()[2]
-                rhs = self.factor()
-                if val == "*":
-                    poly = poly * rhs
-                else:
-                    poly = poly * self._invert(rhs, divisor_pos)
-            else:
-                return poly
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "*/":
+                return terms
+            self.next()
+            divisor_pos = self.peek()[2]
+            rhs = self.factor()
+            if val == "/":
+                rhs = self._invert(rhs, divisor_pos)
+            terms = self._product(terms, rhs)
 
-    def _invert(self, poly, pos):
-        if poly.is_zero():
+    def _product(self, a, b):
+        """The product of two term maps: a monomial shifts and scales the
+        other side, and two sums of two or more terms multiply as
+        polynomials."""
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return {}
+        if len(a) > 1:
+            return (LaurentPolynomial._from_clean(self.rank, a)
+                    * LaurentPolynomial._from_clean(self.rank, b)).terms
+        (e0, c0), = a.items()
+        return _clean({tuple(map(add, e, e0)): c * c0 for e, c in b.items()})
+
+    @staticmethod
+    def _invert(terms, pos):
+        if not terms:
             raise ParseError("zero denominator", pos)
-        if len(poly) != 1:
+        if len(terms) != 1:
             raise ParseError("division is only defined by monomials", pos)
-        (e, c), = poly.terms.items()
-        return LaurentPolynomial(self.rank,
-                                 {tuple(-x for x in e): Fraction(1, 1) / c})
+        (e, c), = terms.items()
+        inverse = c if c in (1, -1) else _norm_coeff(Fraction(1, c))
+        return {_opposite(e): inverse}
 
     def factor(self):
-        base = self.base()
+        terms = self.base()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
             k = self._signed_int()
             if k < 0:
-                base, k = self._invert(base, pos), -k
-            return self._power(base, k, pos)
-        return base
+                terms, k = self._invert(terms, pos), -k
+            return self._power(terms, k, pos)
+        return terms
 
-    @staticmethod
-    def _power(base, k, pos):
-        """base^k, refused for a base of two or more terms when k passes
-        PARSE_POWER_CAP or as soon as one power on the way passes
-        PARSE_TERM_CAP terms."""
-        if len(base) <= 1:
-            return base ** k
-        if k > PARSE_POWER_CAP:
+    def _power(self, terms, k, pos):
+        """The k-th power of a term map, refused for a base of two or more
+        terms when k passes PARSE_POWER_CAP or as soon as one power on the
+        way passes PARSE_TERM_CAP terms, and for any base whose power's
+        coefficients could pass PARSE_COEFFICIENT_BITS bits."""
+        if len(terms) > 1 and k > PARSE_POWER_CAP:
             raise ParseError(
                 f"the exponent {k} is above {PARSE_POWER_CAP}", pos)
+        if terms:
+            common, total = _power_bound(terms.values())
+            if k * math.log2(total * common) > PARSE_COEFFICIENT_BITS:
+                raise ParseError(f"the coefficients of the power could pass "
+                                 f"{PARSE_COEFFICIENT_BITS} bits", pos)
+        base = LaurentPolynomial._from_clean(self.rank, terms)
+        if len(terms) <= 1:
+            return (base ** k).terms
         for power in factor_powers(base, range(k + 1)):
             if len(power) > PARSE_TERM_CAP:
                 raise ParseError(
                     f"the power has more than {PARSE_TERM_CAP} terms", pos)
-        return power
+        return power.terms
 
     def _signed_int(self):
         kind, val, pos = self.next()
@@ -648,20 +683,21 @@ class _Parser:
     def base(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return LaurentPolynomial(self.rank, {(0,) * self.rank: int(val)})
+            n = int(val)
+            return {(0,) * self.rank: n} if n else {}
         if kind == "var":
             e = [0] * self.rank
             e[self.var_index[val]] = 1
-            return LaurentPolynomial(self.rank, {tuple(e): 1})
+            return {tuple(e): 1}
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > PARSE_NESTING_CAP:
                 raise ParseError(f"parentheses nested more than "
                                  f"{PARSE_NESTING_CAP} deep", pos)
-            poly = self.expr()
+            terms = self.expr()
             self.expect_op(")")
             self.depth -= 1
-            return poly
+            return terms
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {val!r}", pos)

@@ -33,18 +33,19 @@ def _minkowski_difference_points(a_points, b_points):
     """Yield the integer points u with u + conv(b_points) contained in
     conv(a_points), in sorted order.
 
-    a_points must hold every lattice point of conv(a_points), as the lattice
-    points of a polytope on one hyperplane do.  Then u + conv(b_points) lies
-    in conv(a_points) exactly when u + b is in a_points for every b, and
-    each such u is a - b0 for some a, whichever b0 of b_points is taken.
-    b_points may be any iterable that can be read twice, such as the keys
-    of a term map.  The points are tested as they are asked for, so a
-    caller that needs only one stops there.
+    a_points is a set, or a dict keyed by the points, that holds every
+    lattice point of conv(a_points), as the lattice points of a polytope on
+    one hyperplane do.  Then u + conv(b_points) lies in conv(a_points)
+    exactly when u + b is in a_points for every b, and each such u is
+    a - b0 for some a, whichever b0 of b_points is taken.  b_points may be
+    any iterable that can be read twice, such as the keys of a term map.
+    The points are tested as they are asked for, so a caller that needs
+    only one stops there.
     """
-    a_set = set(a_points)
     b0 = next(iter(b_points))
-    for u in sorted({tuple(x - y for x, y in zip(a, b0)) for a in a_set}):
-        if all(tuple(x + y for x, y in zip(u, b)) in a_set for b in b_points):
+    for u in sorted({tuple(x - y for x, y in zip(a, b0)) for a in a_points}):
+        if all(tuple(x + y for x, y in zip(u, b)) in a_points
+               for b in b_points):
             yield u
 
 
@@ -106,10 +107,10 @@ def _higher_rank_factors(face_pts, height, bounds):
     """
     diffs = sorted({primitive_part(tuple(b - a for a, b in zip(s0, s1)))
                     for s0 in face_pts for s1 in face_pts if s0 != s1})
+    face = set(face_pts)
     for chain in factor_sweep(diffs, bounds.deg_max):
         for power in chain:
-            fits = _minkowski_difference_points(face_pts,
-                                                (power ** height).terms)
+            fits = _minkowski_difference_points(face, (power ** height).terms)
             if next(fits, None) is None:
                 break
             yield power
@@ -206,7 +207,7 @@ def coefficient_space(p, seeds):
             fpow = powers[-level]
             # columns of the span matrix, in the a_pts coordinate order
             cols = []
-            for u in _minkowski_difference_points(a_pts, fpow.terms):
+            for u in _minkowski_difference_points(at, fpow.terms):
                 col = [0] * len(a_pts)
                 for e, cf in fpow.terms.items():
                     col[at[tuple(x + y for x, y in zip(u, e))]] = cf

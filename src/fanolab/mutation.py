@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product, repeat
-from operator import mul
+from operator import mul, sub
 
 from .laurent import (LaurentPolynomial, ZeroPolynomialError, _clean,
                       factor_powers)
@@ -401,25 +401,37 @@ def _edge_divisors(row, mult, deg_max):
 
 def factor_sweep(diffs, deg_max):
     """Higher-rank factor candidates from sorted distinct nonzero exponents,
-    as one lazy power chain per base.
+    as one lazy power chain per base, up to translation.
 
     The bases are each binomial 1 + x^d and then the trinomials
-    1 + x^d + x^d' with d' > d.  The chain of a base B yields B, B^2, ...
-    while the degree (terms minus one, times the power) stays within
-    ``deg_max``, and multiplies only when asked for the next power.  B has
-    constant term 1 and positive coefficients, so B^k divides B^(k+1) and
-    supp(B^k) lies in supp(B^(k+1)).  A caller may therefore stop a chain
-    at its first failing power, by either rule:
+    1 + x^d + x^d' with d' > d, each built from its support translated so
+    that its lex-least point is the origin; a base whose translated
+    support was yielded before is skipped.  The chain of a translate gives
+    translates of the same powers, which ``MutationData`` maps to the same
+    keys, and both stop rules below read a chain only up to translation.
+    The chain of a base B yields B, B^2, ... while the degree (terms minus
+    one, times the power) stays within ``deg_max``, and multiplies only
+    when asked for the next power.  B has constant term 1 and positive
+    coefficients, so B^k divides B^(k+1) and supp(B^k) lies in
+    supp(B^(k+1)).  A caller may therefore stop a chain at its first
+    failing power, by either rule:
 
     - if (w, B^k) is not mutable, neither is (w, B^(k+1)), because
       B^(k|i|) divides B^((k+1)|i|) at every level i;
     - if no translate of supp(B^(k*h)) fits in a face, no translate of
       supp(B^((k+1)*h)) does.
     """
+    seen = set()
     for i, d1 in enumerate(diffs):
-        n = len(d1)
-        binomial = LaurentPolynomial.one(n) + LaurentPolynomial.monomial(n, d1)
-        for base in [binomial] + [binomial + LaurentPolynomial.monomial(n, d2)
-                                  for d2 in diffs[i + 1:]]:
-            top = deg_max // (len(base.terms) - 1)
+        origin = (0,) * len(d1)
+        for support in [(origin, d1)] + [(origin, d1, d2)
+                                         for d2 in diffs[i + 1:]]:
+            low = min(support)
+            support = tuple(sorted(tuple(map(sub, e, low)) for e in support))
+            if support in seen:
+                continue
+            seen.add(support)
+            base = LaurentPolynomial._from_clean(len(d1),
+                                                 dict.fromkeys(support, 1))
+            top = deg_max // (len(support) - 1)
             yield factor_powers(base, range(1, top + 1))

@@ -383,12 +383,21 @@ def _wide_number_cases():
     return [case, ["--json"] + case]
 
 
+def _coefficient_bound_cases():
+    """Monomial powers whose coefficients would pass the parser's bit
+    bound, refused before they are computed."""
+    cases = [["newton", "(3*x)^100000000 + 1/x"],
+             ["newton", "(x/3)^30000000 + 1/x"]]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
          + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases()
          + _nesting_cases() + _direct_sum_cases() + _compare_both_cases()
-         + _zero_power_cases() + _wide_number_cases())
+         + _zero_power_cases() + _wide_number_cases()
+         + _coefficient_bound_cases())
 
 
 def _command(argv):

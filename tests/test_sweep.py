@@ -1,9 +1,11 @@
 """The pruned higher-rank factor sweep against the flat one.
 
 ``enumerate_mutations`` and ``seed_set`` stop each power chain of
-``factor_sweep`` at its first failing power.  Their results must equal
-those of the flat sweep in ``sweep_oracle.py``, which tries every power,
-and the two rules that justify the pruning are checked on random bases.
+``factor_sweep`` at its first failing power, and ``factor_sweep`` yields
+one chain per translation class of bases.  Their results must equal those
+of the flat sweep in ``sweep_oracle.py``, which tries every power of every
+base, and the two rules that justify the pruning are checked on random
+bases.
 """
 
 import functools
@@ -13,11 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fanolab.laurent import (LaurentPolynomial, parse_polynomial,
                              substitute_unimodular)
+from fanolab import mmlp
 from fanolab.mmlp import _minkowski_difference_points, seed_set
 from fanolab.mutation import (MutationData, NotMutable, enumerate_mutations,
-                              exact_divide, is_mutable)
+                              exact_divide, factor_sweep, is_mutable)
 from fanolab.polytopes import LatticePolytope, lattice_points, newton_polytope
-from sweep_oracle import sweep_seeds, sweep_witnesses
+from sweep_oracle import facet_diffs, flat_bases, sweep_seeds, sweep_witnesses
 from test_golden import SOLIDS
 from test_properties import _gl
 
@@ -29,9 +32,12 @@ POLYS = (
 )
 
 
-@pytest.mark.parametrize("text", POLYS)
-def test_enumerate_mutations_matches_the_flat_sweep(text):
-    f = parse_polynomial(text)
+@pytest.mark.parametrize(
+    "f", [parse_polynomial(text) for text in POLYS]
+    + [LaurentPolynomial(3, dict.fromkeys(vertices, 1))
+       for vertices in SOLIDS],
+    ids=list(POLYS) + [f"solid{i}" for i in range(len(SOLIDS))])
+def test_enumerate_mutations_matches_the_flat_sweep(f):
     assert enumerate_mutations(f).witnesses == sweep_witnesses(f)
 
 
@@ -42,6 +48,47 @@ def test_enumerate_mutations_matches_the_flat_sweep(text):
     + [f"solid{i}" for i in range(len(SOLIDS))])
 def test_seed_set_matches_the_flat_sweep(p):
     assert seed_set(p).seeds == sweep_seeds(p)
+
+
+def _translation_class(base):
+    low = min(base.terms)
+    return frozenset((tuple(x - y for x, y in zip(e, low)), c)
+                     for e, c in base.terms.items())
+
+
+diff_lists = st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any),
+                      unique=True, max_size=8).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diff_lists)
+def test_factor_sweep_yields_one_base_per_translation_class(diffs):
+    bases = [next(chain) for chain in factor_sweep(diffs, 6)]
+    classes = [_translation_class(base) for base in bases]
+    assert len(set(classes)) == len(classes)
+    assert set(classes) == {_translation_class(b) for b in flat_bases(diffs)}
+    assert all(min(base.terms) == (0, 0, 0) for base in bases)
+
+
+def test_the_cubic_mirror_sweeps_one_chain_per_translation_class(
+        monkeypatch):
+    # the four facets of (x + y + 1)^3/(x*y*z) + z: 465 bases, translates
+    # included, fall into 326 translation classes, which give 129 seeds
+    p = newton_polytope(parse_polynomial(POLYS[3]))
+    chains = []
+
+    def counted(diffs, deg_max):
+        for chain in factor_sweep(diffs, deg_max):
+            chains.append(chain)
+            yield chain
+
+    monkeypatch.setattr(mmlp, "factor_sweep", counted)
+    seeds = seed_set(p).seeds
+    assert len(p.facets) == 4
+    assert sum(len(list(flat_bases(diffs)))
+               for _, _, diffs in facet_diffs(p)) == 465
+    assert len(chains) == 326
+    assert len(seeds) == 129 and seeds == sweep_seeds(p)
 
 
 # products of at most 4 elementary matrices in GL(3, Z)
@@ -99,7 +146,7 @@ def test_a_power_that_is_not_mutable_stops_its_chain(base, k, lows):
 def test_a_power_that_does_not_fit_stops_its_chain(base, k, height, corners):
     p = LatticePolytope.from_points(corners)
     assume(p.is_full_dimensional)
-    face = [(a, b, 0) for a, b in lattice_points(p).all]
+    face = {(a, b, 0) for a, b in lattice_points(p).all}
     lower, upper = base ** (k * height), base ** ((k + 1) * height)
     assert set(lower.support()) <= set(upper.support())
     if not list(_minkowski_difference_points(face, lower.support())):
