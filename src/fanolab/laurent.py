@@ -657,8 +657,11 @@ class _Parser:
             raise ParseError(
                 f"the exponent {k} is above {PARSE_POWER_CAP}", pos)
         if terms:
+            # k is compared with a float, never turned into one, so an
+            # exponent of any length is decided exactly
             common, total = _power_bound(terms.values())
-            if k * math.log2(total * common) > PARSE_COEFFICIENT_BITS:
+            bits = math.log2(total * common)
+            if bits and k > PARSE_COEFFICIENT_BITS / bits:
                 raise ParseError(f"the coefficients of the power could pass "
                                  f"{PARSE_COEFFICIENT_BITS} bits", pos)
         base = LaurentPolynomial._from_clean(self.rank, terms)

@@ -385,9 +385,12 @@ def _wide_number_cases():
 
 def _coefficient_bound_cases():
     """Monomial powers whose coefficients would pass the parser's bit
-    bound, refused before they are computed."""
+    bound, refused before they are computed, and exponents past the largest
+    float, refused or read as their coefficients decide."""
+    long = str(10 ** 400)
     cases = [["newton", "(3*x)^100000000 + 1/x"],
-             ["newton", "(x/3)^30000000 + 1/x"]]
+             ["newton", "(x/3)^30000000 + 1/x"],
+             ["newton", f"(3*x)^{long}"], ["newton", f"x^{long} + 1/x"]]
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
