@@ -31,7 +31,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import add, neg
+from operator import add, index, neg
 
 from .linalg import hnf_rows, unimodular_inverse
 
@@ -161,7 +161,7 @@ class LaurentPolynomial:
                     f"exponent {e} has length {len(e)}, expected {rank}")
             c = _norm_coeff(c)
             if c != 0:
-                clean[tuple(int(x) for x in e)] = c
+                clean[tuple(map(index, e))] = c
         self._set(rank, clean, None, None)
 
     @classmethod
@@ -230,7 +230,7 @@ class LaurentPolynomial:
         """Build from (exponent, coefficient) pairs, summing duplicates."""
         acc = {}
         for e, c in pairs:
-            e = tuple(int(x) for x in e)
+            e = tuple(map(index, e))
             acc[e] = acc.get(e, 0) + c
         return cls(rank, acc)
 
@@ -328,7 +328,7 @@ class LaurentPolynomial:
 
     def shift(self, exponent):
         """Multiply by the monomial x^exponent."""
-        e0 = tuple(int(x) for x in exponent)
+        e0 = tuple(map(index, exponent))
         if len(e0) != self.rank:
             raise RankMismatchError(
                 f"shift {e0} has length {len(e0)}, expected {self.rank}")
@@ -443,7 +443,7 @@ class NotUnimodularError(ValueError):
 
 def substitute_unimodular(f, matrix):
     """Apply the monomial change of variables given by a GL(n,Z) matrix."""
-    matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+    matrix = tuple(tuple(map(index, row)) for row in matrix)
     if len(matrix) != f.rank or any(len(r) != f.rank for r in matrix):
         raise RankMismatchError("matrix shape does not match rank")
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 
 def is_primitive(v):
@@ -42,7 +43,7 @@ def hnf_rows(matrix, ncols=None):
     """
     if not matrix:
         return [], 0
-    a = [list(map(int, row)) for row in matrix]
+    a = [list(map(index, row)) for row in matrix]
     m, n = len(a), len(a[0])
     r = 0
     for col in range(n if ncols is None else ncols):
@@ -103,7 +104,7 @@ def complete_to_basis_last_row(w):
     moved last, and T^-1 is the transpose of U with its first column moved
     last.
     """
-    w = tuple(int(x) for x in w)
+    w = tuple(map(index, w))
     if not is_primitive(w):
         raise ValueError("weight must be primitive")
     rows, _ = hnf_rows([[x] + e for x, e in zip(w, identity(len(w)))],

@@ -16,6 +16,8 @@ that point set; no hull is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter, neg
 
 from .laurent import LaurentPolynomial, factor_powers
 from .linalg import nullspace, primitive_part, solve_affine
@@ -52,6 +54,30 @@ def _minkowski_difference_points(a_points, b_points):
 # ---------------------------------------------------------------------------
 # seed sets
 
+# the most lattice points of P (the unknowns, and the points of every slice)
+# that seed_set and coefficient_space take.  Measured through the library on
+# a 2-core 2.1 GHz Xeon: the (+-3, +-3, +-1) box, 147 points and 4,260 seeds,
+# took 36 s, the 289-point square 2.2 s, and the pyramid over the 17 x 3
+# rectangle at height 2 (68 points, 550 seeds) 2.0 s; the slowest input
+# found within both caps, that over the 15 x 3 rectangle (60 points, 436
+# seeds), took 1.1 s
+MMLP_POINT_CAP = 64
+# the most seeds seed_set finds before it refuses: the pyramid over the
+# 7 x 7 square at height 1 (59 points, 2,136 seeds) took 1.4 s in seed_set
+# and 8.5 s more in coefficient_space; below the cap, the (+-2, +-1, +-1)
+# box (45 points, 724 seeds) took 0.36 s, and the simplex with 35 points and
+# 936 seeds 0.52 s
+MMLP_SEED_CAP = 1000
+
+
+def _lattice_points(p):
+    """The lattice points of p, refused past ``MMLP_POINT_CAP``."""
+    pts = lattice_points(p).all
+    if len(pts) > MMLP_POINT_CAP:
+        raise ValueError(f"the polytope holds {len(pts)} lattice points, "
+                         f"above {MMLP_POINT_CAP}")
+    return pts
+
 
 @dataclass(frozen=True)
 class SeedSet:
@@ -67,7 +93,9 @@ def seed_set(p, bounds=None):
     can possibly divide the matching slice.  In higher rank the factors are
     a heuristic sweep (powers of binomials and trinomials from facet-point
     differences, each chain stopped at its first power that does not fit
-    in the facet) and the result is flagged partial.
+    in the facet) and the result is flagged partial.  A polytope of more
+    than ``MMLP_POINT_CAP`` lattice points, or one past ``MMLP_SEED_CAP``
+    seeds, raises ValueError.
     """
     if bounds is None:
         bounds = MutationBounds()
@@ -76,7 +104,7 @@ def seed_set(p, bounds=None):
             "mutability analysis needs the origin strictly interior")
     if p.rank < 2:
         raise InvalidWeightError("need at least two variables")
-    pts = lattice_points(p).all
+    pts = _lattice_points(p)
     seeds = []
     complete = p.rank == 2
     for (u, c) in p.facets:
@@ -94,9 +122,13 @@ def seed_set(p, bounds=None):
             factors = factor_powers(base, range(1, top + 1))
         else:
             factors = _higher_rank_factors(face_pts, c, bounds)
-        seeds += [MutationData(u, factor) for factor in factors]
-    unique = {s.key: s for s in seeds}
-    return SeedSet(tuple(unique[k] for k in sorted(unique)), complete)
+        for factor in factors:
+            if len(seeds) == MMLP_SEED_CAP:
+                raise ValueError(
+                    f"the polytope has more than {MMLP_SEED_CAP} seeds")
+            seeds.append(MutationData(u, factor))
+    # distinct by construction (see ``enumerate_mutations``)
+    return SeedSet(tuple(sorted(seeds, key=attrgetter("key"))), complete)
 
 
 def _higher_rank_factors(face_pts, height, bounds):
@@ -144,13 +176,9 @@ class CoefficientSpace:
         """The polynomial at the basepoint."""
         if self.empty:
             raise ValueError("the coefficient space is empty")
-        terms = {}
-        for v in self.polytope.vertices:
-            terms[v] = 1
-        for pt, val in zip(self.free_points, self.basepoint):
-            if val:
-                terms[pt] = val
-        return LaurentPolynomial.from_terms(self.polytope.rank, terms.items())
+        return LaurentPolynomial(self.polytope.rank, {
+            **dict.fromkeys(self.polytope.vertices, 1),
+            **dict(zip(self.free_points, self.basepoint))})
 
     def contains_polynomial(self, f):
         """Whether f is a member: coefficient 1 at every vertex, support
@@ -179,52 +207,52 @@ def coefficient_space(p, seeds):
     and the origin (held at 0).  Each seed demands, slice by slice, that the
     negative part of the polynomial is divisible by the matching power of
     the factor; each demand is the membership of the slice in the span of
-    monomial multiples of that power, which is linear in the unknowns.
+    monomial multiples of that power, which is linear in the unknowns.  A
+    polytope of more than ``MMLP_POINT_CAP`` lattice points raises
+    ValueError.
     """
     if not p.origin_strictly_interior():
         raise OriginNotInteriorError(
             "mutability analysis needs the origin strictly interior")
-    pts = lattice_points(p).all
+    pts = _lattice_points(p)
     origin = tuple([0] * p.rank)
     fixed = {v: 1 for v in p.vertices}
     fixed[origin] = 0
     free = tuple(q for q in pts if q not in fixed)
     index = {q: j for j, q in enumerate(free)}
     eq_rows, eq_rhs = [], []
-    for seed in seeds:
-        w = seed.weight
+    # one level map per run of seeds of equal weight, as seed_set sorts
+    # them; the negative levels are walked nearest first
+    for w, run in groupby(seeds, key=attrgetter("weight")):
         by_level = {}
         for q in pts:
             by_level.setdefault(weight_value(w, q), []).append(q)
-        needed = [-level for level in sorted(by_level, reverse=True)
-                  if level < 0]
-        powers = dict(zip(needed, factor_powers(seed.factor, needed)))
-        for level in sorted(by_level):
-            if level >= 0:
-                continue
-            a_pts = by_level[level]  # sorted, as pts is
-            at = {q: i for i, q in enumerate(a_pts)}
-            fpow = powers[-level]
-            # columns of the span matrix, in the a_pts coordinate order
-            cols = []
-            for u in _minkowski_difference_points(at, fpow.terms):
-                col = [0] * len(a_pts)
-                for e, cf in fpow.terms.items():
-                    col[at[tuple(x + y for x, y in zip(u, e))]] = cf
-                cols.append(col)
-            # left null space of the span matrix = null space of its
-            # transpose, whose rows are exactly the columns built above
-            for r in nullspace(cols, ncols=len(a_pts)):
-                row = [0] * len(free)
-                rhs = 0
-                for coef, q in zip(r, a_pts):
-                    if q in index:
-                        row[index[q]] += coef
-                    else:
-                        rhs -= coef * fixed[q]
-                if any(row) or rhs:
-                    eq_rows.append(row)
-                    eq_rhs.append(rhs)
+        levels = sorted([i for i in by_level if i < 0], reverse=True)
+        for seed in run:
+            powers = factor_powers(seed.factor, map(neg, levels))
+            for level, fpow in zip(levels, powers):
+                a_pts = by_level[level]  # sorted, as pts is
+                at = {q: i for i, q in enumerate(a_pts)}
+                # columns of the span matrix, in the a_pts coordinate order
+                cols = []
+                for u in _minkowski_difference_points(at, fpow.terms):
+                    col = [0] * len(a_pts)
+                    for e, cf in fpow.terms.items():
+                        col[at[tuple(x + y for x, y in zip(u, e))]] = cf
+                    cols.append(col)
+                # left null space of the span matrix = null space of its
+                # transpose, whose rows are exactly the columns built above
+                for r in nullspace(cols, ncols=len(a_pts)):
+                    row = [0] * len(free)
+                    rhs = 0
+                    for coef, q in zip(r, a_pts):
+                        if q in index:
+                            row[index[q]] += coef
+                        else:
+                            rhs -= coef * fixed[q]
+                    if any(row) or rhs:
+                        eq_rows.append(row)
+                        eq_rhs.append(rhs)
     solved = solve_affine(eq_rows, eq_rhs, ncols=len(free))
     if solved is None:
         return CoefficientSpace(p, free, (), (), True)
@@ -258,8 +286,6 @@ def is_rigid(f, bounds=None):
     seeds = seed_set(p, bounds)
     space = coefficient_space(p, seeds.seeds)
     pinned = space.dimension == 0 and space.member() == f
-    if seeds.complete:
-        verdict = "rigid-within-bounds" if pinned else "not-rigid"
-    else:
-        verdict = "rigid-within-bounds" if pinned else "inconclusive"
+    verdict = ("rigid-within-bounds" if pinned
+               else "not-rigid" if seeds.complete else "inconclusive")
     return RigidityReport(verdict, space, len(seeds.seeds), seeds.complete)

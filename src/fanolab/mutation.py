@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product, repeat
-from operator import mul, sub
+from operator import index, mul, sub
 
 from .laurent import (LaurentPolynomial, ZeroPolynomialError, _clean,
                       factor_powers)
@@ -55,7 +55,7 @@ def _sympy():
 
 
 def check_weight(w, rank):
-    w = tuple(int(x) for x in w)
+    w = tuple(map(index, w))
     if len(w) != rank:
         raise InvalidWeightError(f"weight has length {len(w)}, expected {rank}")
     if all(x == 0 for x in w):
@@ -300,15 +300,18 @@ def enumerate_mutations(f, bounds=None, memo=None):
     The weight is the facet's inner normal u, at height c in [1, w_max]; the
     factors come from the minimal slice, the terms at level -c: from its
     factorization in rank 2, where it is an edge, and from ``factor_sweep``
-    in higher rank.  Every candidate has at least two terms.  A factor and
-    its translates along the wall give one ``MutationData`` key, so each
-    edge is read from one end and each key is checked by ``is_mutable``
-    once.  Each rank-2 divisor is a chain of its own; a higher-rank power
-    chain stops at its first key that is not mutable, because no higher
-    power of that base is (see ``factor_sweep``).  ``memo`` holds the
-    rank-2 edge divisors by coefficient row (see
-    ``_edge_factors``); a search that enumerates many polynomials passes
-    one dict to every call, and a call without one starts its own.
+    in higher rank.  Every candidate has at least two terms and is checked
+    by ``is_mutable`` once, as no two share a ``MutationData`` key: facets
+    have distinct normals, an edge's divisors are distinct rows read from
+    its lex-least end, and ``factor_sweep`` yields one chain per
+    translation class of bases, 0/1 binomials and trinomials none of which
+    is a perfect power, so no two bases share a power.  Each rank-2 divisor
+    is a chain of its own; a higher-rank power chain stops at its first
+    candidate that is not mutable, because no higher power of that base is
+    (see ``factor_sweep``).  ``memo`` holds the rank-2 edge divisors by
+    coefficient row (see ``_edge_factors``); a search that enumerates many
+    polynomials passes one dict to every call, and a call without one
+    starts its own.
     """
     if bounds is None:
         bounds = MutationBounds()
@@ -318,7 +321,7 @@ def enumerate_mutations(f, bounds=None, memo=None):
         raise InvalidWeightError("mutations need at least two variables")
     p = newton_polytope(f)
     p.require_full_dim()
-    tried = {}
+    witnesses = []
     for (u, c) in p.facets:
         if c < 1 or c > bounds.w_max:
             continue
@@ -333,13 +336,11 @@ def enumerate_mutations(f, bounds=None, memo=None):
             chains = factor_sweep(diffs, bounds.deg_max)
         for chain in chains:
             for factor in chain:
-                data = MutationData(u, factor)
-                if data.key not in tried:
-                    tried[data.key] = is_mutable(f, data)
-                if isinstance(tried[data.key], NotMutable):
+                witness = is_mutable(f, MutationData(u, factor))
+                if isinstance(witness, NotMutable):
                     break
-    witnesses = [tried[k] for k in sorted(tried)
-                 if isinstance(tried[k], MutationWitness)]
+                witnesses.append(witness)
+    witnesses.sort(key=lambda witness: witness.data.key)
     return EnumerationResult(tuple(witnesses), f.rank == 2)
 
 

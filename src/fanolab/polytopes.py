@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import prod
-from operator import and_
+from operator import and_, index
 
 from .laurent import ZeroPolynomialError, json_value
 from .linalg import hnf_rows, is_primitive, nullspace, primitive_part, rref
@@ -139,7 +139,7 @@ class LatticePolytope:
 
     @classmethod
     def from_points(cls, points, rank=None):
-        pts = sorted({tuple(int(x) for x in p) for p in points})
+        pts = sorted({tuple(map(index, p)) for p in points})
         if not pts:
             raise ValueError("need at least one point")
         if rank is None:

@@ -7,14 +7,17 @@ character where no token matches.  Every token becomes a
 the running sum, and each ``*`` multiplies two polynomials.
 ``laurent.parse_polynomial`` sums and multiplies monomials in plain term
 maps instead; this serves only as its oracle.  It makes the same checks in
-the same order, except that it does not bound the coefficients of a power.
+the same order, and bounds the coefficients of a power by the same
+``_power_bound`` before computing it.
 """
 
+import math
 import re
 from fractions import Fraction
 
-from fanolab.laurent import (PARSE_NESTING_CAP, PARSE_POWER_CAP,
-                             PARSE_TERM_CAP, LaurentPolynomial, ParseError,
+from fanolab.laurent import (PARSE_COEFFICIENT_BITS, PARSE_NESTING_CAP,
+                             PARSE_POWER_CAP, PARSE_TERM_CAP,
+                             LaurentPolynomial, ParseError, _power_bound,
                              _variable_order, factor_powers)
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>[a-z]\d*)|(?P<op>[-+*/^()]))")
@@ -123,11 +126,17 @@ class _Parser:
 
     @staticmethod
     def _power(base, k, pos):
-        if len(base) <= 1:
-            return base ** k
-        if k > PARSE_POWER_CAP:
+        if len(base) > 1 and k > PARSE_POWER_CAP:
             raise ParseError(
                 f"the exponent {k} is above {PARSE_POWER_CAP}", pos)
+        if len(base):
+            common, total = _power_bound(base.terms.values())
+            bits = math.log2(total * common)
+            if bits and k > PARSE_COEFFICIENT_BITS / bits:
+                raise ParseError(f"the coefficients of the power could pass "
+                                 f"{PARSE_COEFFICIENT_BITS} bits", pos)
+        if len(base) <= 1:
+            return base ** k
         for power in factor_powers(base, range(k + 1)):
             if len(power) > PARSE_TERM_CAP:
                 raise ParseError(

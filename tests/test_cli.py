@@ -3,12 +3,14 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from fanolab import cli
 from fanolab.cli import main
 from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
+from fanolab.mmlp import MMLP_POINT_CAP, MMLP_SEED_CAP
 from fanolab.mutation import MutationBounds
 from fanolab.mutation_graph import GRAPH_DEPTH_CAP, MARKOV_DEPTH_CAP
 from fanolab.periods import known_series
@@ -484,6 +486,43 @@ def test_lattice_box_past_the_cap_is_refused_quickly(capsys, command, arg):
     assert err.splitlines() == [
         f"error: the bounding box holds 9012004 lattice points, above "
         f"{LATTICE_BOX_CAP}"]
+
+
+def _corners(*radii):
+    """The polynomial of the box with corners (+-r_1, ..., +-r_n)."""
+    names = "xyzw"[:len(radii)]
+    return " + ".join("*".join(f"{v}^{s * r}" for v, s, r in
+                               zip(names, signs, radii))
+                      for signs in product((1, -1), repeat=len(radii)))
+
+
+@pytest.mark.parametrize("text, error", [
+    (_corners(3, 3, 1),
+     f"the polytope holds 147 lattice points, above {MMLP_POINT_CAP}"),
+    (_corners(200, 1),
+     f"the polytope holds 1203 lattice points, above {MMLP_POINT_CAP}"),
+    (_corners(1000, 1),
+     f"the polytope holds 6003 lattice points, above {MMLP_POINT_CAP}"),
+    (_corners(12, 12),
+     f"the polytope holds 625 lattice points, above {MMLP_POINT_CAP}"),
+    (_corners(1, 1, 1, 1),
+     f"the polytope holds 81 lattice points, above {MMLP_POINT_CAP}"),
+    ("x^3*y^3*z + x^3*y^-3*z + x^-3*y^3*z + x^-3*y^-3*z + 1/z",
+     f"the polytope has more than {MMLP_SEED_CAP} seeds")],
+    ids=["box", "polygon-200", "polygon-1000", "square", "4-cube",
+         "pyramid"])
+def test_rigid_past_its_caps_is_refused_quickly(capsys, text, error):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rigid", text)
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {error}"]
+
+
+def test_rigid_within_its_caps_answers(capsys):
+    # the (+-2, +-1, +-1) box: 45 points and 724 seeds
+    code, out, _ = run(capsys, "--json", "rigid", _corners(2, 1, 1))
+    assert code == 2 and json.loads(out)["seed-count"] == 724
 
 
 def _cross_polytope(n):

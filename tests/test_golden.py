@@ -394,13 +394,26 @@ def _coefficient_bound_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _rigid_bound_cases():
+    """``rigid`` on polytopes past the lattice-point cap (a rank-3 box of
+    147 points and a polygon of 1,203) and past the seed cap (the pyramid
+    over a 7 x 7 square, 59 points), refused before the search."""
+    cases = [
+        ["rigid", " + ".join(f"x^{a}*y^{b}*z^{c}" for a in (3, -3)
+                             for b in (3, -3) for c in (1, -1))],
+        ["rigid", "x^200*y + x^200/y + x^-200*y + x^-200/y"],
+        ["rigid", "x^3*y^3*z + x^3*y^-3*z + x^-3*y^3*z + x^-3*y^-3*z + 1/z"],
+    ]
+    return [argv for case in cases for argv in (case, ["--json"] + case)]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
          + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases()
          + _nesting_cases() + _direct_sum_cases() + _compare_both_cases()
          + _zero_power_cases() + _wide_number_cases()
-         + _coefficient_bound_cases())
+         + _coefficient_bound_cases() + _rigid_bound_cases())
 
 
 def _command(argv):

@@ -1,22 +1,26 @@
 """Refusals that no other test reaches: each guard raises its own exception
-type, not merely some ValueError, and input nested past what Python's
-stack holds ends the CLI process with one error line."""
+type, not merely some ValueError, an exponent or weight entry that is not
+an integer raises TypeError instead of being truncated, and input nested
+past what Python's stack holds ends the CLI process with one error line."""
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fanolab.laurent import (PARSE_NESTING_CAP, LaurentPolynomial, ParseError,
                              RankMismatchError, ZeroPolynomialError,
-                             exponent_lattice_index, parse_polynomial)
-from fanolab.linalg import complete_to_basis_last_row, nullspace
+                             exponent_lattice_index, parse_polynomial,
+                             substitute_unimodular)
+from fanolab.linalg import complete_to_basis_last_row, hnf_rows, nullspace
 from fanolab.mmlp import CoefficientSpace, coefficient_space
 from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
-                              MutationData, enumerate_mutations, exact_divide,
-                              is_mutable, weight_decomposition)
+                              MutationData, canonicalize_shear,
+                              enumerate_mutations, exact_divide, is_mutable,
+                              weight_decomposition)
 from fanolab.periods import period_stream
 from fanolab.polytopes import (LatticePolytope, OriginNotInteriorError,
                                dual_polytope, newton_polytope)
@@ -83,6 +87,48 @@ def test_guard_raises_its_exception_type(kind, call):
     with pytest.raises(kind) as raised:
         call()
     assert type(raised.value) is kind
+
+
+class Index:
+    """An integer-like value that is not an int: it has ``__index__``."""
+
+    def __index__(self):
+        return 1
+
+
+# each entry point, given one exponent or weight entry x
+INTEGER_ENTRIES = {
+    "laurent-polynomial": lambda x: LaurentPolynomial(2, {(x, 0): 1}),
+    "from-terms": lambda x: LaurentPolynomial.from_terms(2, [((x, 0), 1)]),
+    "shift": lambda x: F.shift((x, 0)),
+    "substitute-unimodular":
+        lambda x: substitute_unimodular(F, ((x, 0), (0, 1))),
+    "from-points":
+        lambda x: LatticePolytope.from_points([(x, 0), (0, 1), (-1, -1)]),
+    "mutation-data": lambda x: MutationData((x, 0), parse_polynomial("1 + y")),
+    "weight-decomposition": lambda x: weight_decomposition(F, (x, 0)),
+    "canonicalize-shear": lambda x: canonicalize_shear(F, (x, 0)),
+    "hnf-rows": lambda x: hnf_rows([[x, 0], [0, 1]]),
+    "complete-to-basis": lambda x: complete_to_basis_last_row((x, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, Fraction(1), Fraction(3, 2)],
+                         ids=["float-1", "float-1.5", "fraction-1",
+                              "fraction-3/2"])
+@pytest.mark.parametrize("call", INTEGER_ENTRIES.values(),
+                         ids=INTEGER_ENTRIES.keys())
+def test_a_non_integer_entry_is_refused(call, bad):
+    with pytest.raises(TypeError):
+        call(bad)
+
+
+@pytest.mark.parametrize("good", [1, True, Index()],
+                         ids=["int", "bool", "index"])
+@pytest.mark.parametrize("call", INTEGER_ENTRIES.values(),
+                         ids=INTEGER_ENTRIES.keys())
+def test_an_integer_like_entry_is_read_as_an_int(call, good):
+    assert call(good) == call(1)
 
 
 def test_parentheses_nested_to_the_cap_parse():

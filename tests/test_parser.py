@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanolab.laurent import (PARSE_COEFFICIENT_BITS, ParseError,
                              _power_bound, format_polynomial,
@@ -76,6 +76,8 @@ soup = st.lists(st.sampled_from(["x", "y", "x2", "0", "2", "10", "+", "-",
 
 @settings(max_examples=400, deadline=None)
 @given(soup, rank_hints)
+@example("2^101010", 1)  # a power past the coefficient bound
+@example("2^1010101010", 3)
 def test_parser_matches_the_reference_on_token_soup(text, rank_hint):
     _agree(text, rank_hint)
 

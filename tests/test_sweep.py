@@ -5,24 +5,29 @@
 one chain per translation class of bases.  Their results must equal those
 of the flat sweep in ``sweep_oracle.py``, which tries every power of every
 base, and the two rules that justify the pruning are checked on random
-bases.
+bases.  The candidates of both have distinct keys, and
+``coefficient_space`` reads the seeds in any order.
 """
 
 import functools
+import random
+from dataclasses import fields
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fanolab.laurent import (LaurentPolynomial, parse_polynomial,
                              substitute_unimodular)
-from fanolab import mmlp
-from fanolab.mmlp import _minkowski_difference_points, seed_set
+from fanolab import mmlp, mutation
+from fanolab.mmlp import (CoefficientSpace, _minkowski_difference_points,
+                          coefficient_space, seed_set)
 from fanolab.mutation import (MutationData, NotMutable, enumerate_mutations,
                               exact_divide, factor_sweep, is_mutable)
 from fanolab.polytopes import LatticePolytope, lattice_points, newton_polytope
 from sweep_oracle import facet_diffs, flat_bases, sweep_seeds, sweep_witnesses
-from test_golden import SOLIDS
-from test_properties import _gl
+from test_golden import POLYGON_POLYS, POLYGONS, SOLIDS
+from test_properties import _gl, polys
 
 POLYS = (
     "x + 1/x + y + 1/y + z + 1/z",
@@ -151,3 +156,84 @@ def test_a_power_that_does_not_fit_stops_its_chain(base, k, height, corners):
     assert set(lower.support()) <= set(upper.support())
     if not list(_minkowski_difference_points(face, lower.support())):
         assert not list(_minkowski_difference_points(face, upper.support()))
+
+
+# ``enumerate_mutations`` checks each candidate once and ``seed_set`` keeps
+# each seed, with no map to skip a repeat: their keys are distinct by
+# construction, and ``coefficient_space`` reads the seeds in any order
+
+
+def _candidate_keys(f):
+    """The key of every candidate ``enumerate_mutations(f)`` checks."""
+    keys = []
+
+    def recorded(g, data):
+        keys.append(data.key)
+        return is_mutable(g, data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mutation, "is_mutable", recorded)
+        witnesses = enumerate_mutations(f).witnesses
+    assert [w.data.key for w in witnesses] == sorted(
+        set(w.data.key for w in witnesses))
+    return keys
+
+
+def _distinct(keys):
+    return len(set(keys)) == len(keys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(min_terms=3))
+def test_rank2_candidates_have_distinct_keys(f):
+    assume(newton_polytope(f).is_full_dimensional)
+    assert _distinct(_candidate_keys(f))
+
+
+@pytest.mark.parametrize("text", POLYGON_POLYS)
+def test_polygon_candidates_have_distinct_keys(text):
+    assert _distinct(_candidate_keys(parse_polynomial(text)))
+
+
+RANK3 = [LaurentPolynomial(3, dict.fromkeys(vertices, 1))
+         for vertices in SOLIDS] + [parse_polynomial(POLYS[3])]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(RANK3), gl3)
+def test_rank3_candidates_have_distinct_keys_on_gl3_images(f, m):
+    assert _distinct(_candidate_keys(substitute_unimodular(f, m)))
+
+
+POLYTOPES = ([LatticePolytope.from_points(vertices)
+              for vertices in POLYGONS + SOLIDS]
+             + [newton_polytope(parse_polynomial(POLYS[3]))])
+POLYTOPE_IDS = ([f"polygon{i}" for i in range(len(POLYGONS))]
+                + [f"solid{i}" for i in range(len(SOLIDS))] + ["cubic"])
+
+
+def _image(p, m):
+    return LatticePolytope.from_points(
+        [tuple(sum(map(mul, row, v)) for row in m) for v in p.vertices])
+
+
+@pytest.mark.parametrize("p", POLYTOPES, ids=POLYTOPE_IDS)
+def test_seeds_have_distinct_keys(p):
+    keys = [seed.key for seed in seed_set(p).seeds]
+    assert _distinct(keys) and keys == sorted(keys)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(POLYTOPES[len(POLYGONS):]), gl3)
+def test_seeds_have_distinct_keys_on_gl3_images(p, m):
+    assert _distinct([seed.key for seed in seed_set(_image(p, m)).seeds])
+
+
+@pytest.mark.parametrize("p", POLYTOPES, ids=POLYTOPE_IDS)
+def test_coefficient_space_reads_the_seeds_in_any_order(p):
+    seeds = list(seed_set(p).seeds)
+    space = coefficient_space(p, seeds)
+    random.Random(len(seeds)).shuffle(seeds)
+    shuffled = coefficient_space(p, seeds)
+    for field in fields(CoefficientSpace):
+        assert getattr(shuffled, field.name) == getattr(space, field.name)
