@@ -12,7 +12,6 @@ bases.  The candidates of both have distinct keys, and
 import functools
 import random
 from dataclasses import fields
-from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +26,7 @@ from fanolab.mutation import (MutationData, NotMutable, enumerate_mutations,
 from fanolab.polytopes import LatticePolytope, lattice_points, newton_polytope
 from sweep_oracle import facet_diffs, flat_bases, sweep_seeds, sweep_witnesses
 from test_golden import POLYGON_POLYS, POLYGONS, SOLIDS
-from test_properties import _gl, polys
+from test_properties import _apply, _gl, polys
 
 POLYS = (
     "x + 1/x + y + 1/y + z + 1/z",
@@ -213,8 +212,7 @@ POLYTOPE_IDS = ([f"polygon{i}" for i in range(len(POLYGONS))]
 
 
 def _image(p, m):
-    return LatticePolytope.from_points(
-        [tuple(sum(map(mul, row, v)) for row in m) for v in p.vertices])
+    return LatticePolytope.from_points([_apply(m, v) for v in p.vertices])
 
 
 @pytest.mark.parametrize("p", POLYTOPES, ids=POLYTOPE_IDS)
