@@ -59,7 +59,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, count, islice
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .laurent import LaurentPolynomial, ZeroPolynomialError, _norm_coeff
 from .linalg import rref
@@ -91,8 +91,6 @@ def _parts(f):
             joined |= block
             blocks.remove(block)
         blocks.append(joined)
-    if len(blocks) == 1:
-        return [f]
     return [LaurentPolynomial._from_clean(
                 f.rank, dict(items[j] for j in sorted(block)))
             for block in sorted(blocks, key=min)]
@@ -110,13 +108,16 @@ def _convolved_terms(g, h):
     """Yield ct(f^1), ct(f^2), ... for f = f_1 + f_2, given the streams g
     and h of f_1 and f_2, whose exponent spans are independent: the
     binomial convolution of their periods.  Each stream is read one term
-    per term yielded."""
+    per term yielded, and Pascal's rule takes the binomials of k - 1 to
+    those of k."""
     a, b = [1], [1]  # ct(f_1^j) and ct(f_2^j) for j <= k
+    row = [1]  # comb(k, j) for j <= k
     for k in count(1):
         a.append(next(g))
         b.append(next(h))
-        yield _norm_coeff(sum(comb(k, j) * x * b[k - j]
-                              for j, x in enumerate(a) if x and b[k - j]))
+        row = [1, *map(add, row, row[1:]), 1]
+        yield _norm_coeff(sum(c * x * b[k - j] for j, (c, x)
+                              in enumerate(zip(row, a)) if x and b[k - j]))
 
 
 def _fibre_system(f):

@@ -5,10 +5,11 @@ It reads one token at a time, and looks past the whitespace for a bad
 character where no token matches.  Every token becomes a
 ``LaurentPolynomial``, each ``+`` and ``-`` adds the next term to a copy of
 the running sum, and each ``*`` multiplies two polynomials.
-``laurent.parse_polynomial`` sums and multiplies monomials in plain term
-maps instead; this serves only as its oracle.  It makes the same checks in
-the same order, and bounds the coefficients of a power by the same
-``_power_bound`` before computing it.
+``laurent.parse_polynomial`` sums and multiplies plain term maps
+instead; this serves only as its oracle.  It makes the same checks in
+the same order, bounds the coefficients of a power by the same
+``_power_bound`` before computing it, and counts the term pairs of its
+products against the same ``PARSE_PRODUCT_CAP`` before forming them.
 """
 
 import math
@@ -16,7 +17,8 @@ import re
 from fractions import Fraction
 
 from fanolab.laurent import (PARSE_COEFFICIENT_BITS, PARSE_NESTING_CAP,
-                             PARSE_POWER_CAP, PARSE_TERM_CAP,
+                             PARSE_POWER_CAP, PARSE_PRODUCT_CAP,
+                             PARSE_TERM_CAP,
                              LaurentPolynomial, ParseError, _power_bound,
                              _variable_order, factor_powers)
 
@@ -50,6 +52,7 @@ class _Parser:
             raise ParseError("constant polynomial needs a rank hint")
         self.i = 0
         self.depth = 0
+        self.pairs = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -97,10 +100,13 @@ class _Parser:
                 self.next()
                 divisor_pos = self.peek()[2]
                 rhs = self.factor()
-                if val == "*":
-                    poly = poly * rhs
-                else:
-                    poly = poly * self._invert(rhs, divisor_pos)
+                if val == "/":
+                    rhs = self._invert(rhs, divisor_pos)
+                self.pairs += len(poly) * len(rhs)
+                if self.pairs > PARSE_PRODUCT_CAP:
+                    raise ParseError(f"the products form more than "
+                                     f"{PARSE_PRODUCT_CAP} term pairs", pos)
+                poly = poly * rhs
             else:
                 return poly
 

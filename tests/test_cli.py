@@ -9,7 +9,8 @@ import pytest
 
 from fanolab import cli
 from fanolab.cli import main
-from fanolab.laurent import PARSE_POWER_CAP, PARSE_TERM_CAP
+from fanolab.laurent import (PARSE_POWER_CAP, PARSE_PRODUCT_CAP,
+                             PARSE_TERM_CAP)
 from fanolab.mmlp import MMLP_POINT_CAP, MMLP_SEED_CAP
 from fanolab.mutation import MutationBounds
 from fanolab.mutation_graph import GRAPH_DEPTH_CAP, MARKOV_DEPTH_CAP
@@ -448,6 +449,18 @@ def test_oversized_power_is_refused_quickly(capsys):
     assert err.splitlines() == [
         "error: cannot read polynomial: the power has more than "
         f"{PARSE_TERM_CAP} terms (at position 9)"]
+
+
+def test_product_past_the_pair_cap_is_refused_quickly(capsys):
+    # two powers of 7,315 terms each, whose product took 15 s to read
+    start = time.perf_counter()
+    code, out, err = run(capsys, "newton",
+                         "(x+y+z+w+1)^18*(x+y+z+w+1)^18")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: cannot read polynomial: the products form more than "
+        f"{PARSE_PRODUCT_CAP} term pairs (at position 14)"]
 
 
 def test_monomial_power_is_read_at_once(capsys):

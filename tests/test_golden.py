@@ -407,13 +407,21 @@ def _rigid_bound_cases():
     return [argv for case in cases for argv in (case, ["--json"] + case)]
 
 
+def _product_cap_cases():
+    """A product of two powers of 7,315 terms each, past the parser's cap
+    on the term pairs of products, refused before it is formed."""
+    case = ["newton", "(x+y+z+w+1)^18*(x+y+z+w+1)^18"]
+    return [case, ["--json"] + case]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
          + _relation_sum_cases() + _fibre_walk_cases() + _operator_cases()
          + _nesting_cases() + _direct_sum_cases() + _compare_both_cases()
          + _zero_power_cases() + _wide_number_cases()
-         + _coefficient_bound_cases() + _rigid_bound_cases())
+         + _coefficient_bound_cases() + _rigid_bound_cases()
+         + _product_cap_cases())
 
 
 def _command(argv):

@@ -1,7 +1,8 @@
 """The term-map parser against the reference parser, its speed on long flat
-text, and its bound on the coefficients of a power.
+text, its bound on the coefficients of a power and its cap on the term
+pairs of products.
 
-``parse_polynomial`` sums and multiplies monomials in plain term maps; the
+``parse_polynomial`` sums and multiplies in plain term maps; the
 reference in ``parse_oracle.py`` builds a ``LaurentPolynomial`` for every
 token.  On every text both must give equal polynomials with the same
 coefficient types, or the same ``ParseError`` message.
@@ -13,8 +14,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanolab.laurent import (PARSE_COEFFICIENT_BITS, ParseError,
-                             _power_bound, format_polynomial,
+import parse_oracle
+from fanolab import laurent
+from fanolab.laurent import (PARSE_COEFFICIENT_BITS, PARSE_PRODUCT_CAP,
+                             ParseError, _power_bound, format_polynomial,
                              parse_polynomial)
 from parse_oracle import oracle_parse
 
@@ -87,10 +90,43 @@ def test_parser_matches_the_reference_on_token_soup(text, rank_hint):
     "-(x - y)^2*(x + y)/(2*x*y)", "(1/x)^-2 - x^2", "(x + 1/x)^4 - 6",
     "0^0*x", "x*0 + y", "(x+y)/(x-y)", "x^-(1)", "(x+y)^-1", "x/0",
     "x + y +", "x * -y", "((x)", "x)", "x1 + y", "x/2*2", "2*(x/2)",
-    "(y/3)*(3*x) - x*y", "(x/2 + y/2)*2"])
+    "(y/3)*(3*x) - x*y", "(x/2 + y/2)*2",
+    # products of two sums: Fraction coefficients, a zero side, and
+    # exponents past the packing bound
+    "(x/2 + y/3)*(2*x - 3/4*y + 1)", "(x + y)*(x - y)*(x/2 + 1/2)",
+    "(x + y)*(x - x)", "0*(x + y + 1)", "(x + 1)*(y - y)*(x/3 + z)",
+    "(x^9000000 + 1)*(x^9000000 - 1/2)",
+    "(x^-9000000 + y/5)*(x^9000000 - y^9000000 + 1)"])
 def test_parser_matches_the_reference_on_fixed_texts(text):
     _agree(text, None)
     _agree(text, 4)
+
+
+@pytest.mark.parametrize("text", [
+    "(x + y)*(x + y + z)", "(x + y)*(x + y + z)*(x + 1)",
+    "(x + y)*(x + y + z)*(x - x)*(x + 1)",
+    "((x + y)*(x + y + z))^2 + (x + 1)*(y + 1)", "(x + y)^2/x/y*(x + y)",
+    "(x + y)^2/x/y*(x + y)*1",
+    "(x + y)*((x + 1)*(y + 1)) + z"])
+def test_parser_matches_the_reference_at_a_small_product_cap(
+        text, monkeypatch):
+    # the count runs over the whole text, parentheses and divisions
+    # included, and both readers refuse at the same operator
+    for module in (laurent, parse_oracle):
+        monkeypatch.setattr(module, "PARSE_PRODUCT_CAP", 12)
+    _agree(text, None)
+
+
+def test_product_past_the_pair_cap_is_refused_at_its_operator():
+    # (x + y + z + w + 1)^10 has 1,001 terms
+    text = "z + (x + y + z + w + 1)^10*(x + y + z + w + 1)^10"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as raised:
+        parse_polynomial(text)
+    assert time.perf_counter() - start < 1
+    assert str(raised.value) == (
+        f"the products form more than {PARSE_PRODUCT_CAP} term pairs "
+        f"(at position {text.index('*')})")
 
 
 def test_long_flat_text_parses_in_linear_time():

@@ -338,6 +338,20 @@ def test_convolving_a_connected_support_gives_wrong_terms():
     assert list(classical_period(f, 5)) == [1, 0, 2, 6, 6]
 
 
+stream_terms = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(stream_terms, min_size=1, max_size=200), st.data())
+def test_convolution_matches_the_binomial_sum(g, data):
+    # two streams of up to 200 terms, past what the unsplit oracle reaches
+    h = data.draw(st.lists(stream_terms, min_size=len(g), max_size=len(g)))
+    a, b = [1, *g], [1, *h]
+    assert list(islice(_convolved_terms(iter(g), iter(h)), len(g))) == [
+        sum(comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+        for k in range(1, len(g) + 1)]
+
+
 def test_split_of_two_hexagons_in_rank_4():
     f = parse_polynomial(DP6 + " + z + 1/z + w + 1/w + z*w + 1/(z*w)")
     assert [sums_over_relations(part) for part in _parts(f)] == [False] * 2
