@@ -23,8 +23,9 @@ The parser expands ``(...)^k`` only up to ``PARSE_TERM_CAP`` terms, a base
 of two or more terms only up to the exponent ``PARSE_POWER_CAP``, and no
 power whose coefficients could pass ``PARSE_COEFFICIENT_BITS`` bits; it
 multiplies term maps only while the products of one text form at most
-``PARSE_PRODUCT_CAP`` term pairs, and refuses parentheses nested more
-than ``PARSE_NESTING_CAP`` deep.
+``PARSE_PRODUCT_CAP`` term pairs, and as many once each pair is weighted
+by the 1,024-bit blocks of the largest coefficient on either side, and
+refuses parentheses nested more than ``PARSE_NESTING_CAP`` deep.
 """
 
 from __future__ import annotations
@@ -46,8 +47,13 @@ PARSE_TERM_CAP = 10_000
 # the largest exponent the parser expands a base of two or more terms to
 PARSE_POWER_CAP = 1_000
 # the most term pairs that the products of one text may form, summed over
-# every * and /: 10^6 pairs of small coefficients take 0.7-0.9 s, and of
-# the 300-digit binomials of (x + 1)^999 1.4 s (2-core Xeon, Python 3.11)
+# every * and /, and the most such pairs when each is weighted by the
+# 1,024-bit blocks of the largest coefficient on either side (see _blocks),
+# both checked before the product is formed: 10^6 pairs of small
+# coefficients take 0.7-1.7 s, of the 300-digit binomials of (x + 1)^999
+# 1.4-2.8 s, and of 1,001-bit coefficients, the slowest accepted input
+# measured, 4.9 s, while 999 x 999 terms of 100,000-bit coefficients,
+# minutes of work, are refused (2-core Xeon, Python 3.11)
 PARSE_PRODUCT_CAP = 1_000_000
 # the most bits, log2(|numerator| * denominator), that the parser lets a
 # coefficient of a power reach, by the bound of _power_bound
@@ -536,6 +542,14 @@ def _variable_order(names):
     return {v: i for i, v in enumerate(letters)}, len(letters)
 
 
+def _blocks(terms):
+    """The 1,024-bit blocks of the largest coefficient of a term map,
+    counting numerator and denominator bits together."""
+    bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                for c in terms.values()), default=0)
+    return -(-bits // 1024)
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial text grammar.
 
@@ -569,6 +583,7 @@ class _Parser:
         self.i = 0
         self.depth = 0  # parentheses open at the current token
         self.pairs = 0  # term pairs formed by the products so far
+        self.blocks = 0  # those pairs, each weighted by its blocks
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -618,10 +633,16 @@ class _Parser:
             rhs = self.factor()
             if val == "/":
                 rhs = self._invert(rhs, divisor_pos)
-            self.pairs += len(terms) * len(rhs)
+            pairs = len(terms) * len(rhs)
+            self.pairs += pairs
+            self.blocks += pairs * _blocks(terms) * _blocks(rhs)
             if self.pairs > PARSE_PRODUCT_CAP:
                 raise ParseError(f"the products form more than "
                                  f"{PARSE_PRODUCT_CAP} term pairs", pos)
+            if self.blocks > PARSE_PRODUCT_CAP:
+                raise ParseError(f"the products' coefficients form more "
+                                 f"than {PARSE_PRODUCT_CAP} pairs of "
+                                 f"1,024-bit blocks", pos)
             terms = _clean(_tuple_product(terms, rhs))
 
     @staticmethod

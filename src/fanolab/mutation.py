@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product, repeat
-from operator import index, mul, sub
+from operator import add, index, mul, sub
 
 from .laurent import (LaurentPolynomial, ZeroPolynomialError, _clean,
                       factor_powers)
@@ -74,11 +74,16 @@ def weight_decomposition(f, w):
     if f.is_zero():
         raise ZeroPolynomialError("cannot decompose the zero polynomial")
     w = check_weight(w, f.rank)
+    return [(i, LaurentPolynomial._from_clean(f.rank, t))
+            for i, t in sorted(_level_slices(f, w).items())]
+
+
+def _level_slices(f, w):
+    """The terms of f by w-level, as a map level -> term map."""
     slices = {}
     for e, c in f.terms.items():
         slices.setdefault(weight_value(w, e), {})[e] = c
-    return [(i, LaurentPolynomial._from_clean(f.rank, t))
-            for i, t in sorted(slices.items())]
+    return slices
 
 
 @dataclass(frozen=True)
@@ -200,10 +205,11 @@ def is_mutable(f, data):
     return MutationWitness(data, tuple(slices))
 
 
-def mutate(f, data, witness=None):
+def mutate(f, data, witness=None, bases=None):
     """Apply the mutation, returning the shear-canonicalized result.
 
-    Raises ValueError when f is not mutable by ``data``.
+    Raises ValueError when f is not mutable by ``data``.  ``bases`` is
+    passed on to ``canonicalize_shear``.
     """
     if witness is None:
         witness = is_mutable(f, data)
@@ -219,14 +225,14 @@ def mutate(f, data, witness=None):
     for i, piece in witness.quotients:
         terms.update((piece * next(powers) if i > 0 else piece).terms)
     return canonicalize_shear(LaurentPolynomial._from_clean(f.rank, terms),
-                              data.weight)
+                              data.weight, bases)
 
 
 # ---------------------------------------------------------------------------
 # shears
 
 
-def canonicalize_shear(f, w):
+def canonicalize_shear(f, w, bases=None):
     """Deterministic representative of f modulo shears along w.
 
     Read in the coordinates e -> T e of ``complete_to_basis_last_row(w)``,
@@ -235,25 +241,33 @@ def canonicalize_shear(f, w):
     reducing the lex-least T-image of that slice into the box
     [0, |l|)^(n-1).  That shear is (s', 0) in T-coordinates, so f is
     sheared by T^-1 (s', 0); no other exponent is moved into T-coordinates.
-    Each term's level is computed once.  T^-1 (s', 0) lies on the wall by
-    construction, so the shear needs no check.
+    One pass slices f's terms by level, and each slice is sheared by its
+    own level.  T^-1 (s', 0) lies on the wall by construction, so the
+    shear needs no check.  ``bases`` holds the completions (T, T^-1) by
+    validated weight; a search that shears many polynomials passes one
+    dict to every call, and a call without one completes w afresh.
     """
     w = check_weight(w, f.rank)
-    terms = f.terms
-    level = {e: weight_value(w, e) for e in terms}
-    levels = set(level.values()) - {0}
-    if not levels:
+    slices = _level_slices(f, w)
+    l0 = min((l for l in slices if l), key=lambda l: (abs(l), l),
+             default=None)
+    if l0 is None:
         return f
-    l0 = min(levels, key=lambda l: (abs(l), l))
-    t, t_inv = complete_to_basis_last_row(w)
+    if bases is None:
+        bases = {}
+    if w not in bases:
+        bases[w] = complete_to_basis_last_row(w)
+    t, t_inv = bases[w]
     anchor = min(tuple(weight_value(row, e) for row in t[:-1])
-                 for e, lev in level.items() if lev == l0)
+                 for e in slices[l0])
     shear = tuple(-(a // l0) if l0 > 0 else a // -l0 for a in anchor)
     # zip stops at the n-1 entries of s', skipping the last column of T^-1
     s = tuple(weight_value(row, shear) for row in t_inv)
-    return LaurentPolynomial._from_clean(f.rank, {
-        tuple(a + level[e] * b for a, b in zip(e, s)): c
-        for e, c in terms.items()})
+    terms = {}
+    for l, piece in slices.items():
+        d = tuple(l * b for b in s)
+        terms.update((tuple(map(add, e, d)), c) for e, c in piece.items())
+    return LaurentPolynomial._from_clean(f.rank, terms)
 
 
 def shear_equivalent(f, g, w):

@@ -40,10 +40,11 @@ class MutationGraph:
 
 
 # the deepest mutation graph built: each level multiplies the nodes, and on
-# a 2-core 2.1 GHz Xeon depth 4 takes 1.4-1.8 s for x + y + 1/(x*y), 2.7-3.5 s
-# for the square's maximally mutable polynomial (3,201 nodes) and 0.2-0.3 s
-# for x + y + 1/x + 1/y, while x + y + 1/(x*y) at depth 5 was still running
-# after 150 s
+# a 2-core 2.1 GHz Xeon depth 4 takes 0.8-0.9 s for x + y + 1/(x*y) (46
+# nodes, all distinct), 1.3-1.7 s for the square's maximally mutable
+# polynomial (3,201 nodes on 1,146 distinct polynomials; 1.8-1.9 s when
+# every node was expanded) and 0.13-0.16 s for x + y + 1/x + 1/y, while
+# x + y + 1/(x*y) at depth 5 was still running after 150 s
 GRAPH_DEPTH_CAP = 4
 
 
@@ -66,8 +67,14 @@ def build_graph(f, depth, bounds=None):
       is nonzero and the result is new.
 
     The search keeps one edge-divisor memo for every node it expands, so
-    a coefficient row met again is not factored again.  A depth above
-    ``GRAPH_DEPTH_CAP`` raises ValueError before the first enumeration.
+    a coefficient row met again is not factored again.  It owns two more
+    dicts: ``expanded`` maps each polynomial it expanded to its
+    ``enumerate_mutations`` result and its children by seed key, so an
+    equal polynomial reached by another path reuses both and mutates only
+    a seed that no earlier equal node took; ``bases`` holds the basis
+    completion of each weight that ``canonicalize_shear`` needed.  A depth
+    above ``GRAPH_DEPTH_CAP`` raises ValueError before the first
+    enumeration.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -81,21 +88,25 @@ def build_graph(f, depth, bounds=None):
     # read off the seed without validating (-w, F) again
     back = [None]
     frontier = [0]
-    memo = {}
+    memo, bases, expanded = {}, {}, {}
     for level in range(depth):
         next_frontier = []
         for idx in frontier:
             poly = nodes[idx].polynomial
-            result = enumerate_mutations(poly, bounds, memo)
+            if poly not in expanded:
+                expanded[poly] = enumerate_mutations(poly, bounds, memo), {}
+            result, children = expanded[poly]
             complete = complete and result.complete
             for witness in result.witnesses:
                 seed = witness.data
-                if seed.key == back[idx]:
+                key = seed.key
+                if key == back[idx]:
                     continue
+                if key not in children:
+                    children[key] = mutate(poly, seed, witness, bases)
                 new = len(nodes)
-                nodes.append(GraphNode(mutate(poly, seed, witness),
-                                       level + 1))
-                back.append((tuple(-x for x in seed.weight), seed.key[1]))
+                nodes.append(GraphNode(children[key], level + 1))
+                back.append((tuple(-x for x in seed.weight), key[1]))
                 edges.append(GraphEdge(idx, new, seed.weight, seed.factor))
                 next_frontier.append(new)
         frontier = next_frontier

@@ -9,7 +9,9 @@ the running sum, and each ``*`` multiplies two polynomials.
 instead; this serves only as its oracle.  It makes the same checks in
 the same order, bounds the coefficients of a power by the same
 ``_power_bound`` before computing it, and counts the term pairs of its
-products against the same ``PARSE_PRODUCT_CAP`` before forming them.
+products against the same ``PARSE_PRODUCT_CAP`` before forming them,
+once as they are and once weighted by the 1,024-bit blocks of the largest
+coefficient on each side.
 """
 
 import math
@@ -23,6 +25,15 @@ from fanolab.laurent import (PARSE_COEFFICIENT_BITS, PARSE_NESTING_CAP,
                              _variable_order, factor_powers)
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>[a-z]\d*)|(?P<op>[-+*/^()]))")
+
+
+def _blocks(poly):
+    """ceil(b / 1024) for the largest b = bits of |numerator| plus bits of
+    the denominator over the coefficients of poly; 0 for zero."""
+    bits = [len(bin(abs(Fraction(c).numerator))) - 2
+            + len(bin(Fraction(c).denominator)) - 2
+            for c in poly.terms.values()]
+    return math.ceil(max(bits, default=0) / 1024)
 
 
 class _Parser:
@@ -53,6 +64,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.pairs = 0
+        self.blocks = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -103,9 +115,15 @@ class _Parser:
                 if val == "/":
                     rhs = self._invert(rhs, divisor_pos)
                 self.pairs += len(poly) * len(rhs)
+                self.blocks += (len(poly) * len(rhs) * _blocks(poly)
+                                * _blocks(rhs))
                 if self.pairs > PARSE_PRODUCT_CAP:
                     raise ParseError(f"the products form more than "
                                      f"{PARSE_PRODUCT_CAP} term pairs", pos)
+                if self.blocks > PARSE_PRODUCT_CAP:
+                    raise ParseError(f"the products' coefficients form more "
+                                     f"than {PARSE_PRODUCT_CAP} pairs of "
+                                     f"1,024-bit blocks", pos)
                 poly = poly * rhs
             else:
                 return poly

@@ -463,6 +463,21 @@ def test_product_past_the_pair_cap_is_refused_quickly(capsys):
         f"{PARSE_PRODUCT_CAP} term pairs (at position 14)"]
 
 
+def test_product_of_wide_coefficients_is_refused_quickly(capsys):
+    # two sums of 999 terms 2^99999*x^i: within the pair cap, and minutes
+    # to form
+    text = "*".join("(" + " + ".join(f"2^99999*{v}^{i}" for i in range(999))
+                    + ")" for v in "xy")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "newton", text)
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: cannot read polynomial: the products' coefficients form "
+        f"more than {PARSE_PRODUCT_CAP} pairs of 1,024-bit blocks "
+        f"(at position {text.index(')*') + 1})"]
+
+
 def test_monomial_power_is_read_at_once(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "newton", "x^100000000")

@@ -414,6 +414,16 @@ def _product_cap_cases():
     return [case, ["--json"] + case]
 
 
+def _product_block_cases():
+    """The product of two sums of 999 terms 2^99999*x^i, within the cap on
+    term pairs but past it once each pair is weighted by the 1,024-bit
+    blocks of its coefficients, refused before it is formed."""
+    case = ["newton", "*".join(
+        "(" + " + ".join(f"2^99999*{v}^{i}" for i in range(999)) + ")"
+        for v in "xy")]
+    return [case, ["--json"] + case]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
@@ -421,7 +431,7 @@ CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _nesting_cases() + _direct_sum_cases() + _compare_both_cases()
          + _zero_power_cases() + _wide_number_cases()
          + _coefficient_bound_cases() + _rigid_bound_cases()
-         + _product_cap_cases())
+         + _product_cap_cases() + _product_block_cases())
 
 
 def _command(argv):

@@ -1,6 +1,6 @@
 import pytest
 
-from fanolab import mutation
+from fanolab import mutation, mutation_graph
 from fanolab.laurent import parse_polynomial
 from fanolab.mutation import (MutationBounds, canonicalize_shear,
                               enumerate_mutations, mutate)
@@ -119,8 +119,39 @@ def _build_graph_by_incident_labels(f, depth, bounds=MutationBounds()):
     return MutationGraph(tuple(nodes), tuple(edges), complete)
 
 
+HEXAGON = POLYGON_POLYS[9]
+SQUARE = POLYGON_POLYS[14]  # the square's maximally mutable polynomial
+
+
 @pytest.mark.parametrize("text, depth", [(p, 2) for p in POLYGON_POLYS]
-                         + [(P2, 3)])
+                         + [(P2, 3), (HEXAGON, 3), (SQUARE, 3)])
 def test_pruning_the_way_back_matches_the_incident_label_rule(text, depth):
+    # the reference expands every node afresh; at depth 3 the hexagon and
+    # the square reach equal polynomials by different paths
     f = parse_polynomial(text)
     assert build_graph(f, depth) == _build_graph_by_incident_labels(f, depth)
+
+
+def test_graph_expands_each_polynomial_and_completes_each_basis_once(
+        monkeypatch):
+    counts = {"enumerate_mutations": [], "mutate": [],
+              "complete_to_basis_last_row": []}
+    for module, name in [(mutation_graph, "enumerate_mutations"),
+                         (mutation_graph, "mutate"),
+                         (mutation, "complete_to_basis_last_row")]:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name].append(args)
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    graph = build_graph(parse_polynomial(SQUARE), 3)
+    expanded = [n.polynomial for n in graph.nodes if n.depth < 3]
+    assert len(graph.nodes) == 457
+    assert len(counts["enumerate_mutations"]) == len(set(expanded)) \
+        < len(expanded)
+    children = {(graph.nodes[e.source].polynomial, e.weight, e.factor)
+                for e in graph.edges}
+    assert len(counts["mutate"]) == len(children) < len(graph.edges)
+    weights = [w for w, in counts["complete_to_basis_last_row"]]
+    assert sorted(weights) == sorted({e.weight for e in graph.edges})

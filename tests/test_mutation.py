@@ -22,6 +22,7 @@ from fanolab.recurrence import _poly_mul
 import linalg_oracle
 from divisor_oracle import laurent_edge_divisors
 from shear_oracle import shear
+from test_properties import gl
 
 
 def test_weight_decomposition_levels():
@@ -206,6 +207,29 @@ def test_canonicalize_shear_matches_oracle(data):
     canon = canonicalize_shear(f, w)
     assert canon == _old_canonicalize_shear(f, w)
     assert canonicalize_shear(canon, w) == canon
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_shared_bases_give_the_mutations_of_fresh_ones(data):
+    # one bases dict across GL(2, Z) and GL(3, Z) images of several inputs
+    inputs = ["x + y + x^-1*y^-1", H, "(x+y+1)^3/(x*y*z) + z"]
+    bases, weights = {}, set()
+    for text in data.draw(st.lists(st.sampled_from(inputs), min_size=1,
+                                   max_size=3)):
+        f = parse_polynomial(text)
+        f = f.apply_matrix(data.draw(gl(f.rank)))
+        for witness in enumerate_mutations(f).witnesses:
+            seed = witness.data
+            g = mutate(f, seed, witness, bases)
+            assert g == mutate(f, seed)
+            raw = LaurentPolynomial.zero(f.rank)
+            for i, piece in witness.quotients:
+                raw = raw + (piece * seed.factor ** i if i > 0 else piece)
+            assert g == _old_canonicalize_shear(raw, seed.weight)
+            weights.add(seed.weight)
+    assert set(bases) == weights
+    assert all(bases[w] == complete_to_basis_last_row(w) for w in weights)
 
 
 def _old_exact_divide(g, d):

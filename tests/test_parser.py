@@ -129,6 +129,55 @@ def test_product_past_the_pair_cap_is_refused_at_its_operator():
         f"(at position {text.index('*')})")
 
 
+def _wide_sums_product(n):
+    """The product of two sums of n terms with 100,001-bit coefficients:
+    n * n + 2 * n term pairs, within the pair cap for n = 999, and 98 x 98
+    blocks each."""
+    return "*".join("(" + " + ".join(f"2^99999*{v}^{i}" for i in range(n))
+                    + ")" for v in "xy")
+
+
+def test_product_of_wide_coefficients_is_refused_at_its_operator():
+    # at n = 60 the product took 1.7 s to form, and grows as n^2
+    text = _wide_sums_product(999)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as raised:
+        parse_polynomial(text)
+    assert time.perf_counter() - start < 2
+    assert str(raised.value) == (
+        f"the products' coefficients form more than {PARSE_PRODUCT_CAP} "
+        f"pairs of 1,024-bit blocks (at position {text.index(')*') + 1})")
+
+
+@pytest.mark.parametrize("c, pairs, refused", [
+    ("2^1022", 7, False), ("2^1023", 7, True), ("2^1021/3", 8, False),
+    ("2^1022/3", 8, True), ("(2^1022 + 1/2)", 8, True)])
+def test_coefficients_of_1024_bits_count_one_block(c, pairs, refused,
+                                                   monkeypatch):
+    # the text forms exactly ``pairs`` term pairs; a coefficient of 1,024
+    # bits, numerator and denominator together, weighs one block, and one
+    # bit more weighs two
+    text = f"({c}*x + y)*(x + y + 1)"
+    for module in (laurent, parse_oracle):
+        monkeypatch.setattr(module, "PARSE_PRODUCT_CAP", pairs)
+    _agree(text, None)
+    if refused:
+        with pytest.raises(ParseError, match="1,024-bit blocks"):
+            parse_polynomial(text)
+    else:
+        assert len(parse_polynomial(text)) == 5
+
+
+@pytest.mark.parametrize("text", [
+    "(2^1100*x + y)*(x + y + 1)", "(x + y)*(2^3000*x + 1)*(x + 1)",
+    "(x/2^1100 + 1)*(x + 1)", "(2^2000*x)^2*(x + y)",
+    "(x + y)*(x + y + z)*(2^2048 + x)"])
+def test_parser_matches_the_reference_on_wide_products(text, monkeypatch):
+    for module in (laurent, parse_oracle):
+        monkeypatch.setattr(module, "PARSE_PRODUCT_CAP", 12)
+    _agree(text, None)
+
+
 def test_long_flat_text_parses_in_linear_time():
     f = parse_polynomial("x + y + z + 1") ** 40
     text = format_polynomial(f)
