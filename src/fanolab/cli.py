@@ -411,13 +411,13 @@ def _correspondence_lines(payload):
 
 
 def _cmd_markov(args):
+    bounds = _bounds(args)
     if not args.correspondence:
         _emit(args, {"levels": [[list(t) for t in lv]
                                 for lv in markov_tree(args.depth)]},
               lambda p: [f"depth {d}: {lv}"
                          for d, lv in enumerate(p["levels"])])
         return EXIT_OK
-    bounds = _bounds(args)
     report = p2_correspondence_check(args.depth, bounds)
     payload = {"ok": report.ok, "complete": report.complete,
                "bounds": _bounds_echo(bounds),

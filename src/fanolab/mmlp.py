@@ -224,28 +224,27 @@ def coefficient_space(p, seeds):
     # one level map per run of seeds of equal weight, as seed_set sorts
     # them; the negative levels are walked nearest first
     for w, run in groupby(seeds, key=attrgetter("weight")):
-        by_level = {}
+        by_level = {}  # level -> {point: index}, in the sorted order of pts
         for q in pts:
-            by_level.setdefault(weight_value(w, q), []).append(q)
+            at = by_level.setdefault(weight_value(w, q), {})
+            at[q] = len(at)
         levels = sorted([i for i in by_level if i < 0], reverse=True)
         for seed in run:
             powers = factor_powers(seed.factor, map(neg, levels))
             for level, fpow in zip(levels, powers):
-                a_pts = by_level[level]  # sorted, as pts is
-                at = {q: i for i, q in enumerate(a_pts)}
-                # columns of the span matrix, in the a_pts coordinate order
-                cols = []
+                at = by_level[level]
+                cols = []  # of the span matrix, in the coordinate order of at
                 for u in _minkowski_difference_points(at, fpow.terms):
-                    col = [0] * len(a_pts)
+                    col = [0] * len(at)
                     for e, cf in fpow.terms.items():
                         col[at[tuple(x + y for x, y in zip(u, e))]] = cf
                     cols.append(col)
                 # left null space of the span matrix = null space of its
                 # transpose, whose rows are exactly the columns built above
-                for r in nullspace(cols, ncols=len(a_pts)):
+                for r in nullspace(cols, ncols=len(at)):
                     row = [0] * len(free)
                     rhs = 0
-                    for coef, q in zip(r, a_pts):
+                    for coef, q in zip(r, at):
                         if q in index:
                             row[index[q]] += coef
                         else:

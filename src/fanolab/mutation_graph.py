@@ -162,7 +162,8 @@ def markov_tree(depth):
                     tuple(sorted((3 * b * c - a, b, c))),
                     tuple(sorted((a, 3 * a * c - b, c))),
                     tuple(sorted((a, b, 3 * a * b - c)))):
-                if child == parent or child == triple or child in seen:
+                # never the triple: 3bc = 2a forces b^2 + c^2 = 9b^2c^2/4
+                if child == parent or child in seen:
                     continue
                 seen.add(child)
                 nxt.append((child, triple))

@@ -1,15 +1,15 @@
 """Lattice polytope geometry with exact rational arithmetic.
 
-Full-dimensional hulls come from Andrew's monotone chain with integer cross
-products in rank 2, and from one double-description pass in every other
-rank, which reads the vertices off the point-facet incidences.  No floating
-point anywhere.
+Hulls come from Andrew's monotone chain with integer cross products in rank
+2, and from one double-description pass in every other rank, which reads the
+vertices off the point-facet incidences.  No floating point anywhere.
 
-Point sets of lower dimension go through one chart, ``affine_chart``: a
-single Hermite normal form of the differences gives the affine dimension and
-pivot columns, and projection onto those columns carries the hull onto a
-full-dimensional one in fewer coordinates; ``from_points`` lifts that
-hull's vertices back.
+The hull is the one test of whether the points span: it finds at most rank
+vertices exactly when they do not.  Only such point sets go through the
+chart, ``affine_chart``: a single Hermite normal form of the differences
+gives the affine dimension and pivot columns, and projection onto those
+columns carries the hull onto a full-dimensional one in fewer coordinates;
+``from_points`` lifts that hull's vertices back.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def affine_chart(points):
 
 
 def _hull(points, rank):
-    """Vertices and facets of sorted, distinct points that affinely span,
-    by double description (Fukuda-Prodon, 1996).
+    """Vertices and facets of sorted, distinct points by double description
+    (Fukuda-Prodon, 1996), or ([], []) when the points do not span.
 
     The facets (u, c) are the extreme rays of the pointed cone of (u, c)
     with <u, p> + c >= 0 at every point.  It starts as the simplicial cone
@@ -64,9 +64,10 @@ def _hull(points, rank):
     point is a vertex when the masks through it meet in it alone.
     """
     lifted = [p + (1,) for p in points]
-    # the pivot columns of the lifted points as columns: the first rank + 1
-    # of them that are affinely independent
+    # the first affinely independent points, rank + 1 of them if they span
     start = rref(list(zip(*lifted)))[1]
+    if len(start) <= rank:
+        return [], []
     rays = []
     for i in start:
         others = [j for j in start if j != i]
@@ -100,7 +101,7 @@ def _cross(o, a, b):
 
 
 def _polygon(points):
-    """Vertices and facets of a full-dimensional rank-2 point set.
+    """Vertices and facets of rank-2 points; at most 2 vertices if collinear.
 
     ``points`` are sorted and distinct.  Andrew's monotone chain keeps the
     strict turns only, so points inside edges are not vertices; each edge
@@ -148,17 +149,16 @@ class LatticePolytope:
             raise ValueError("rank must be a positive integer")
         if any(len(p) != rank for p in pts):
             raise ValueError("points of mixed dimension")
-        pivots = affine_chart(pts)
-        dim = len(pivots)
-        if dim == 0:
-            return cls(rank, (pts[0],), (), 0)
-        if dim < rank:
-            preimage = {tuple(p[j] for j in pivots): p for p in pts}
-            inner = cls.from_points(list(preimage), rank=dim)
-            verts = sorted(preimage[v] for v in inner.vertices)
-            return cls(rank, tuple(verts), (), dim)
         verts, facets = _polygon(pts) if rank == 2 else _hull(pts, rank)
-        return cls(rank, tuple(sorted(verts)), tuple(facets), dim)
+        if len(verts) > rank:
+            return cls(rank, tuple(sorted(verts)), tuple(facets), rank)
+        pivots = affine_chart(pts)
+        if not pivots:
+            return cls(rank, (pts[0],), (), 0)
+        preimage = {tuple(p[j] for j in pivots): p for p in pts}
+        inner = cls.from_points(list(preimage), rank=len(pivots))
+        verts = sorted(preimage[v] for v in inner.vertices)
+        return cls(rank, tuple(verts), (), inner.dim)
 
     @property
     def is_full_dimensional(self):
@@ -316,11 +316,11 @@ class NormalForm:
     Conversely, an order of a kept split takes r to L_(i+1) and every other
     unused row to at most its best line under B, at most L_(i+1), so its
     key begins L_1, ..., L_(i+1).  The claim uses only B and the lines of
-    R, so one state per B suffices.  Distinct
-    vertices have distinct pairing columns, as the normals span, so the
-    blocks become single columns by the last row.  Then each state is one
-    order, whose key is L_1, ..., L_i and its unused rows sorted, and the
-    largest of those keys is the largest key.
+    R, so one state per B suffices.  Distinct vertices have distinct
+    pairing columns, as the normals span, so the blocks become single
+    columns by the last row.  Then each state is one order, whose key is
+    L_1, ..., L_i and its unused rows sorted, and the largest of those keys
+    is the largest key.
     """
 
     matrix: tuple

@@ -1,16 +1,22 @@
-"""Subset enumeration of facets and vertices: the reference hull.
+"""Reference hulls.
 
-Every rank-subset of the points that spans a hyperplane with all points on
-one side gives a facet; a point is a vertex when its active facet normals
-have full rank.  The cost grows with the number of point subsets, so it
-only serves as the oracle that ``_hull`` and ``_polygon`` are checked
-against.
+Subset enumeration of facets and vertices: every rank-subset of the points
+that spans a hyperplane with all points on one side gives a facet; a point
+is a vertex when its active facet normals have full rank.  The cost grows
+with the number of point subsets, so it only serves as the oracle that
+``_hull`` and ``_polygon`` are checked against.
+
+``chart_first_from_points`` is ``LatticePolytope.from_points`` as it was
+when every point set went through ``affine_chart`` before its hull, the
+oracle for the hull deciding whether the points span.
 """
 
 from itertools import combinations
+from operator import index
 
 from fanolab.linalg import nullspace, rref
-from fanolab.polytopes import DegeneratePolytopeError
+from fanolab.polytopes import (DegeneratePolytopeError, LatticePolytope,
+                               _hull, _polygon, affine_chart)
 
 
 def _hyperplane_normal(points, rank):
@@ -68,3 +74,23 @@ def _vertices_full_dim(points, facets, rank):
             if len(pivots) == rank:
                 verts.append(p)
     return verts
+
+
+def chart_first_from_points(points, rank=None):
+    """The hull of nonempty integer points, charted first: the affine
+    dimension comes from ``affine_chart``, and only full-dimensional sets
+    reach ``_polygon`` or ``_hull``."""
+    pts = sorted({tuple(map(index, p)) for p in points})
+    if rank is None:
+        rank = len(pts[0])
+    pivots = affine_chart(pts)
+    dim = len(pivots)
+    if dim == 0:
+        return LatticePolytope(rank, (pts[0],), (), 0)
+    if dim < rank:
+        preimage = {tuple(p[j] for j in pivots): p for p in pts}
+        inner = chart_first_from_points(list(preimage), rank=dim)
+        verts = sorted(preimage[v] for v in inner.vertices)
+        return LatticePolytope(rank, tuple(verts), (), dim)
+    verts, facets = _polygon(pts) if rank == 2 else _hull(pts, rank)
+    return LatticePolytope(rank, tuple(sorted(verts)), tuple(facets), dim)

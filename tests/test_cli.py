@@ -176,6 +176,15 @@ def test_markov(capsys):
 
 
 @pytest.mark.parametrize("extra", [[], ["--correspondence"]])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_markov_refuses_bounds_that_are_not_positive(capsys, mode, extra):
+    code, out, err = run(capsys, *mode, "markov", *extra, "--depth", "2",
+                         "--wmax", "0")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: bounds must be positive"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--correspondence"]])
 def test_markov_depth_past_the_cap_is_refused_quickly(capsys, extra):
     start = time.perf_counter()
     code, out, err = run(capsys, "markov", *extra, "--depth", "40")

@@ -424,6 +424,13 @@ def _product_block_cases():
     return [case, ["--json"] + case]
 
 
+def _markov_bound_cases():
+    """``markov`` with a bound that is not positive, refused with or
+    without ``--correspondence``."""
+    case = ["markov", "--depth", "2", "--wmax", "0"]
+    return [case, ["--json"] + case]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
@@ -431,7 +438,8 @@ CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _nesting_cases() + _direct_sum_cases() + _compare_both_cases()
          + _zero_power_cases() + _wide_number_cases()
          + _coefficient_bound_cases() + _rigid_bound_cases()
-         + _product_cap_cases() + _product_block_cases())
+         + _product_cap_cases() + _product_block_cases()
+         + _markov_bound_cases())
 
 
 def _command(argv):

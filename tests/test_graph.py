@@ -27,6 +27,16 @@ def test_markov_tree_levels():
             assert a * a + b * b + c * c == 3 * a * b * c
 
 
+def test_no_markov_child_is_its_own_triple():
+    """markov_tree does not test for it: 3bc - a = a would need
+    b^2 + c^2 = 9b^2c^2/4 by the Markov equation."""
+    for level in markov_tree(12):
+        for a, b, c in level:
+            for child in ((3 * b * c - a, b, c), (a, 3 * a * c - b, c),
+                          (a, b, 3 * a * b - c)):
+                assert tuple(sorted(child)) != (a, b, c)
+
+
 def test_graph_depth_one():
     f = parse_polynomial(P2)
     graph = build_graph(f, 1)

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fanolab import polytopes
 from fanolab.laurent import (LaurentPolynomial, format_polynomial,
                              parse_polynomial, substitute_unimodular)
 from fanolab.linalg import is_primitive, nullspace, unimodular_inverse
@@ -21,7 +22,8 @@ from fanolab.polytopes import (LatticePolytope, _hull, _polygon,
                                is_reflexive, _maximising_orders,
                                lattice_points, newton_polytope, normal_form,
                                simplex_weights)
-from hull_oracle import _facets_full_dim, _vertices_full_dim
+from hull_oracle import (_facets_full_dim, _vertices_full_dim,
+                         chart_first_from_points)
 from nf_oracle import normal_form_by_permutations
 from shear_oracle import shear
 
@@ -337,6 +339,54 @@ def test_lower_dim_vertices_commute_with_gl3(dim, coords, height, m, g):
     image = LatticePolytope.from_points([_apply(g, q) for q in pts])
     assert image.dim == p.dim
     assert image.vertices == tuple(sorted(_apply(g, v) for v in p.vertices))
+
+
+@st.composite
+def flat_point_sets(draw, rank):
+    """Points p0 + sum c_i v_i on a flat of k directions v_i, with k = rank,
+    rank - 1, 1 or 0: sets that span, lie on a hyperplane or on a line, or
+    are a single point, with repeated points."""
+    coord = st.integers(-2, 2)
+    vector = st.tuples(*[coord] * rank)
+    k = draw(st.sampled_from(sorted({rank, rank - 1, 1, 0})))
+    p0 = draw(vector)
+    dirs = draw(st.lists(vector, min_size=k, max_size=k))
+    combos = draw(st.lists(st.tuples(*[coord] * k), min_size=1,
+                           max_size=rank + 4))
+    pts = [tuple(x + sum(c * v[i] for c, v in zip(cs, dirs))
+                 for i, x in enumerate(p0)) for cs in combos]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_from_points_matches_the_chart_first_oracle(rank, data):
+    points = data.draw(flat_point_sets(rank))
+    g = data.draw(gl(rank))
+    for pts in (points, [_apply(g, q) for q in points]):
+        assert LatticePolytope.from_points(pts) == \
+            chart_first_from_points(pts)
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_only_point_sets_that_do_not_span_are_charted(rank, data):
+    """``affine_chart`` runs 0 times on a set that spans and once on one
+    that does not, counting the call on its projection."""
+    points = data.draw(flat_point_sets(rank))
+    spans = chart_first_from_points(points).dim == rank
+    calls = []
+
+    def counted(pts):
+        calls.append(pts)
+        return affine_chart(pts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytopes, "affine_chart", counted)
+        LatticePolytope.from_points(points)
+    assert len(calls) == (0 if spans else 1)
 
 
 @pytest.mark.parametrize("rank", (3, 4))
