@@ -9,8 +9,11 @@ dimension decides rigidity.
 
 Each condition lives on the slice of P's lattice points where a weight takes
 one value.  A slice holds every lattice point of P on its hyperplane, so the
-monomial multiples of a factor power that fit in it are found by lookups in
-that point set; no hull is built.
+monomial multiples of a factor power that fit in it are the points u with
+u + b in the slice for every exponent b of the power: the intersection of
+the translates of the slice by -b, found by lookups and not by a hull.
+Points and exponents are read as the packed integer keys of
+``laurent._pack``, where a translate is one integer add.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, neg
 
-from .laurent import LaurentPolynomial, factor_powers
+from .laurent import LaurentPolynomial, _pack, factor_powers
 from .linalg import nullspace, primitive_part, solve_affine
 from .mutation import (InvalidWeightError, MutationBounds, MutationData,
                        factor_sweep, weight_value)
@@ -31,24 +34,34 @@ from .polytopes import (LatticePolytope, OriginNotInteriorError,
 # Minkowski differences of hyperplane slices
 
 
-def _minkowski_difference_points(a_points, b_points):
-    """Yield the integer points u with u + conv(b_points) contained in
-    conv(a_points), in sorted order.
+def _minkowski_difference(a, b):
+    """The packed points u with u + b in a for every packed b of b.
 
-    a_points is a set, or a dict keyed by the points, that holds every
-    lattice point of conv(a_points), as the lattice points of a polytope on
-    one hyperplane do.  Then u + conv(b_points) lies in conv(a_points)
-    exactly when u + b is in a_points for every b, and each such u is
-    a - b0 for some a, whichever b0 of b_points is taken.  b_points may be
-    any iterable that can be read twice, such as the keys of a term map.
-    The points are tested as they are asked for, so a caller that needs
-    only one stops there.
+    a is a set, or a dict keyed by the points, that holds every packed
+    lattice point of conv(a), as the lattice points of P on one hyperplane
+    do; then u + conv(b) lies in conv(a) exactly when u + b is in a for
+    every b.  b is the packed map of a factor power, which holds the
+    origin, so every such u is in a, and the answer is the intersection of
+    the translates a - b.  They are intersected one b at a time, and the
+    loop stops at the first empty intersection.
+
+    Packed sums are exact here.  The box of P holds the origin and at most
+    ``LATTICE_BOX_CAP`` points, so every |a_i| < LATTICE_BOX_CAP, and a
+    packed b has every |b_i| < _HALF.  So u + b - a has every entry below
+    2 * LATTICE_BOX_CAP + _HALF <= 2^PACK_BITS in size, and its key, the
+    difference of the keys, is 0 only when it is the zero vector.  A power
+    that cannot be packed (b is None) has some |b_i| >= _HALF, more than
+    2 * LATTICE_BOX_CAP, which no two points of a differ by: it has no fit.
     """
-    b0 = next(iter(b_points))
-    for u in sorted({tuple(x - y for x, y in zip(a, b0)) for a in a_points}):
-        if all(tuple(x + y for x, y in zip(u, b)) in a_points
-               for b in b_points):
-            yield u
+    if b is None:
+        return ()
+    fits = a
+    for k in b:
+        if k:
+            fits = {u for u in fits if u + k in a}
+            if not fits:
+                break
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -56,17 +69,17 @@ def _minkowski_difference_points(a_points, b_points):
 
 # the most lattice points of P (the unknowns, and the points of every slice)
 # that seed_set and coefficient_space take.  Measured through the library on
-# a 2-core 2.1 GHz Xeon: the (+-3, +-3, +-1) box, 147 points and 4,260 seeds,
-# took 36 s, the 289-point square 2.2 s, and the pyramid over the 17 x 3
-# rectangle at height 2 (68 points, 550 seeds) 2.0 s; the slowest input
-# found within both caps, that over the 15 x 3 rectangle (60 points, 436
-# seeds), took 1.1 s
+# a 2-core Xeon (Python 3.11): the (+-3, +-3, +-1) box, 147 points and 4,260
+# seeds, took 8.1 s, the 289-point square 1.4-1.5 s, and the pyramid over the
+# 17 x 3 rectangle at height 2 (68 points, 550 seeds) 0.5 s; the slowest
+# input found within both caps when they were set, that over the 15 x 3
+# rectangle (60 points, 436 seeds), took 0.33-0.36 s
 MMLP_POINT_CAP = 64
 # the most seeds seed_set finds before it refuses: the pyramid over the
-# 7 x 7 square at height 1 (59 points, 2,136 seeds) took 1.4 s in seed_set
-# and 8.5 s more in coefficient_space; below the cap, the (+-2, +-1, +-1)
-# box (45 points, 724 seeds) took 0.36 s, and the simplex with 35 points and
-# 936 seeds 0.52 s
+# 7 x 7 square at height 1 (59 points, 2,136 seeds) took 0.13-0.14 s in
+# seed_set and 1.6-1.7 s more in coefficient_space; below the cap, the
+# (+-2, +-1, +-1) box (45 points, 724 seeds) took 0.10-0.11 s, and the
+# simplex with 35 points and 936 seeds 0.12 s
 MMLP_SEED_CAP = 1000
 
 
@@ -83,6 +96,7 @@ def _lattice_points(p):
 class SeedSet:
     seeds: tuple
     complete: bool
+    points: tuple  # the lattice points of p that the search read, sorted
 
 
 def seed_set(p, bounds=None):
@@ -128,7 +142,8 @@ def seed_set(p, bounds=None):
                     f"the polytope has more than {MMLP_SEED_CAP} seeds")
             seeds.append(MutationData(u, factor))
     # distinct by construction (see ``enumerate_mutations``)
-    return SeedSet(tuple(sorted(seeds, key=attrgetter("key"))), complete)
+    return SeedSet(tuple(sorted(seeds, key=attrgetter("key"))), complete,
+                   pts)
 
 
 def _higher_rank_factors(face_pts, height, bounds):
@@ -139,11 +154,10 @@ def _higher_rank_factors(face_pts, height, bounds):
     """
     diffs = sorted({primitive_part(tuple(b - a for a, b in zip(s0, s1)))
                     for s0 in face_pts for s1 in face_pts if s0 != s1})
-    face = set(face_pts)
+    face = set(map(_pack, face_pts))
     for chain in factor_sweep(diffs, bounds.deg_max):
         for power in chain:
-            fits = _minkowski_difference_points(face, (power ** height).terms)
-            if next(fits, None) is None:
+            if not _minkowski_difference(face, (power ** height).packed()):
                 break
             yield power
 
@@ -200,7 +214,7 @@ class CoefficientSpace:
                             ncols=len(self.directions)) is not None
 
 
-def coefficient_space(p, seeds):
+def coefficient_space(p, seeds, *, points=None):
     """Solve the mutability constraints exactly.
 
     Unknowns are the lattice points of p other than the vertices (held at 1)
@@ -209,50 +223,59 @@ def coefficient_space(p, seeds):
     the factor; each demand is the membership of the slice in the span of
     monomial multiples of that power, which is linear in the unknowns.  A
     polytope of more than ``MMLP_POINT_CAP`` lattice points raises
-    ValueError.
+    ValueError.  ``points`` are the lattice points of p as ``seed_set``
+    returns them (``SeedSet.points``), when the caller has them: p was
+    checked when they were found, so it is not checked or walked again.
     """
-    if not p.origin_strictly_interior():
-        raise OriginNotInteriorError(
-            "mutability analysis needs the origin strictly interior")
-    pts = _lattice_points(p)
-    origin = tuple([0] * p.rank)
-    fixed = {v: 1 for v in p.vertices}
-    fixed[origin] = 0
-    free = tuple(q for q in pts if q not in fixed)
-    index = {q: j for j, q in enumerate(free)}
-    eq_rows, eq_rhs = [], []
+    if points is None:
+        if not p.origin_strictly_interior():
+            raise OriginNotInteriorError(
+                "mutability analysis needs the origin strictly interior")
+        points = _lattice_points(p)
+    keys = list(map(_pack, points))
+    fixed = dict.fromkeys(map(_pack, p.vertices), 1)
+    fixed[0] = 0  # the origin
+    free = tuple(q for q, k in zip(points, keys) if k not in fixed)
+    index = {k: j for j, k in enumerate(map(_pack, free))}
+    # each distinct equation (row, rhs) once: seeds repeat most of them (the
+    # cubic mirror's 836 equations hold 92), and the reduced echelon form
+    # that solve_affine reads is the same without the repeats
+    eqs = {}
     # one level map per run of seeds of equal weight, as seed_set sorts
     # them; the negative levels are walked nearest first
     for w, run in groupby(seeds, key=attrgetter("weight")):
-        by_level = {}  # level -> {point: index}, in the sorted order of pts
-        for q in pts:
+        by_level = {}  # level -> {key: index}, in the sorted order of points
+        for q, k in zip(points, keys):
             at = by_level.setdefault(weight_value(w, q), {})
-            at[q] = len(at)
+            at[k] = len(at)
         levels = sorted([i for i in by_level if i < 0], reverse=True)
         for seed in run:
             powers = factor_powers(seed.factor, map(neg, levels))
             for level, fpow in zip(levels, powers):
                 at = by_level[level]
+                terms = fpow.packed()
+                fits = _minkowski_difference(at, terms)
                 cols = []  # of the span matrix, in the coordinate order of at
-                for u in _minkowski_difference_points(at, fpow.terms):
-                    col = [0] * len(at)
-                    for e, cf in fpow.terms.items():
-                        col[at[tuple(x + y for x, y in zip(u, e))]] = cf
-                    cols.append(col)
+                for u in at:
+                    if u in fits:
+                        col = [0] * len(at)
+                        for e, cf in terms.items():
+                            col[at[u + e]] = cf
+                        cols.append(col)
                 # left null space of the span matrix = null space of its
                 # transpose, whose rows are exactly the columns built above
                 for r in nullspace(cols, ncols=len(at)):
                     row = [0] * len(free)
                     rhs = 0
-                    for coef, q in zip(r, at):
-                        if q in index:
-                            row[index[q]] += coef
+                    for coef, k in zip(r, at):
+                        if k in index:
+                            row[index[k]] += coef
                         else:
-                            rhs -= coef * fixed[q]
+                            rhs -= coef * fixed[k]
                     if any(row) or rhs:
-                        eq_rows.append(row)
-                        eq_rhs.append(rhs)
-    solved = solve_affine(eq_rows, eq_rhs, ncols=len(free))
+                        eqs[tuple(row), rhs] = None
+    solved = solve_affine([row for row, _ in eqs], [rhs for _, rhs in eqs],
+                          ncols=len(free))
     if solved is None:
         return CoefficientSpace(p, free, (), (), True)
     particular, null_basis = solved
@@ -283,7 +306,7 @@ def is_rigid(f, bounds=None):
     """
     p = newton_polytope(f)
     seeds = seed_set(p, bounds)
-    space = coefficient_space(p, seeds.seeds)
+    space = coefficient_space(p, seeds.seeds, points=seeds.points)
     pinned = space.dimension == 0 and space.member() == f
     verdict = ("rigid-within-bounds" if pinned
                else "not-rigid" if seeds.complete else "inconclusive")

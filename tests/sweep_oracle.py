@@ -5,17 +5,18 @@
 follows each by all its powers within the degree bound, as one flat
 stream.  ``sweep_witnesses`` checks every key of
 that stream with ``is_mutable``, and ``sweep_seeds`` keeps every power with
-a fitting translate, so neither stops a power chain early.  They are the
+a fitting translate, found on exponent tuples by the oracle kernel of
+``mmlp_oracle``, so neither stops a power chain early.  They are the
 rank >= 3 branches of ``enumerate_mutations`` and ``seed_set`` before the
 chains were pruned, and serve only as the oracle for the pruned searches.
 """
 
 from fanolab.laurent import LaurentPolynomial
 from fanolab.linalg import primitive_part
-from fanolab.mmlp import _minkowski_difference_points
 from fanolab.mutation import (MutationBounds, MutationData, MutationWitness,
                               factor_powers, is_mutable, weight_value)
 from fanolab.polytopes import lattice_points, newton_polytope
+from mmlp_oracle import minkowski_difference_points
 
 
 def flat_bases(diffs):
@@ -73,8 +74,8 @@ def sweep_seeds(p, bounds=MutationBounds()):
     seeds = {}
     for (u, c), face_pts, diffs in facet_diffs(p, bounds):
         for power in flat_sweep(diffs, bounds.deg_max):
-            if list(_minkowski_difference_points(set(face_pts),
-                                                 (power ** c).support())):
+            if list(minkowski_difference_points(set(face_pts),
+                                                (power ** c).support())):
                 data = MutationData(u, power)
                 seeds[data.key] = data
     return tuple(seeds[k] for k in sorted(seeds))

@@ -2,11 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from fanolab.laurent import format_polynomial, parse_polynomial
+from fanolab import mmlp
+from fanolab.laurent import (PACK_BITS, LaurentPolynomial, format_polynomial,
+                             parse_polynomial)
 from fanolab.mmlp import coefficient_space, is_rigid, seed_set
-from fanolab.mutation import MutationBounds, MutationWitness, is_mutable
+from fanolab.mutation import (MutationBounds, MutationData, MutationWitness,
+                              is_mutable)
 from fanolab.polytopes import (LatticePolytope, OriginNotInteriorError,
-                               newton_polytope)
+                               lattice_points, newton_polytope)
+import mmlp_oracle
+from test_golden import POLYGON_POLYS, SOLIDS
 
 H = "2*x + x*y + 2*y + y*x^-1 + 2*x^-1 + x^-1*y^-1 + 2*y^-1 + x*y^-1"
 
@@ -109,3 +114,78 @@ def test_rigid_higher_rank_is_not_overclaimed():
     rep = is_rigid(parse_polynomial("(x+y+1)^3/(x*y*z) + z"))
     assert not rep.complete
     assert rep.verdict in ("inconclusive", "rigid-within-bounds")
+
+
+# -- the packed kernel against the tuple oracle, end to end ---------------
+
+E2E_POLYS = POLYGON_POLYS + (
+    "x + 1/x + y + 1/y + z + 1/z",  # the octahedron
+    "x + y + z + 1/(x*y*z)",
+    "(x + y + 1)^3/(x*y*z) + z",  # the cubic threefold's mirror
+)
+E2E_POLYTOPES = ([newton_polytope(parse_polynomial(text))
+                  for text in E2E_POLYS]
+                 + [LatticePolytope.from_points(v) for v in SOLIDS])
+
+
+@pytest.mark.parametrize(
+    "p", E2E_POLYTOPES,
+    ids=[f"poly{i}" for i in range(len(E2E_POLYS))]
+    + [f"solid{i}" for i in range(len(SOLIDS))])
+def test_packed_kernel_matches_the_tuple_oracle_end_to_end(p, monkeypatch):
+    seeds = seed_set(p)
+    assert seeds.points == lattice_points(p).all
+    space = coefficient_space(p, seeds.seeds)
+    assert space == mmlp_oracle.coefficient_space(p, seeds.seeds)
+    assert coefficient_space(p, seeds.seeds, points=seeds.points) == space
+    monkeypatch.setattr(mmlp, "_higher_rank_factors",
+                        mmlp_oracle.higher_rank_factors)
+    oracle = seed_set(p)
+    assert [s.key for s in seeds.seeds] == [s.key for s in oracle.seeds]
+    assert seeds.complete == oracle.complete
+
+
+def test_a_factor_power_past_the_packing_bound_has_no_fit():
+    # 1 + x^(2^23) cannot be packed; no monomial multiple of it fits in a
+    # slice of the square, so each slice it meets must vanish, and the
+    # vertices held at 1 leave the space empty
+    p = newton_polytope(parse_polynomial(H))
+    factor = parse_polynomial(f"1 + x^{1 << (PACK_BITS - 1)}", rank_hint=2)
+    assert factor.packed() is None
+    seeds = (MutationData((0, 1), factor),)
+    space = coefficient_space(p, seeds)
+    assert space == mmlp_oracle.coefficient_space(p, seeds)
+    assert space.empty
+    # a face whose points reach half the box cap, and a binomial along it
+    # whose 200th power has exponents past the packing bound
+    face = [(0, 0, 1), (50_000, 1, 1)]
+    binomial = LaurentPolynomial(3, {(0, 0, 0): 1, (50_000, 1, 0): 1})
+    assert (binomial ** 200).packed() is None
+    bounds = MutationBounds(w_max=200, deg_max=1)
+    assert list(mmlp._higher_rank_factors(face, 200, bounds)) == []
+    assert list(mmlp_oracle.higher_rank_factors(face, 200, bounds)) == []
+    assert list(mmlp._higher_rank_factors(face, 1, bounds)) == \
+        list(mmlp_oracle.higher_rank_factors(face, 1, bounds)) != []
+
+
+def test_is_rigid_enumerates_lattice_points_once(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return lattice_points(p)
+
+    monkeypatch.setattr(mmlp, "lattice_points", counted)
+    checks = []
+    interior = LatticePolytope.origin_strictly_interior
+
+    def checked(p):
+        checks.append(p)
+        return interior(p)
+
+    monkeypatch.setattr(LatticePolytope, "origin_strictly_interior", checked)
+    for text in ("x + y + x^-1*y^-1", H, "(x + y + 1)^3/(x*y*z) + z"):
+        calls.clear()
+        checks.clear()
+        is_rigid(parse_polynomial(text))
+        assert len(calls) == 1 and len(checks) == 1, text

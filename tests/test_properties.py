@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fanolab import polytopes
-from fanolab.laurent import (LaurentPolynomial, format_polynomial,
-                             parse_polynomial, substitute_unimodular)
+from fanolab.laurent import (PACK_BITS, LaurentPolynomial, _pack, _unpack,
+                             format_polynomial, parse_polynomial,
+                             substitute_unimodular)
 from fanolab.linalg import is_primitive, nullspace, unimodular_inverse
-from fanolab.mmlp import _minkowski_difference_points
+from fanolab.mmlp import _minkowski_difference
 from fanolab.mutation import (MutationData, canonicalize_shear,
                               enumerate_mutations, exact_divide, mutate,
                               shear_equivalent, weight_decomposition)
@@ -24,6 +25,7 @@ from fanolab.polytopes import (LatticePolytope, _hull, _polygon,
                                simplex_weights)
 from hull_oracle import (_facets_full_dim, _vertices_full_dim,
                          chart_first_from_points)
+from mmlp_oracle import minkowski_difference_points
 from nf_oracle import normal_form_by_permutations
 from shear_oracle import shear
 
@@ -247,15 +249,24 @@ def _minkowski_oracle(a_points, b_points):
                    for b in b_points)]
 
 
-def _check_minkowski_difference(data, rank, span):
+def _packed_fits(a_points, b_points):
+    """The packed kernel on tuple points, its answer unpacked and sorted."""
+    rank = len(b_points[0])
+    fits = _minkowski_difference(set(map(_pack, a_points)),
+                                 list(map(_pack, b_points)))
+    return sorted(_unpack(k, rank) for k in fits)
+
+
+def _draw_slice(data, rank, span):
+    """A weight slice of the lattice points of a random polytope (w = 0
+    keeps them all) or the lattice points of one of its facets, and a B
+    that holds the origin, as a factor power does."""
     coord = st.integers(-span, span)
     points = data.draw(st.lists(st.tuples(*[coord] * rank),
                                 min_size=rank + 1, max_size=rank + 3))
     p = LatticePolytope.from_points(points)
     assume(p.is_full_dimensional)
     lattice = lattice_points(p).all
-    # A is a weight slice of the lattice points (w = 0 keeps them all) or
-    # the lattice points of a facet
     if data.draw(st.booleans()):
         w, c = data.draw(st.sampled_from(p.facets))
         level = -c
@@ -266,13 +277,21 @@ def _check_minkowski_difference(data, rank, span):
                     zip(w, data.draw(st.sampled_from(lattice))))
     a_points = [q for q in lattice
                 if sum(a * b for a, b in zip(w, q)) == level]
-    b_points = data.draw(st.lists(st.tuples(*[st.integers(-1, 1)] * rank),
-                                  min_size=1, max_size=3, unique=True))
+    origin = (0,) * rank
+    b_points = [origin] + data.draw(st.lists(
+        st.tuples(*[st.integers(-1, 1)] * rank).filter(any),
+        max_size=3, unique=True))
     if data.draw(st.booleans()):  # keep B on the wall w = 0
         b_points = [b for b in b_points
-                    if sum(x * y for x, y in zip(w, b)) == 0] or [b_points[0]]
-    assert list(_minkowski_difference_points(set(a_points), b_points)) == \
-        _minkowski_oracle(a_points, b_points)
+                    if sum(x * y for x, y in zip(w, b)) == 0]
+    return a_points, b_points
+
+
+def _check_minkowski_difference(data, rank, span):
+    a_points, b_points = _draw_slice(data, rank, span)
+    fits = _minkowski_oracle(a_points, b_points)
+    assert list(minkowski_difference_points(set(a_points), b_points)) == fits
+    assert _packed_fits(a_points, b_points) == fits
 
 
 @settings(max_examples=80, deadline=None)
@@ -287,14 +306,54 @@ def test_minkowski_difference_matches_oracle_rank3(data):
     _check_minkowski_difference(data, 3, 1)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_minkowski_difference_matches_oracle_rank4(data):
+    _check_minkowski_difference(data, 4, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_minkowski_difference_of_gl_images_near_the_box_cap(rank, data):
+    # g = a small GL(n, Z) element followed by one shear x_i += s * x_j,
+    # with s as large as keeps every |a_i| below LATTICE_BOX_CAP
+    a_points, b_points = _draw_slice(data, rank, 1)
+    g = data.draw(gl(rank))
+    index = st.integers(0, rank - 1)
+    i, j = data.draw(index), data.draw(index)
+    assume(i != j)
+    reach = [max(abs(_apply(g, a)[k]) for a in a_points)
+             for k in range(rank)]
+    assume(reach[j])
+    s = (polytopes.LATTICE_BOX_CAP - 1 - reach[i]) // reach[j]
+    s *= data.draw(st.sampled_from((-1, 1)))
+    g[i] = [x + s * y for x, y in zip(g[i], g[j])]
+    image_a = [_apply(g, a) for a in a_points]
+    image_b = [_apply(g, b) for b in b_points]
+    top = max(abs(x) for a in image_a for x in a)
+    assert polytopes.LATTICE_BOX_CAP // 2 < top < polytopes.LATTICE_BOX_CAP
+    fits = list(minkowski_difference_points(set(image_a), image_b))
+    assert _packed_fits(image_a, image_b) == fits
+    assert fits == sorted(_apply(g, u) for u in
+                          minkowski_difference_points(set(a_points),
+                                                      b_points))
+
+
+def test_packed_sums_of_lattice_points_are_exact():
+    # the bound of mmlp._minkowski_difference: |u + b - a| stays below
+    # 2^PACK_BITS in every entry while |a_i|, |u_i| < LATTICE_BOX_CAP
+    assert 2 * polytopes.LATTICE_BOX_CAP <= 1 << (PACK_BITS - 1)
+
+
 def test_minkowski_difference_needs_b_parallel_to_the_span():
     # u + b lands in conv(A) for b = (0, 0) but off its line for b = (1, 0)
     for a_points, b_points in ((((-1, 1), (0, 0), (1, -1)), ((0, 0), (1, 0))),
                                (((-1, 1), (0, 0), (1, -1)), ((1, 0), (0, 0))),
                                (((-1, 0, 1), (0, 0, 0), (1, 0, -1)),
                                 ((0, 0, 0), (1, 0, 0)))):
-        assert list(_minkowski_difference_points(set(a_points),
-                                                 b_points)) == []
+        assert _packed_fits(a_points, b_points) == []
+        assert list(minkowski_difference_points(set(a_points),
+                                                b_points)) == []
         assert _minkowski_oracle(a_points, b_points) == []
 
 

@@ -16,10 +16,10 @@ from dataclasses import fields
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fanolab.laurent import (LaurentPolynomial, parse_polynomial,
+from fanolab.laurent import (LaurentPolynomial, _pack, parse_polynomial,
                              substitute_unimodular)
 from fanolab import mmlp, mutation
-from fanolab.mmlp import (CoefficientSpace, _minkowski_difference_points,
+from fanolab.mmlp import (CoefficientSpace, _minkowski_difference,
                           coefficient_space, seed_set)
 from fanolab.mutation import (MutationData, NotMutable, enumerate_mutations,
                               exact_divide, factor_sweep, is_mutable)
@@ -150,11 +150,11 @@ def test_a_power_that_is_not_mutable_stops_its_chain(base, k, lows):
 def test_a_power_that_does_not_fit_stops_its_chain(base, k, height, corners):
     p = LatticePolytope.from_points(corners)
     assume(p.is_full_dimensional)
-    face = {(a, b, 0) for a, b in lattice_points(p).all}
+    face = {_pack((a, b, 0)) for a, b in lattice_points(p).all}
     lower, upper = base ** (k * height), base ** ((k + 1) * height)
     assert set(lower.support()) <= set(upper.support())
-    if not list(_minkowski_difference_points(face, lower.support())):
-        assert not list(_minkowski_difference_points(face, upper.support()))
+    if not _minkowski_difference(face, lower.packed()):
+        assert not _minkowski_difference(face, upper.packed())
 
 
 # ``enumerate_mutations`` checks each candidate once and ``seed_set`` keeps
