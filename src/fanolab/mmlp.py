@@ -68,12 +68,12 @@ def _minkowski_difference(a, b):
 # seed sets
 
 # the most lattice points of P (the unknowns, and the points of every slice)
-# that seed_set and coefficient_space take.  Measured through the library on
-# a 2-core Xeon (Python 3.11): the (+-3, +-3, +-1) box, 147 points and 4,260
-# seeds, took 8.1 s, the 289-point square 1.4-1.5 s, and the pyramid over the
-# 17 x 3 rectangle at height 2 (68 points, 550 seeds) 0.5 s; the slowest
-# input found within both caps when they were set, that over the 15 x 3
-# rectangle (60 points, 436 seeds), took 0.33-0.36 s
+# that seed_set takes.  Measured through the library on a 2-core Xeon (Python
+# 3.11): the (+-3, +-3, +-1) box, 147 points and 4,260 seeds, took 8.1 s, the
+# 289-point square 1.4-1.5 s, and the pyramid over the 17 x 3 rectangle at
+# height 2 (68 points, 550 seeds) 0.5 s; the slowest input found within both
+# caps when they were set, that over the 15 x 3 rectangle (60 points, 436
+# seeds), took 0.33-0.36 s
 MMLP_POINT_CAP = 64
 # the most seeds seed_set finds before it refuses: the pyramid over the
 # 7 x 7 square at height 1 (59 points, 2,136 seeds) took 0.13-0.14 s in
@@ -83,20 +83,16 @@ MMLP_POINT_CAP = 64
 MMLP_SEED_CAP = 1000
 
 
-def _lattice_points(p):
-    """The lattice points of p, refused past ``MMLP_POINT_CAP``."""
-    pts = lattice_points(p).all
-    if len(pts) > MMLP_POINT_CAP:
-        raise ValueError(f"the polytope holds {len(pts)} lattice points, "
-                         f"above {MMLP_POINT_CAP}")
-    return pts
-
-
 @dataclass(frozen=True)
 class SeedSet:
+    """The seeds of p and the sorted lattice points of p that the search
+    read, once it found the origin interior and the points within
+    ``MMLP_POINT_CAP``; ``replace(seeds, seeds=other)`` keeps both checks.
+    """
+
     seeds: tuple
     complete: bool
-    points: tuple  # the lattice points of p that the search read, sorted
+    points: tuple
 
 
 def seed_set(p, bounds=None):
@@ -118,7 +114,10 @@ def seed_set(p, bounds=None):
             "mutability analysis needs the origin strictly interior")
     if p.rank < 2:
         raise InvalidWeightError("need at least two variables")
-    pts = _lattice_points(p)
+    pts = lattice_points(p).all
+    if len(pts) > MMLP_POINT_CAP:
+        raise ValueError(f"the polytope holds {len(pts)} lattice points, "
+                         f"above {MMLP_POINT_CAP}")
     seeds = []
     complete = p.rank == 2
     for (u, c) in p.facets:
@@ -214,28 +213,20 @@ class CoefficientSpace:
                             ncols=len(self.directions)) is not None
 
 
-def coefficient_space(p, seeds, *, points=None):
-    """Solve the mutability constraints exactly.
+def coefficient_space(p, seeds):
+    """Solve the mutability constraints of a seed set exactly.
 
-    Unknowns are the lattice points of p other than the vertices (held at 1)
-    and the origin (held at 0).  Each seed demands, slice by slice, that the
+    ``seeds`` is the ``SeedSet`` of p, or a ``replace`` of it with other
+    seeds.  Unknowns are its points other than the vertices (held at 1) and
+    the origin (held at 0).  Each seed demands, slice by slice, that the
     negative part of the polynomial is divisible by the matching power of
     the factor; each demand is the membership of the slice in the span of
-    monomial multiples of that power, which is linear in the unknowns.  A
-    polytope of more than ``MMLP_POINT_CAP`` lattice points raises
-    ValueError.  ``points`` are the lattice points of p as ``seed_set``
-    returns them (``SeedSet.points``), when the caller has them: p was
-    checked when they were found, so it is not checked or walked again.
+    monomial multiples of that power, which is linear in the unknowns.
     """
-    if points is None:
-        if not p.origin_strictly_interior():
-            raise OriginNotInteriorError(
-                "mutability analysis needs the origin strictly interior")
-        points = _lattice_points(p)
-    keys = list(map(_pack, points))
+    keys = list(map(_pack, seeds.points))
     fixed = dict.fromkeys(map(_pack, p.vertices), 1)
     fixed[0] = 0  # the origin
-    free = tuple(q for q, k in zip(points, keys) if k not in fixed)
+    free = tuple(q for q, k in zip(seeds.points, keys) if k not in fixed)
     index = {k: j for j, k in enumerate(map(_pack, free))}
     # each distinct equation (row, rhs) once: seeds repeat most of them (the
     # cubic mirror's 836 equations hold 92), and the reduced echelon form
@@ -243,9 +234,9 @@ def coefficient_space(p, seeds, *, points=None):
     eqs = {}
     # one level map per run of seeds of equal weight, as seed_set sorts
     # them; the negative levels are walked nearest first
-    for w, run in groupby(seeds, key=attrgetter("weight")):
+    for w, run in groupby(seeds.seeds, key=attrgetter("weight")):
         by_level = {}  # level -> {key: index}, in the sorted order of points
-        for q, k in zip(points, keys):
+        for q, k in zip(seeds.points, keys):
             at = by_level.setdefault(weight_value(w, q), {})
             at[k] = len(at)
         levels = sorted([i for i in by_level if i < 0], reverse=True)
@@ -302,11 +293,12 @@ def is_rigid(f, bounds=None):
     Two-variable searches are complete within bounds, so a zero-dimensional
     space equal to f gives "rigid-within-bounds" and anything else
     "not-rigid".  Higher-rank seed searches are partial, so a positive
-    dimension or a mismatch is only ever "inconclusive" there.
+    dimension or a mismatch is only ever "inconclusive" there.  The seed
+    set goes whole to ``coefficient_space``: p is checked and walked once.
     """
     p = newton_polytope(f)
     seeds = seed_set(p, bounds)
-    space = coefficient_space(p, seeds.seeds, points=seeds.points)
+    space = coefficient_space(p, seeds)
     pinned = space.dimension == 0 and space.member() == f
     verdict = ("rigid-within-bounds" if pinned
                else "not-rigid" if seeds.complete else "inconclusive")

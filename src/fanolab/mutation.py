@@ -296,8 +296,10 @@ class EnumerationResult:
     and factor; ``seeds`` is their MutationData in the same order, and
     ``mutate(f, seed, witness)`` reuses a witness instead of dividing again.
     ``complete`` is True only when the search provably saw every mutation
-    within the bounds (the two-variable edge search); the higher-rank search
-    is a heuristic candidate sweep and is always reported as partial.
+    within the bounds (the two-variable edge search): each weight of height
+    1 to w_max, each factor of degree 1 to deg_max with nonnegative integer
+    coefficients and 1 at one end.  The higher-rank search is a heuristic
+    candidate sweep and is always reported as partial.
     """
 
     witnesses: tuple
@@ -322,10 +324,10 @@ def enumerate_mutations(f, bounds=None, memo=None):
     is a perfect power, so no two bases share a power.  Each rank-2 divisor
     is a chain of its own; a higher-rank power chain stops at its first
     candidate that is not mutable, because no higher power of that base is
-    (see ``factor_sweep``).  ``memo`` holds the rank-2 edge divisors by
-    coefficient row (see ``_edge_factors``); a search that enumerates many
-    polynomials passes one dict to every call, and a call without one
-    starts its own.
+    (see ``factor_sweep``).  ``memo`` holds the factors of each rank-2
+    edge by primitive coefficient row (see ``_edge_factors``); a search
+    that enumerates many polynomials passes one dict to every call, and a
+    call without one starts its own.
     """
     if bounds is None:
         bounds = MutationBounds()
@@ -363,11 +365,11 @@ def _edge_factors(edge, mult, deg_max, memo):
 
     ``edge`` maps the slice's exponents to coefficients.  Read along the
     primitive edge direction d from its lex-least end, the slice is a
-    polynomial in t, cleared of denominators.  Its candidate divisors
-    depend on nothing else, so they are found once per ``(row, mult,
-    deg_max)`` key of ``memo`` by ``_edge_divisors``, as coefficient rows
-    in t, and each is built along d here.  Read from the far end along -d,
-    the same divisor is x^(-deg D * d) * D, a translate that
+    polynomial in t, a primitive integer row once scaled.  ``memo`` keeps
+    by that row its factors from one ``factor_list``, as (ascending row,
+    multiplicity) pairs; ``_edge_divisors`` reads the divisors for mult
+    off them, and each is built along d here.  Read from the far end along
+    -d, the same divisor is x^(-deg D * d) * D, a translate that
     ``MutationData`` makes equal to D, so one reading suffices.
     """
     base, top = min(edge), max(edge)
@@ -376,35 +378,34 @@ def _edge_factors(edge, mult, deg_max, memo):
     row = [0] * ((top[i] - base[i]) // d[i] + 1)
     for e, c in edge.items():
         row[(e[i] - base[i]) // d[i]] = c
-    key = (tuple(_integer_row(row)), mult, deg_max)
-    if key not in memo:
-        memo[key] = _edge_divisors(*key)
+    row = primitive_part(_integer_row(row))
+    if row not in memo:
+        sympy = _sympy()
+        _, fs = sympy.factor_list(sympy.Poly(row[::-1], sympy.Symbol("t")))
+        memo[row] = [(tuple(map(int, reversed(p.all_coeffs()))), m)
+                     for p, m in fs]
     return [LaurentPolynomial._from_clean(2, {
         (k * d[0], k * d[1]): c for k, c in enumerate(cs) if c})
-        for cs in memo[key]]
+        for cs in _edge_divisors(memo[row], mult, deg_max)]
 
 
-def _edge_divisors(row, mult, deg_max):
+def _edge_divisors(factors, mult, deg_max):
     """The divisors D of an integer polynomial with D^mult dividing it, as
     coefficient rows in t, ascending.
 
-    ``row`` lists the coefficients by ascending power of t.  One
-    ``factor_list`` over the integers gives primitive p_j of multiplicity
-    m_j with positive leading coefficients.  Each D = prod p_j^k_j with
+    ``factors`` are the primitive irreducible factors p_j, as ascending
+    rows with positive leading coefficients, and their multiplicities m_j,
+    from ``factor_list`` over the integers.  Each D = prod p_j^k_j with
     k_j * mult <= m_j and 1 <= deg D <= deg_max is kept when its
     coefficients are nonnegative and its constant or leading coefficient is
     1.  Those are the divisors with nonnegative integer coefficients once
     scaled to 1 at either end: D is primitive, so D / a is integral only
     for a = +-1, and a = -1 negates the leading coefficient.
     """
-    sympy = _sympy()
-    _, factors = sympy.factor_list(sympy.Poly(row[::-1], sympy.Symbol("t")))
     powers = []  # per factor, p^k in t for each k allowed
     for p, m in factors:
-        along = tuple(int(c) for c in reversed(p.all_coeffs()))
-        top = min(m // mult, deg_max // p.degree())
-        powers.append(accumulate(repeat(along, top), _poly_mul,
-                                 initial=(1,)))
+        top = min(m // mult, deg_max // (len(p) - 1))
+        powers.append(accumulate(repeat(p, top), _poly_mul, initial=(1,)))
     divisors = []
     for choice in product(*powers):
         cs = reduce(_poly_mul, choice)

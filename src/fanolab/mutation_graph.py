@@ -66,8 +66,8 @@ def build_graph(f, depth, bounds=None):
       full-dimensional (``enumerate_mutations`` requires it), so some level
       is nonzero and the result is new.
 
-    The search keeps one edge-divisor memo for every node it expands, so
-    a coefficient row met again is not factored again.  It owns two more
+    The search keeps one edge-factor memo for every node it expands, so
+    a primitive edge row met again is not factored again.  It owns two more
     dicts: ``expanded`` maps each polynomial it expanded to its
     ``enumerate_mutations`` result and its children by seed key, so an
     equal polynomial reached by another path reuses both and mutates only

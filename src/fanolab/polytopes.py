@@ -22,7 +22,8 @@ from math import prod
 from operator import and_, index
 
 from .laurent import ZeroPolynomialError, json_value
-from .linalg import hnf_rows, is_primitive, nullspace, primitive_part, rref
+from .linalg import (hnf_rows, identity, is_primitive, nullspace,
+                     primitive_part, rref)
 
 
 class DegeneratePolytopeError(ValueError):
@@ -57,24 +58,24 @@ def _hull(points, rank):
 
     The facets (u, c) are the extreme rays of the pointed cone of (u, c)
     with <u, p> + c >= 0 at every point.  It starts as the simplicial cone
-    of rank + 1 affinely independent points and cuts by the others in order.
+    of the first rank + 1 affinely independent points, read off the one
+    ``rref`` that tests whether they span, and cuts by the others in order.
     Each ray carries the bitmask, distinct per ray, of the points so far on
     its facet.  Rays either side of a point span a new ray when adjacent:
     they share rank - 1 points and no third mask holds the shared ones.  A
     point is a vertex when the masks through it meet in it alone.
     """
     lifted = [p + (1,) for p in points]
-    # the first affinely independent points, rank + 1 of them if they span
-    start = rref(list(zip(*lifted)))[1]
-    if len(start) <= rank:
+    # rref([lifted^T | I]) = [R | T]: if every pivot is a point, T = D M^-1
+    # for M the lifted start points as columns and D > 0 diagonal, so row i
+    # of T is the normal of the facet that misses start point i
+    rows, start = rref([list(c) + e for c, e in
+                        zip(zip(*lifted), identity(rank + 1))])
+    if start[-1] >= len(points):
         return [], []
-    rays = []
-    for i in start:
-        others = [j for j in start if j != i]
-        r = nullspace([lifted[j] for j in others], ncols=rank + 1)[0]
-        if sum(a * b for a, b in zip(r, lifted[i])) < 0:
-            r = tuple(-x for x in r)
-        rays.append((r, sum(1 << j for j in others)))
+    full = sum(1 << i for i in start)
+    rays = [(primitive_part(r[len(points):]), full ^ (1 << i))
+            for r, i in zip(rows, start)]
     for i, q in enumerate(lifted):
         if i in start:
             continue
@@ -404,10 +405,9 @@ def normal_form(p):
 
 
 def simplex_weights(p):
-    """Primitive positive relation among the vertices of a Fano simplex.
-
-    Returns the ascending weight vector of the weighted projective space
-    given by the spanning fan.
+    """The ascending weights of the weighted projective space given by the
+    spanning fan of a simplex: the primitive positive relation among the
+    fan's rays, the primitive parts of the vertices.
     """
     p.require_full_dim()
     if len(p.vertices) != p.rank + 1:
@@ -416,8 +416,8 @@ def simplex_weights(p):
             f"{p.rank + 1}")
     if not p.origin_strictly_interior():
         raise OriginNotInteriorError("weights need the origin interior")
-    cols = [[v[i] for v in p.vertices] for i in range(p.rank)]
-    # the vertices span, so the one relation is the origin's barycentric
-    # coordinates: positive, as the basis vector is at its free coordinate
+    cols = list(zip(*map(primitive_part, p.vertices)))
+    # one relation, the origin's barycentric coordinates times the vertex
+    # gcds: of one sign, and positive at the basis vector's free coordinate
     (weights,) = nullspace(cols, ncols=p.rank + 1)
     return tuple(sorted(weights))

@@ -4,7 +4,8 @@
 ``LaurentPolynomial``, takes its powers with ``factor_powers``, multiplies
 each choice of powers with the Laurent kernel and reads the coefficient
 row back off the product.  ``mutation._edge_divisors`` multiplies the
-coefficient rows directly; this serves only as its oracle.
+coefficient rows of the factors that ``integer_factors`` lists directly;
+this serves only as its oracle.
 """
 
 from functools import reduce
@@ -14,6 +15,15 @@ from operator import mul
 import sympy
 
 from fanolab.laurent import LaurentPolynomial, factor_powers
+
+
+def integer_factors(row):
+    """The irreducible factors of the integer polynomial with ascending
+    coefficient row ``row``, with their multiplicities, as ``factor_list``
+    gives them: (ascending row, multiplicity) pairs."""
+    _, factors = sympy.factor_list(sympy.Poly(row[::-1], sympy.Symbol("t")))
+    return [(tuple(int(c) for c in reversed(p.all_coeffs())), m)
+            for p, m in factors]
 
 
 def laurent_edge_divisors(row, mult, deg_max):

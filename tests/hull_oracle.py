@@ -9,14 +9,55 @@ with the number of point subsets, so it only serves as the oracle that
 ``chart_first_from_points`` is ``LatticePolytope.from_points`` as it was
 when every point set went through ``affine_chart`` before its hull, the
 oracle for the hull deciding whether the points span.
+
+``start_cone_hull`` is ``_hull`` as it was when the start simplex's facets
+came from one ``nullspace`` each, after the ``rref`` that found the start
+points: the oracle for reading them off that ``rref``.
 """
 
-from itertools import combinations
-from operator import index
+from functools import reduce
+from itertools import combinations, product
+from operator import and_, index
 
-from fanolab.linalg import nullspace, rref
+from fanolab.linalg import nullspace, primitive_part, rref
 from fanolab.polytopes import (DegeneratePolytopeError, LatticePolytope,
                                _hull, _polygon, affine_chart)
+
+
+def start_cone_hull(points, rank):
+    """``_hull`` with the start cone's rays found one nullspace per facet:
+    the null vector of the other start points, signed positive on the one
+    its facet misses."""
+    lifted = [p + (1,) for p in points]
+    start = rref(list(zip(*lifted)))[1]
+    if len(start) <= rank:
+        return [], []
+    rays = []
+    for i in start:
+        others = [j for j in start if j != i]
+        r = nullspace([lifted[j] for j in others], ncols=rank + 1)[0]
+        if sum(a * b for a, b in zip(r, lifted[i])) < 0:
+            r = tuple(-x for x in r)
+        rays.append((r, sum(1 << j for j in others)))
+    for i, q in enumerate(lifted):
+        if i in start:
+            continue
+        bit = 1 << i
+        signed = [(sum(a * b for a, b in zip(r, q)), r, m) for r, m in rays]
+        rays = [(r, m | bit if s == 0 else m) for s, r, m in signed if s >= 0]
+        above = [x for x in signed if x[0] > 0]
+        below = [x for x in signed if x[0] < 0]
+        for (s, r, m1), (t, r2, m2) in product(above, below):
+            shared = m1 & m2
+            if shared.bit_count() >= rank - 1 and not any(
+                    m & shared == shared
+                    for _, _, m in signed if m not in (m1, m2)):
+                rays.append((primitive_part([s * y - t * x
+                                             for x, y in zip(r, r2)]),
+                             shared | bit))
+    verts = [p for i, p in enumerate(points)
+             if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i]
+    return verts, sorted((r[:-1], r[-1]) for r, _ in rays)
 
 
 def _hyperplane_normal(points, rank):

@@ -128,7 +128,7 @@ def test_criterion_09_rigidity():
     verdict = is_rigid(parse_polynomial(P2)).verdict
     h = parse_polynomial(H)
     p = newton_polytope(h)
-    space = coefficient_space(p, seed_set(p).seeds)
+    space = coefficient_space(p, seed_set(p))
     pinned = space.dimension == 0 and space.member() == h
     ok = verdict == "rigid-within-bounds" and pinned
     report(9, ok, f"{P2} is {verdict}; the square's coefficient space is "

@@ -431,6 +431,16 @@ def _markov_bound_cases():
     return [case, ["--json"] + case]
 
 
+def _non_primitive_weights_cases():
+    """``weights`` on simplices with a non-primitive vertex, whose spanning
+    fans are those of P^2 and P^1: the relation among the rays, not among
+    the vertices."""
+    return [argv for case in ('{"n": 2, "vertices": [[2, 0], [0, 1], '
+                              '[-1, -1]]}',
+                              '{"n": 1, "vertices": [[2], [-3]]}')
+            for argv in (["weights", case], ["--json", "weights", case])]
+
+
 CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _known_series_cases() + _nf_cases() + _rank3_cases()
          + _refusal_cases() + _branch_cases() + _position_cases()
@@ -439,7 +449,7 @@ CASES = (_cases() + _text_cases() + _both_mode_cases() + _hull_cases()
          + _zero_power_cases() + _wide_number_cases()
          + _coefficient_bound_cases() + _rigid_bound_cases()
          + _product_cap_cases() + _product_block_cases()
-         + _markov_bound_cases())
+         + _markov_bound_cases() + _non_primitive_weights_cases())
 
 
 def _command(argv):

@@ -16,14 +16,14 @@ from fanolab.laurent import (PARSE_NESTING_CAP, LaurentPolynomial, ParseError,
                              exponent_lattice_index, parse_polynomial,
                              substitute_unimodular)
 from fanolab.linalg import complete_to_basis_last_row, hnf_rows, nullspace
-from fanolab.mmlp import CoefficientSpace, coefficient_space
+from fanolab.mmlp import CoefficientSpace
 from fanolab.mutation import (InvalidFactorError, InvalidWeightError,
                               MutationData, canonicalize_shear,
                               enumerate_mutations, exact_divide, is_mutable,
                               weight_decomposition)
 from fanolab.periods import period_stream
-from fanolab.polytopes import (LatticePolytope, OriginNotInteriorError,
-                               dual_polytope, newton_polytope)
+from fanolab.polytopes import (LatticePolytope, dual_polytope,
+                               newton_polytope)
 
 F = parse_polynomial("x + y + 1/(x*y)")
 ZERO = LaurentPolynomial.zero(2)
@@ -54,8 +54,6 @@ GUARDS = {
         (ValueError, lambda: complete_to_basis_last_row((2, 4))),
     "member-of-an-empty-space":
         (ValueError, CoefficientSpace(CORNER, (), (), (), True).member),
-    "coefficient-space-with-the-origin-on-the-boundary":
-        (OriginNotInteriorError, lambda: coefficient_space(CORNER, ())),
     "weight-decomposition-of-zero":
         (ZeroPolynomialError, lambda: weight_decomposition(ZERO, (1, 0))),
     "is-mutable-on-zero":

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,7 +51,7 @@ def test_coefficient_space_square_pins_h():
     h = parse_polynomial(H)
     p = newton_polytope(h)
     ss = seed_set(p)
-    space = coefficient_space(p, ss.seeds)
+    space = coefficient_space(p, ss)
     assert not space.empty
     assert space.dimension == 0
     assert space.basepoint == (Fraction(2),) * 4
@@ -63,7 +64,7 @@ def test_coefficient_space_square_pins_h():
 def test_contains_polynomial_checks_pinned_terms():
     h = parse_polynomial(H)
     p = newton_polytope(h)
-    space = coefficient_space(p, seed_set(p).seeds)
+    space = coefficient_space(p, seed_set(p))
     for extra in ("4*x*y",  # the x*y vertex coefficient becomes 5
                   "x^3",  # a term outside the polytope
                   "7"):  # a nonzero constant term
@@ -77,14 +78,14 @@ def test_coefficient_space_members_are_mutable():
     h = parse_polynomial(H)
     p = newton_polytope(h)
     ss = seed_set(p)
-    space = coefficient_space(p, ss.seeds)
+    space = coefficient_space(p, ss)
     for seed in ss.seeds:
         assert isinstance(is_mutable(space.member(), seed), MutationWitness)
 
 
 def test_coefficient_space_unconstrained_dimension():
     p = newton_polytope(parse_polynomial(H))
-    space = coefficient_space(p, ())
+    space = coefficient_space(p, replace(seed_set(p), seeds=()))
     assert space.dimension == 4  # the four edge midpoints are free
     assert space.basepoint == (0,) * 4
     assert space.contains_polynomial(parse_polynomial(H))
@@ -95,7 +96,7 @@ def test_coefficient_space_unconstrained_dimension():
 def test_contains_polynomial_without_free_points():
     f = parse_polynomial("x + y + x^-1*y^-1")
     p = newton_polytope(f)
-    space = coefficient_space(p, seed_set(p).seeds)
+    space = coefficient_space(p, seed_set(p))
     assert space.free_points == () and space.dimension == 0
     assert space.contains_polynomial(f)
 
@@ -135,9 +136,8 @@ E2E_POLYTOPES = ([newton_polytope(parse_polynomial(text))
 def test_packed_kernel_matches_the_tuple_oracle_end_to_end(p, monkeypatch):
     seeds = seed_set(p)
     assert seeds.points == lattice_points(p).all
-    space = coefficient_space(p, seeds.seeds)
+    space = coefficient_space(p, seeds)
     assert space == mmlp_oracle.coefficient_space(p, seeds.seeds)
-    assert coefficient_space(p, seeds.seeds, points=seeds.points) == space
     monkeypatch.setattr(mmlp, "_higher_rank_factors",
                         mmlp_oracle.higher_rank_factors)
     oracle = seed_set(p)
@@ -153,7 +153,7 @@ def test_a_factor_power_past_the_packing_bound_has_no_fit():
     factor = parse_polynomial(f"1 + x^{1 << (PACK_BITS - 1)}", rank_hint=2)
     assert factor.packed() is None
     seeds = (MutationData((0, 1), factor),)
-    space = coefficient_space(p, seeds)
+    space = coefficient_space(p, replace(seed_set(p), seeds=seeds))
     assert space == mmlp_oracle.coefficient_space(p, seeds)
     assert space.empty
     # a face whose points reach half the box cap, and a binomial along it
@@ -189,3 +189,28 @@ def test_is_rigid_enumerates_lattice_points_once(monkeypatch):
         checks.clear()
         is_rigid(parse_polynomial(text))
         assert len(calls) == 1 and len(checks) == 1, text
+
+
+def test_coefficient_space_reads_the_seed_set_unchecked(monkeypatch):
+    # seed_set checked the origin and walked the points; coefficient_space
+    # reads them off the seed set and neither checks nor walks again
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for text in ("x + y + x^-1*y^-1", H, "(x + y + 1)^3/(x*y*z) + z"):
+        p = newton_polytope(parse_polynomial(text))
+        seeds = seed_set(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(mmlp, "lattice_points",
+                          counted("lattice_points", lattice_points))
+            patch.setattr(LatticePolytope, "origin_strictly_interior",
+                          counted("origin_strictly_interior",
+                                  LatticePolytope.origin_strictly_interior))
+            space = coefficient_space(p, seeds)
+        assert calls == [], text
+        assert space == mmlp_oracle.coefficient_space(p, seeds.seeds), text

@@ -20,7 +20,7 @@ from fanolab.periods import periods_agree
 from fanolab.polytopes import newton_polytope
 from fanolab.recurrence import _poly_mul
 import linalg_oracle
-from divisor_oracle import laurent_edge_divisors
+from divisor_oracle import integer_factors, laurent_edge_divisors
 from shear_oracle import shear
 from test_properties import gl
 
@@ -409,9 +409,9 @@ RATIONAL_EDGE = "1/4*y^-1 + x*y^-1 + x^2*y^-1 + y"  # (x + 1/2)^2 / y + y
 
 
 def _edge_keys(f, bounds):
-    """The (integer coefficient row, mult) of each factored edge: every
-    facet (u, c) with 1 <= c <= w_max whose slice at level -c has two or
-    more terms, read along the edge from its lex-least end."""
+    """The (primitive integer coefficient row, mult) of each factored edge:
+    every facet (u, c) with 1 <= c <= w_max whose slice at level -c has two
+    or more terms, read along the edge from its lex-least end."""
     keys = []
     for u, c in newton_polytope(f).facets:
         if not 1 <= c <= bounds.w_max:
@@ -427,7 +427,7 @@ def _edge_keys(f, bounds):
         row = [edge.coefficient(tuple(a + k * x
                                       for a, x in zip(support[0], d)))
                for k in range(length + 1)]
-        keys.append((tuple(_integer_row(row)), c))
+        keys.append((primitive_part(_integer_row(row)), c))
     return keys
 
 
@@ -448,13 +448,13 @@ def _count_factor_list(monkeypatch):
 @pytest.mark.parametrize("f", P2_DEPTH2 + [parse_polynomial(RATIONAL_EDGE)],
                          ids=format_polynomial)
 def test_enumeration_factors_each_edge_once(f, monkeypatch):
-    # one integer factor_list per distinct coefficient row among the facets
-    # (u, c) with 1 <= c <= w_max whose slice at level -c has two or more
-    # terms
+    # one integer factor_list per distinct primitive coefficient row among
+    # the facets (u, c) with 1 <= c <= w_max whose slice at level -c has two
+    # or more terms
     factored = _count_factor_list(monkeypatch)
     bounds = MutationBounds()
     result = enumerate_mutations(f, bounds)
-    assert len(factored) == len(set(_edge_keys(f, bounds)))
+    assert len(factored) == len({row for row, _ in _edge_keys(f, bounds)})
     assert all(poly.domain.is_ZZ for poly in factored)
     assert list(result.seeds) == _old_enumerate_rank2(f, bounds)
 
@@ -476,7 +476,7 @@ def test_edge_divisors_match_the_laurent_oracle(factors, mult, deg_max):
     # a product of small factors, with repeats, cyclotomics and leading
     # coefficients other than 1
     row = reduce(_poly_mul, [p for p, m in factors for _ in range(m)])
-    assert mutation._edge_divisors(row, mult, deg_max) == \
+    assert mutation._edge_divisors(integer_factors(row), mult, deg_max) == \
         laurent_edge_divisors(row, mult, deg_max)
 
 
@@ -484,25 +484,55 @@ def test_edge_divisors_of_a_repeated_cyclotomic_with_a_non_unit_factor():
     # (1 + t)^3 (2 + 3t): D = (1 + t)^k for k * mult <= 3, and (1 + t)^k
     # (2 + 3t), which has 1 at neither end
     row = reduce(_poly_mul, [(1, 1)] * 3 + [(2, 3)])
-    assert mutation._edge_divisors(row, 1, 6) == \
+    factors = integer_factors(row)
+    assert sorted(factors) == [((1, 1), 3), ((2, 3), 1)]
+    assert mutation._edge_divisors(factors, 1, 6) == \
         laurent_edge_divisors(row, 1, 6) == \
         [(1, 1), (1, 2, 1), (1, 3, 3, 1)]
-    assert mutation._edge_divisors(row, 2, 6) == [(1, 1)]
+    assert mutation._edge_divisors(factors, 2, 6) == [(1, 1)]
 
 
 GRAPHS = [("x + y + x^-1*y^-1", 3), (H, 2)]
+# in each, one primitive row is met at two facet heights: a memo keyed by
+# row and height factored it twice, 3 rows in all for each graph
+TWO_HEIGHT_GRAPHS = [("x + x*y + y + x^-1 + x^-1*y^-1 + y^-1", 3),
+                     ("x + x*y + y + x^-1*y^-1 + y^-1", 2)]
 
 
-@pytest.mark.parametrize("text, depth", GRAPHS)
-def test_build_graph_factors_each_edge_row_once(text, depth, monkeypatch):
-    # the search shares one memo, so a row met again on another node is not
-    # factored again
-    factored = _count_factor_list(monkeypatch)
-    bounds = MutationBounds()
+def _graph_edge_keys(text, depth, bounds):
     graph = mutation_graph.build_graph(parse_polynomial(text), depth, bounds)
-    edges = [key for node in graph.nodes if node.depth < depth
-             for key in _edge_keys(node.polynomial, bounds)]
-    assert len(factored) == len(set(edges)) < len(edges)
+    return [key for node in graph.nodes if node.depth < depth
+            for key in _edge_keys(node.polynomial, bounds)]
+
+
+@pytest.mark.parametrize("text, depth", GRAPHS + TWO_HEIGHT_GRAPHS)
+def test_build_graph_factors_each_edge_row_once(text, depth, monkeypatch):
+    # the search shares one memo, so a row met again on another node, or
+    # at another height, is not factored again
+    factored = _count_factor_list(monkeypatch)
+    edges = _graph_edge_keys(text, depth, MutationBounds())
+    rows = [row for row, _ in edges]
+    assert len(factored) == len(set(rows)) < len(rows)
+
+
+@pytest.mark.parametrize("text, depth", TWO_HEIGHT_GRAPHS)
+def test_build_graph_factors_a_row_met_at_two_heights_once(text, depth,
+                                                           monkeypatch):
+    factored = _count_factor_list(monkeypatch)
+    edges = set(_graph_edge_keys(text, depth, MutationBounds()))
+    assert len(edges) == 3 and len(factored) == 2
+    assert len({row for row, _ in edges}) == 2
+
+
+def test_one_memo_factors_f_and_twice_f_once(monkeypatch):
+    # the edge rows of 2f are twice those of f, with the same primitive part
+    factored = _count_factor_list(monkeypatch)
+    bounds, memo = MutationBounds(), {}
+    f = parse_polynomial(H)
+    results = [enumerate_mutations(g, bounds, memo) for g in (f, 2 * f)]
+    assert len(factored) == len({row for row, _ in _edge_keys(f, bounds)})
+    assert results[0].seeds == results[1].seeds == \
+        enumerate_mutations(f, bounds).seeds != ()
 
 
 @pytest.mark.parametrize("text, depth", GRAPHS)

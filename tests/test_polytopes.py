@@ -6,9 +6,10 @@ from math import gcd
 
 import pytest
 
+from fanolab import polytopes
 from fanolab.laurent import parse_polynomial
-from fanolab.linalg import is_primitive
-from fanolab.mutation_graph import build_graph
+from fanolab.linalg import is_primitive, nullspace, rref
+from fanolab.mutation_graph import build_graph, export_dot
 from fanolab.polytopes import (LATTICE_BOX_CAP, DegeneratePolytopeError,
                                LatticePolytope, NotSimplexError,
                                OriginNotInteriorError,
@@ -198,6 +199,21 @@ def test_simplex_weights():
         simplex_weights(square)
 
 
+@pytest.mark.parametrize("scale", [(2, 1, 1), (1, 3, 2), (5, 5, 5)])
+def test_simplex_weights_read_the_rays_of_the_fan(scale):
+    # a vertex's multiple spans the same ray, so the weights of the fan of
+    # P^2 and of P(1, 1, 4) do not change when the vertices are scaled
+    for vertices, weights in (([(1, 0), (0, 1), (-1, -1)], (1, 1, 1)),
+                              ([(-1, -1), (1, 0), (3, 4)], (1, 1, 4))):
+        p = LatticePolytope.from_points([tuple(k * x for x in v)
+                                         for k, v in zip(scale, vertices)])
+        assert simplex_weights(p) == weights
+    assert simplex_weights(LatticePolytope.from_points([(2,), (-3,)])) \
+        == (1, 1)
+    f = parse_polynomial("4*x^2 + y + x^-1*y^-1")
+    assert "| (1, 1, 1)\"" in export_dot(build_graph(f, 0))
+
+
 def subset_hull(points):
     """Vertices and facets by the subset enumeration that rank >= 3 uses."""
     pts = sorted(set(points))
@@ -238,6 +254,36 @@ def test_hull_of_a_286_point_rank3_support():
     assert p.vertices == ((0, 0, 0), (0, 0, 10), (0, 10, 0), (10, 0, 0))
     assert p.facets == (((-1, -1, -1), 10), ((0, 0, 1), 0), ((0, 1, 0), 0),
                         ((1, 0, 0), 0))
+
+
+HULL_INPUTS = [
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+     3),  # the octahedron
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),  # a square: no span
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+      (-1, -1, -1, -1), (1, 1, 0, 0)], 4),
+    ([(-3,), (0,), (2,)], 1),
+    ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)], 2),
+]
+
+
+@pytest.mark.parametrize("points, rank", HULL_INPUTS)
+def test_hull_runs_one_rref_and_no_nullspace(points, rank, monkeypatch):
+    # the spanning test's one elimination also gives the start facets
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polytopes, "rref", counted("rref", rref))
+    monkeypatch.setattr(polytopes, "nullspace",
+                        counted("nullspace", nullspace))
+    verts, facets = polytopes._hull(sorted(points), rank)
+    assert calls == ["rref"]
+    assert (len(facets) > rank) == (len(verts) > rank)
 
 
 @pytest.mark.parametrize("points, rank", [([()], None), ([()], 0),

@@ -24,7 +24,7 @@ from fanolab.polytopes import (LatticePolytope, _hull, _polygon,
                                lattice_points, newton_polytope, normal_form,
                                simplex_weights)
 from hull_oracle import (_facets_full_dim, _vertices_full_dim,
-                         chart_first_from_points)
+                         chart_first_from_points, start_cone_hull)
 from mmlp_oracle import minkowski_difference_points
 from nf_oracle import normal_form_by_permutations
 from shear_oracle import shear
@@ -224,6 +224,23 @@ def test_hull_matches_subset_oracle(rank, data):
     facets = _facets_full_dim(pts, rank)
     assert p.facets == tuple(facets)
     assert p.vertices == tuple(_vertices_full_dim(pts, facets, rank))
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hull_start_cone_matches_the_nullspace_oracle(rank, data):
+    # the start simplex's facets read off the spanning test's rref, on
+    # point sets that span, on ones flattened onto a hyperplane that do not,
+    # and on the images of both under GL(rank, Z)
+    points = data.draw(point_sets(rank))
+    if data.draw(st.booleans()):
+        height = data.draw(st.integers(-2, 2))
+        points = [q[:-1] + (height,) for q in points]
+    g = data.draw(gl(rank))
+    for image in (points, [_apply(g, q) for q in points]):
+        pts = sorted(set(image))
+        assert _hull(pts, rank) == start_cone_hull(pts, rank)
 
 
 @SETTINGS

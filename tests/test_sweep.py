@@ -11,7 +11,7 @@ bases.  The candidates of both have distinct keys, and
 
 import functools
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -229,9 +229,10 @@ def test_seeds_have_distinct_keys_on_gl3_images(p, m):
 
 @pytest.mark.parametrize("p", POLYTOPES, ids=POLYTOPE_IDS)
 def test_coefficient_space_reads_the_seeds_in_any_order(p):
-    seeds = list(seed_set(p).seeds)
+    seeds = seed_set(p)
     space = coefficient_space(p, seeds)
-    random.Random(len(seeds)).shuffle(seeds)
-    shuffled = coefficient_space(p, seeds)
+    order = list(seeds.seeds)
+    random.Random(len(order)).shuffle(order)
+    shuffled = coefficient_space(p, replace(seeds, seeds=tuple(order)))
     for field in fields(CoefficientSpace):
         assert getattr(shuffled, field.name) == getattr(space, field.name)
