@@ -473,10 +473,11 @@ def _cmd_pf(args):
 
 
 def _add_bounds(sub):
-    sub.add_argument("--wmax", type=int, default=MutationBounds.w_max,
+    defaults = MutationBounds()
+    sub.add_argument("--wmax", type=int, default=defaults.w_max,
                      help="largest slice depth to mutate across "
                           "(default %(default)s)")
-    sub.add_argument("--degmax", type=int, default=MutationBounds.deg_max,
+    sub.add_argument("--degmax", type=int, default=defaults.deg_max,
                      help="largest factor degree to try (default %(default)s)")
 
 
@@ -573,7 +574,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         with _int_digits(0):
-            return args.func(args)
+            code = args.func(args)
+        # flush here, so that a reader gone early raises inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the streams are flushed again at exit: point stdout at devnull so
+        # that flush is quiet too, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

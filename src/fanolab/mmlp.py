@@ -18,7 +18,7 @@ Points and exponents are read as the packed integer keys of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 from operator import attrgetter, neg
 
@@ -26,8 +26,8 @@ from .laurent import LaurentPolynomial, _pack, factor_powers
 from .linalg import nullspace, primitive_part, solve_affine
 from .mutation import (InvalidWeightError, MutationBounds, MutationData,
                        factor_sweep, weight_value)
-from .polytopes import (LatticePolytope, OriginNotInteriorError,
-                        lattice_points, newton_polytope)
+from .polytopes import (OriginNotInteriorError, lattice_points,
+                        newton_polytope)
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +83,13 @@ MMLP_POINT_CAP = 64
 MMLP_SEED_CAP = 1000
 
 
-@dataclass(frozen=True)
-class SeedSet:
+class SeedSet(namedtuple("SeedSet", "seeds complete points")):
     """The seeds of p and the sorted lattice points of p that the search
     read, once it found the origin interior and the points within
-    ``MMLP_POINT_CAP``; ``replace(seeds, seeds=other)`` keeps both checks.
+    ``MMLP_POINT_CAP``; ``seeds._replace(seeds=other)`` keeps both checks.
     """
 
-    seeds: tuple
-    complete: bool
-    points: tuple
+    __slots__ = ()
 
 
 def seed_set(p, bounds=None):
@@ -165,8 +162,9 @@ def _higher_rank_factors(face_pts, height, bounds):
 # coefficient spaces
 
 
-@dataclass(frozen=True)
-class CoefficientSpace:
+class CoefficientSpace(namedtuple(
+        "CoefficientSpace",
+        "polytope free_points basepoint directions empty")):
     """Affine space of polynomials on a polytope meeting mutability seeds.
 
     ``free_points`` lists the lattice points whose coefficients are
@@ -175,11 +173,7 @@ class CoefficientSpace:
     vectors).  ``empty`` means the constraints are inconsistent.
     """
 
-    polytope: LatticePolytope
-    free_points: tuple
-    basepoint: tuple
-    directions: tuple
-    empty: bool
+    __slots__ = ()
 
     @property
     def dimension(self):
@@ -278,12 +272,12 @@ def coefficient_space(p, seeds):
 # rigidity
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    verdict: str  # "rigid-within-bounds" | "not-rigid" | "inconclusive"
-    space: CoefficientSpace
-    seed_count: int
-    complete: bool
+class RigidityReport(namedtuple("RigidityReport",
+                                "verdict space seed_count complete")):
+    """``verdict`` is "rigid-within-bounds", "not-rigid" or
+    "inconclusive"."""
+
+    __slots__ = ()
 
 
 def is_rigid(f, bounds=None):

@@ -15,7 +15,7 @@ it to a canonical position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product, repeat
@@ -86,8 +86,7 @@ def _level_slices(f, w):
     return slices
 
 
-@dataclass(frozen=True)
-class MutationData:
+class MutationData(namedtuple("MutationData", "weight factor")):
     """A validated mutation (w, F): w primitive, supp(F) on the w = 0 wall.
 
     The factor is translated on construction so that its lex-least exponent
@@ -96,22 +95,25 @@ class MutationData:
     mutations get equal ``key``s.
     """
 
-    weight: tuple
-    factor: LaurentPolynomial
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = check_weight(self.weight, self.factor.rank)
-        object.__setattr__(self, "weight", w)
-        if self.factor.is_zero():
+    def __new__(cls, weight, factor):
+        w = check_weight(weight, factor.rank)
+        if factor.is_zero():
             raise InvalidFactorError("factor must be nonzero")
-        off = [e for e in self.factor.terms if weight_value(w, e)]
+        off = [e for e in factor.terms if weight_value(w, e)]
         if off:
             raise InvalidFactorError(
                 f"factor term x^{min(off)} is not on the wall w = 0")
-        base = min(self.factor.terms)
+        base = min(factor.terms)
         if any(base):
-            object.__setattr__(self, "factor",
-                               self.factor.shift(tuple(-x for x in base)))
+            factor = factor.shift(tuple(-x for x in base))
+        return tuple.__new__(cls, (w, factor))
+
+    @classmethod
+    def _make(cls, values):
+        # ``_replace`` builds through ``_make``: check its values too
+        return cls(*values)
 
     @property
     def key(self):
@@ -173,19 +175,16 @@ def exact_divide(g, d):
 # mutability and mutation
 
 
-@dataclass(frozen=True)
-class MutationWitness:
-    """Every w-slice of f, by ascending level: the exact quotient
-    f_i / F^|i| at each negative level i, and f_i itself at the others."""
+class MutationWitness(namedtuple("MutationWitness", "data quotients")):
+    """Every w-slice of f, by ascending level, as ``quotients``, a tuple of
+    (level, LaurentPolynomial): the exact quotient f_i / F^|i| at each
+    negative level i, and f_i itself at the others."""
 
-    data: MutationData
-    quotients: tuple  # of (level, LaurentPolynomial)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotMutable:
-    data: MutationData
-    failing_level: int
+class NotMutable(namedtuple("NotMutable", "data failing_level")):
+    __slots__ = ()
 
 
 def is_mutable(f, data):
@@ -278,18 +277,22 @@ def shear_equivalent(f, g, w):
 # enumeration
 
 
-@dataclass(frozen=True)
-class MutationBounds:
-    w_max: int = 12
-    deg_max: int = 6
+class MutationBounds(namedtuple("MutationBounds", "w_max deg_max")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.w_max < 1 or self.deg_max < 1:
+    def __new__(cls, w_max=12, deg_max=6):
+        if w_max < 1 or deg_max < 1:
             raise ValueError("bounds must be positive")
+        return tuple.__new__(cls, (w_max, deg_max))
+
+    @classmethod
+    def _make(cls, values):
+        # ``_replace`` builds through ``_make``: check its values too
+        return cls(*values)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(namedtuple("EnumerationResult",
+                                   "witnesses complete")):
     """Mutations found within the bounds, with the witnesses proving them.
 
     ``witnesses`` holds one MutationWitness per mutation, sorted by weight
@@ -302,8 +305,7 @@ class EnumerationResult:
     candidate sweep and is always reported as partial.
     """
 
-    witnesses: tuple
-    complete: bool
+    __slots__ = ()
 
     @property
     def seeds(self):

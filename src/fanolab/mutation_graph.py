@@ -8,32 +8,23 @@ the parent.  Every other seed gives a new branch; see ``build_graph``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .laurent import format_polynomial, parse_polynomial
 from .mutation import enumerate_mutations, mutate
 from .polytopes import newton_polytope, simplex_weights
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    polynomial: object
-    depth: int
+class GraphNode(namedtuple("GraphNode", "polynomial depth")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    source: int
-    target: int
-    weight: tuple
-    factor: object
+class GraphEdge(namedtuple("GraphEdge", "source target weight factor")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MutationGraph:
-    nodes: tuple
-    edges: tuple
-    complete: bool
+class MutationGraph(namedtuple("MutationGraph", "nodes edges complete")):
+    __slots__ = ()
 
     def nodes_at_depth(self, d):
         return [n for n in self.nodes if n.depth == d]
@@ -171,11 +162,12 @@ def markov_tree(depth):
     return [[t for t, _ in level] for level in levels]
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    per_depth: tuple  # of (graph_weight_sets, markov_squared_sets, agree)
-    ok: bool
-    complete: bool
+class CorrespondenceReport(namedtuple("CorrespondenceReport",
+                                      "per_depth ok complete")):
+    """``per_depth`` holds one (graph_weight_sets, markov_squared_sets,
+    agree) triple per depth."""
+
+    __slots__ = ()
 
 
 def p2_correspondence_check(depth, bounds=None):

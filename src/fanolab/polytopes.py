@@ -14,7 +14,7 @@ columns carries the hull onto a full-dimensional one in fewer coordinates;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -125,8 +125,8 @@ def _polygon(points):
     return ring, sorted(facets)
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(namedtuple("LatticePolytope",
+                                 "rank vertices facets dim")):
     """Convex hull of integer points, stored by vertices and facet data.
 
     ``facets`` is a tuple of ``(u, c)`` with u a primitive inner normal and
@@ -134,10 +134,7 @@ class LatticePolytope:
     polytopes.
     """
 
-    rank: int
-    vertices: tuple
-    facets: tuple
-    dim: int
+    __slots__ = ()
 
     @classmethod
     def from_points(cls, points, rank=None):
@@ -212,13 +209,10 @@ def is_fano(p):
     return p.origin_strictly_interior() and all(map(is_primitive, p.vertices))
 
 
-@dataclass(frozen=True)
-class DualPolytope:
+class DualPolytope(namedtuple("DualPolytope", "rank vertices integral")):
     """Polar dual; vertices are exact rationals, one per facet of the input."""
 
-    rank: int
-    vertices: tuple
-    integral: bool
+    __slots__ = ()
 
     def to_lattice_polytope(self):
         if not self.integral:
@@ -245,11 +239,9 @@ def is_reflexive(p):
     return all(c == 1 for (_, c) in p.facets)
 
 
-@dataclass(frozen=True)
-class LatticePointSet:
-    all: tuple
-    boundary: tuple
-    interior: tuple
+class LatticePointSet(namedtuple("LatticePointSet",
+                                 "all boundary interior")):
+    __slots__ = ()
 
 
 # the most bounding-box points lattice_points visits: boxes of 10,404, 91,204
@@ -284,8 +276,7 @@ def lattice_points(p):
 # normal form
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "matrix")):
     """Canonical vertex matrix under GL(n,Z), plus a stable byte encoding.
 
     The key of a column order sigma is the list of rows of the vertex-facet
@@ -324,7 +315,7 @@ class NormalForm:
     is the largest key.
     """
 
-    matrix: tuple
+    __slots__ = ()
 
     @property
     def encoding(self):

@@ -16,7 +16,7 @@ annihilating the generating series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .laurent import _format_terms
@@ -66,21 +66,18 @@ def _poly_terms(p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolynomialRecurrence:
+class PolynomialRecurrence(namedtuple(
+        "PolynomialRecurrence", "order degree coefficients initial_terms")):
     """Normalized relation sum_j q_j(k) c_{k-j} = 0 valid for k >= order.
 
-    Coefficients are integer tuples (ascending powers of k) with overall
-    content 1 and the leading coefficient of the first nonzero q_j (q_0
-    whenever it is nonzero) positive.  The first
+    ``coefficients`` holds q_0 .. q_order as integer tuples (ascending
+    powers of k) with overall content 1 and the leading coefficient of the
+    first nonzero q_j (q_0 whenever it is nonzero) positive.  The first
     ``order`` series terms are kept so the boundary behaviour of the
     matching differential operator can be decided later.
     """
 
-    order: int
-    degree: int
-    coefficients: tuple  # q_0 .. q_order
-    initial_terms: tuple
+    __slots__ = ()
 
     def check(self, k, terms):
         """Value of the relation at index k against the given terms."""
@@ -175,11 +172,12 @@ def verify_recurrence(rec, terms):
 # differential operators
 
 
-@dataclass(frozen=True)
-class DifferentialOperator:
-    """Operator sum_j t^j p_j(D) with D = t d/dt, p_j integer polynomials."""
+class DifferentialOperator(namedtuple("DifferentialOperator",
+                                      "coefficients")):
+    """Operator sum_j t^j p_j(D) with D = t d/dt, p_j integer polynomials;
+    ``coefficients`` holds p_0 .. p_m as ascending coefficient tuples."""
 
-    coefficients: tuple  # p_0 .. p_m, ascending coefficient tuples
+    __slots__ = ()
 
     def apply_to_series(self, terms):
         """Coefficients of the image of sum c_k t^k, same length as input."""

@@ -1,5 +1,7 @@
 import errno
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -758,3 +760,24 @@ def test_json_graph_formats_each_polynomial_once(capsys, monkeypatch):
     data = json.loads(out)
     assert code == 0
     assert len(formatted) == len(data["nodes"]) + len(data["edges"])
+
+
+@pytest.mark.parametrize("argv", [
+    # 214 KB of JSON, past any pipe buffer
+    ["--json", "points",
+     '{"n": 2, "vertices": [[-40, -40], [40, -40], [0, 40]]}'],
+    # a few bytes, written only by the flush in main
+    ["period", P2, "--terms", "3"],
+], ids=["points", "period"])
+def test_closed_stdout_ends_quietly(argv):
+    read, write = os.pipe()
+    os.close(read)  # no reader from the start, so every write fails
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "fanolab.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (1, b"")

@@ -1,12 +1,14 @@
 """No module of the package imports a name it never uses or imports inside
 a function (bar the lazy sympy import), reads sympy for anything but
 factoring, enumerates orders or subsets with itertools, keeps a private
-helper nothing calls, a dataclass field or instance attribute nothing
+helper nothing calls, a record field or instance attribute nothing
 reads or a parameter its function never reads, or caches a function for
 the whole process (bar the CLI parser), the CLI reads every option it
-parses, and importing the CLI loads no module it does not need."""
+parses, and importing the CLI loads no module it does not need.  Every
+record of the package refuses attribute writes."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -222,40 +224,71 @@ def attribute_reads(readers):
             and isinstance(node.ctx, ast.Load)}
 
 
-def unread_dataclass_fields(sources, readers):
-    """Fields of the dataclasses in ``sources`` that no attribute read names.
+def _called_name(node):
+    """The last dotted part of the name that node calls, or of node."""
+    return ast.unparse(getattr(node, "func", node)).split(".")[-1]
 
-    ``sources`` maps module names to source text.  A dataclass is a class
+
+def record_fields(sources):
+    """The fields of the records in ``sources``, by ``"module.Class"``.
+
+    ``sources`` maps module names to source text.  A record is a class
     decorated with ``dataclass``, called or not, by name or as an
-    attribute; its fields are the names annotated in its body.  A field is
-    read when some text of ``readers`` loads an attribute of that name from
-    anything.  Returns sorted ``"module.Class.field"`` strings.
+    attribute, whose fields are the names annotated in its body; or a
+    class with a base ``namedtuple("Name", "a b")``, whose fields are the
+    names in that call's second argument.
     """
-    read = attribute_reads(readers)
-    found = []
+    records = {}
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.ClassDef) or not any(
-                    ast.unparse(getattr(d, "func", d)).split(".")[-1]
-                    == "dataclass" for d in node.decorator_list):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            found += [f"{module}.{node.name}.{stmt.target.id}"
-                      for stmt in node.body
-                      if isinstance(stmt, ast.AnnAssign)
-                      and stmt.target.id not in read]
-    return sorted(found)
+            bases = [b for b in node.bases if isinstance(b, ast.Call)
+                     and _called_name(b) == "namedtuple"]
+            if bases:
+                fields = ast.literal_eval(bases[0].args[1]).replace(
+                    ",", " ").split()
+            elif any(_called_name(d) == "dataclass"
+                     for d in node.decorator_list):
+                fields = [stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)]
+            else:
+                continue
+            records[f"{module}.{node.name}"] = fields
+    return records
+
+
+def unread_dataclass_fields(sources, readers):
+    """Fields of the records in ``sources`` (see ``record_fields``) that no
+    attribute read names.
+
+    A field is read when some text of ``readers`` loads an attribute of
+    that name from anything.  Returns sorted ``"module.Class.field"``
+    strings.
+    """
+    read = attribute_reads(readers)
+    return sorted(f"{name}.{field}"
+                  for name, fields in record_fields(sources).items()
+                  for field in fields if field not in read)
 
 
 def test_unread_dataclass_fields_are_found():
-    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+    source = ("import collections, dataclasses\n"
+              "from collections import namedtuple\n"
+              "from dataclasses import dataclass\n"
               "@dataclass(frozen=True)\nclass P:\n"
               "    x: int\n    y: int\n    z: int = 0\n"
               "    def total(self):\n        return self.z\n"
               "@dataclasses.dataclass\nclass Q:\n    w: int\n"
-              "class R:\n    v: int\n")
-    reader = "print(p.x, 'p.y', y)\nq.w = 1\n"
+              "class R:\n    v: int\n"
+              "class S(namedtuple('S', 'u s')):\n    __slots__ = ()\n"
+              "    def total(self):\n        return self.u\n"
+              "class T(collections.namedtuple('T', 't, x')):\n"
+              "    pass\n"
+              "class U(ValueError):\n    kind: int\n")
+    reader = "print(p.x, 'p.y', y, s)\nq.w = 1\n"
     assert unread_dataclass_fields({"a": source}, [source, reader]) == [
-        "a.P.y", "a.Q.w"]
+        "a.P.y", "a.Q.w", "a.S.s", "a.T.t"]
 
 
 def unread_instance_attributes(sources, readers):
@@ -309,6 +342,34 @@ def _package_sources_and_readers():
 
 def test_package_dataclasses_have_no_unread_fields():
     assert unread_dataclass_fields(*_package_sources_and_readers()) == []
+
+
+PACKAGE_RECORDS = (
+    "mmlp.CoefficientSpace", "mmlp.RigidityReport", "mmlp.SeedSet",
+    "mutation.EnumerationResult", "mutation.MutationBounds",
+    "mutation.MutationData", "mutation.MutationWitness",
+    "mutation.NotMutable", "mutation_graph.CorrespondenceReport",
+    "mutation_graph.GraphEdge", "mutation_graph.GraphNode",
+    "mutation_graph.MutationGraph", "polytopes.DualPolytope",
+    "polytopes.LatticePointSet", "polytopes.LatticePolytope",
+    "polytopes.NormalForm", "recurrence.DifferentialOperator",
+    "recurrence.PolynomialRecurrence")
+
+
+def test_field_lint_sees_every_package_record():
+    sources, _ = _package_sources_and_readers()
+    assert sorted(record_fields(sources)) == list(PACKAGE_RECORDS)
+
+
+@pytest.mark.parametrize("name", PACKAGE_RECORDS)
+def test_package_records_refuse_attribute_writes(name):
+    module, cls = name.split(".")
+    record = getattr(importlib.import_module(f"fanolab.{module}"), cls)
+    # a record is frozen by its class, whatever its values
+    instance = tuple.__new__(record, range(len(record._fields)))
+    for attr in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(instance, attr, 0)
 
 
 def test_package_classes_have_no_unread_instance_attributes():
@@ -453,13 +514,17 @@ def test_cli_reads_every_option():
 
 def test_cli_import_leaves_sympy_unloaded():
     # only factoring needs sympy, and importing it dominates start-up;
-    # fanolab.mutation.sympy still reads as the module
-    code = ("import sys, fanolab.cli; print('sympy' in sys.modules); "
+    # fanolab.mutation.sympy still reads as the module.  The records are
+    # namedtuples, so the import loads neither dataclasses nor inspect;
+    # the module set is compared around the import, past what site loaded
+    code = ("import sys; before = set(sys.modules); import fanolab.cli; "
+            "added = set(sys.modules) - before; print('sympy' in added, "
+            "'dataclasses' in added, 'inspect' in added); "
             "print(fanolab.mutation.sympy is sys.modules['sympy'])")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "False", "True"]
 
 
 def test_reading_mutation_sympy_imports_it():

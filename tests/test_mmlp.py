@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -85,7 +84,7 @@ def test_coefficient_space_members_are_mutable():
 
 def test_coefficient_space_unconstrained_dimension():
     p = newton_polytope(parse_polynomial(H))
-    space = coefficient_space(p, replace(seed_set(p), seeds=()))
+    space = coefficient_space(p, seed_set(p)._replace(seeds=()))
     assert space.dimension == 4  # the four edge midpoints are free
     assert space.basepoint == (0,) * 4
     assert space.contains_polynomial(parse_polynomial(H))
@@ -153,7 +152,7 @@ def test_a_factor_power_past_the_packing_bound_has_no_fit():
     factor = parse_polynomial(f"1 + x^{1 << (PACK_BITS - 1)}", rank_hint=2)
     assert factor.packed() is None
     seeds = (MutationData((0, 1), factor),)
-    space = coefficient_space(p, replace(seed_set(p), seeds=seeds))
+    space = coefficient_space(p, seed_set(p)._replace(seeds=seeds))
     assert space == mmlp_oracle.coefficient_space(p, seeds)
     assert space.empty
     # a face whose points reach half the box cap, and a binomial along it

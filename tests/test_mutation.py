@@ -54,6 +54,18 @@ def test_mutation_data_validation():
     assert shifted.factor == data.factor and shifted.key == data.key
 
 
+def test_replace_checks_the_new_values():
+    data = MutationData((2, -1), parse_polynomial("1 + x*y^2"))
+    with pytest.raises(InvalidWeightError):
+        data._replace(weight=(4, -2))
+    with pytest.raises(InvalidFactorError):
+        data._replace(factor=parse_polynomial("1 + x", rank_hint=2))
+    assert data._replace(factor=parse_polynomial("x*y^2 + x^2*y^4")) == data
+    with pytest.raises(ValueError, match="bounds must be positive"):
+        MutationBounds()._replace(w_max=0)
+    assert MutationBounds()._replace(deg_max=2) == MutationBounds(12, 2)
+
+
 def test_exact_divide():
     f = parse_polynomial("x^2*y^-1 - y")
     g = parse_polynomial("x - y")

@@ -11,7 +11,6 @@ bases.  The candidates of both have distinct keys, and
 
 import functools
 import random
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -233,6 +232,6 @@ def test_coefficient_space_reads_the_seeds_in_any_order(p):
     space = coefficient_space(p, seeds)
     order = list(seeds.seeds)
     random.Random(len(order)).shuffle(order)
-    shuffled = coefficient_space(p, replace(seeds, seeds=tuple(order)))
-    for field in fields(CoefficientSpace):
-        assert getattr(shuffled, field.name) == getattr(space, field.name)
+    shuffled = coefficient_space(p, seeds._replace(seeds=tuple(order)))
+    for field in CoefficientSpace._fields:
+        assert getattr(shuffled, field) == getattr(space, field)
